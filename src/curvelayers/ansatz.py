@@ -525,10 +525,6 @@ class AnsatzBundle:
         cut = bridge_cutoff(3.0 * self.delta, 6.0 * self.delta)
         return cut(t), cut.deriv(t), cut.deriv2(t)
 
-    def value_columns(self, z):
-        """v on the strip x-grid for each requested z (for splined evaluation)."""
-        return self.strip_fields(z)["v"]
-
     def W_eval(self, t_pts, theta_val):
         """Global approximation at physical chart points (t_pts, theta_val)."""
         t_pts = np.asarray(t_pts, dtype=float)

@@ -307,6 +307,7 @@ def _stage_pde(pipe, tables_dir, ledgers):
         "final_residual": trace.residuals[-1],
         "initial_residuals": {str(t): {"sup": r[0], "rms": r[1]} for t, r in ladder.items()},
         "negative_events": trace.negative_events,
+        "linesearch_failures": trace.linesearch_failures,
         "positive": bool(np.min(trace.u) > 0),
     }
     ok = trace.converged and trace.iterations <= 12

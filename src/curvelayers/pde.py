@@ -196,16 +196,8 @@ class SolveTrace:
     negative_events: int
     converged: bool
     iterations: int
+    linesearch_failures: int
     mesh: Mesh2D = field(repr=False, default=None)
-
-    def quadratic_tail(self):
-        """Ratios r_{k+1} / r_k^2 over the undamped final iterations."""
-        r = self.residuals
-        out = []
-        for k in range(len(r) - 1):
-            if self.damping[k] == 1.0 and r[k] < 1e-2:
-                out.append(r[k + 1] / r[k] ** 2)
-        return out
 
 
 def _residual(mesh, u, p, eps):
@@ -221,7 +213,9 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     """Damped Newton iteration for eps^2 Lap u - V u + u^p = 0 with no-flux.
 
     The residual is scaled by the reaction size; backtracking halves the step
-    while the residual norm fails to decrease. Negative excursions are not
+    while the residual norm fails to decrease. When it falls below
+    min_damping the step min_damping / 2 is taken anyway and the iteration
+    is counted in linesearch_failures. Negative excursions are not
     constrained, only counted (they trigger damping through the residual).
     """
     u = np.asarray(u0, dtype=float).ravel().copy()
@@ -229,6 +223,7 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     norms = [_scaled_norm(mesh, u, res)]
     damping = []
     neg_events = 0
+    ls_failures = 0
     eps2_L = (sp.diags(1.0 / mesh.vol) @ mesh.K) * eps**2
     converged = False
     for it in range(max_iter):
@@ -244,6 +239,8 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
             if _scaled_norm(mesh, u_try, res_try) < (1.0 - 0.25 * lam) * norms[-1]:
                 break
             lam *= 0.5
+        if lam < min_damping:
+            ls_failures += 1
         u = u + lam * d
         res = _residual(mesh, u, p, eps)
         if np.min(u) < -1e-8 * max(np.max(u), 1e-300):
@@ -259,6 +256,7 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
         negative_events=neg_events,
         converged=converged,
         iterations=len(damping),
+        linesearch_failures=ls_failures,
         mesh=mesh,
     )
 

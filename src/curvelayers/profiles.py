@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
-from .util import simpson_weights
+from .util import fd_first_axis, simpson_weights
 
 __all__ = [
     "ProfileSet",
@@ -139,13 +139,6 @@ def principal_eigenvalue_fd(p, x_max=20.0, n=4001):
     m = n - 2
     vals = sla.eigh_tridiagonal(diag, off, select="i", select_range=(m - 1, m - 1), eigvals_only=True)
     return float(vals[0])
-
-
-def _fd_first_derivative(values, h):
-    """Sixth-order first derivative of a decaying tabulated function."""
-    from .util import fd_first_axis
-
-    return fd_first_axis(values, h)
 
 
 class LinearizedSolver1D:
@@ -280,7 +273,7 @@ def build_profiles(p, x_max=20.0, n=4001):
         raise ConvergenceError(
             f"w1 residual {res1:.3e}; bordered condition estimate {solver.condition_estimate():.2e}"
         )
-    w1_x = _fd_first_derivative(w1, hx)
+    w1_x = fd_first_axis(w1, hx)
 
     w2 = -w / (p - 1.0) - 0.5 * x * w_x
     w2_x = -w_x / (p - 1.0) - 0.5 * w_x - 0.5 * x * w_xx

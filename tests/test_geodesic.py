@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from curvelayers import geodesic as gd
+from curvelayers import scenarios
 
 
 def test_weighted_length_examples(flat_chart, unit_field, flat_field):
@@ -118,3 +123,48 @@ def test_hbar_shared_with_reduced(flat_chart, flat_field, flat_problem):
     q2 = flat_problem.basis.q2(flat_problem.of_theta(th))
     expect = gd.hbar2(flat_chart, flat_field, th) * flat_field.ell**2 / flat_field.beta(th) ** 2
     assert np.max(np.abs(q2 - expect)) < 1e-10
+
+
+@st.composite
+def jacobi_coefficients(draw):
+    n = draw(st.integers(5, 200))
+    q1 = draw(arrays(np.float64, n, elements=st.floats(-20.0, 20.0)))
+    q2 = draw(arrays(np.float64, n, elements=st.floats(-50.0, 50.0)))
+    k1, k2 = draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
+    return q1, q2, k1, k2, n
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(jacobi_coefficients())
+# f'' + c f with Neumann ends has eigenvalues c and c - pi^2: sigma_2 / sigma_1 = 1.014
+@example((np.zeros(100), np.full(100, 4.9626), 0.0, 0.0, 100))
+def test_tridiagonal_sigma_min_matches_dense(coeffs):
+    lower, diag, upper = gd.jacobi_matrix(*coeffs)
+    # dense SVD as the oracle
+    sv = sla.svdvals(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
+    tol = max(1e-8 * sv[-1], 1e3 * np.finfo(float).eps * sv[0])
+    assert abs(gd.smallest_singular_value(lower, diag, upper) - sv[-1]) <= tol
+
+
+@pytest.mark.parametrize("n", [5, 401, 1601])
+def test_singular_neumann_matrix_gives_zero(n):
+    # constant coefficients with Neumann ends: constants are an exact kernel
+    m = gd.jacobi_matrix(np.zeros(n), np.zeros(n), 0.0, 0.0, n)
+    assert gd.smallest_singular_value(*m) == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, nondegenerate, threshold",
+    [
+        ("flat-channel", True, 4.163336342344e-08),
+        ("bent-channel", True, 4.886700511811e-08),
+        ("disk-diameter", False, 5.204170427930e-08),
+        ("constant-V", False, 4.163336342344e-08),
+    ],
+)
+def test_builtin_fixture_verdicts_and_thresholds(name, nondegenerate, threshold):
+    scn = scenarios.builtin_scenario(name)
+    chart = scenarios.build_domain(scn)
+    rep = gd.nondegeneracy_test(chart, scenarios.build_field(scn, chart))
+    assert rep.nondegenerate == nondegenerate
+    assert float(f"{rep.threshold:.12e}") == threshold

@@ -48,6 +48,7 @@ def test_flat_newton_small(ctx3, flat_chart, flat_field):
     assert trace.converged and trace.iterations <= 12
     assert trace.residuals[-1] < 1e-10
     assert np.min(trace.u) > 0.0
+    assert trace.linesearch_failures == 0
     # residual history strictly decreasing once steps go undamped
     undamped = [i for i, lam in enumerate(trace.damping) if lam == 1.0]
     r = trace.residuals
@@ -66,6 +67,24 @@ def test_exact_profile_two_steps(unit_field):
     u0 = np.outer(ground_state(3.0, t_nodes / eps)[0], np.ones(17))
     trace = pde.newton_solve(mesh, 3.0, eps, u0.ravel())
     assert trace.converged and trace.iterations <= 2
+
+
+def test_newton_counts_linesearch_failures(unit_field):
+    eps = 0.1
+    t_nodes = pde.graded_nodes(eps, 1.0)
+    mesh = pde.rectangle_mesh(t_nodes, np.linspace(0, 1, 5), unit_field)
+    bump = lambda width: np.outer(ground_state(3.0, t_nodes / (width * eps))[0], np.ones(5)).ravel()
+    # a sub-threshold bump decays towards u = 0, where the scaled residual
+    # grows: the full step never passes the decrease test
+    trace = pde.newton_solve(mesh, 3.0, eps, 0.3 * bump(1.0), max_iter=4, min_damping=1.0)
+    assert trace.damping == [0.5] * 4
+    assert trace.linesearch_failures == 4
+    # a too-narrow bump: only the iterations that backtracked below
+    # min_damping are counted
+    trace = pde.newton_solve(mesh, 3.0, eps, bump(0.2), max_iter=6)
+    failed = [lam < 1.0 / 64.0 for lam in trace.damping]
+    assert 0 < sum(failed) < len(failed)
+    assert trace.linesearch_failures == sum(failed)
 
 
 def test_eps_refinement_consistency(ctx3, flat_chart, flat_field):
