@@ -230,6 +230,14 @@ def jacobi_matrix(q1, q2, k1, k2, n_theta):
     return lower, diag, upper
 
 
+def _tridiagonal_inf_norm(lower, diag, upper):
+    """Max-row-sum norm of the tridiagonal matrix with the given diagonals."""
+    rows = np.abs(diag)
+    rows[1:] += np.abs(lower)
+    rows[:-1] += np.abs(upper)
+    return float(rows.max())
+
+
 _SIGMA_RTOL = 1e-10
 _SIGMA_MAX_STEPS = 50
 
@@ -247,13 +255,15 @@ def smallest_singular_value(lower, diag, upper):
     near-tie sigma_1 ~ sigma_2 (eigenvalues of opposite sign and similar
     size) still converges. An exact zero pivot means M is singular and gives
     sigma_min = 0. The iteration stops when the estimate changes by at most
-    1e-10 relative, or after 50 steps; an estimate at the roundoff floor
-    eps |M| may not settle and then runs to the cap.
+    1e-10 relative, when it reaches the roundoff floor eps ||M||_inf (below
+    which nothing is resolved and the estimate does not settle), or after 50
+    steps.
     """
     factors = sla.lapack.dgttrf(lower, diag, upper)
     if factors[-1] > 0:
         return 0.0
     factors = factors[:-1]
+    floor = np.finfo(float).eps * _tridiagonal_inf_norm(lower, diag, upper)
     # 1, x, x^2 on [-1, 1]: both parities, since reflection-symmetric
     # problems have kernels orthogonal to every even start vector
     x = np.linspace(-1.0, 1.0, diag.size)
@@ -266,7 +276,7 @@ def smallest_singular_value(lower, diag, upper):
         mtq[:-1] += lower[:, None] * q[1:]
         mtq[1:] += upper[:, None] * q[:-1]
         previous, sigma = sigma, float(np.linalg.svd(mtq, compute_uv=False)[-1])
-        if abs(sigma - previous) <= _SIGMA_RTOL * sigma:
+        if sigma <= floor or abs(sigma - previous) <= _SIGMA_RTOL * sigma:
             break
     return sigma
 
@@ -287,13 +297,14 @@ def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stati
     sigma_min comes from smallest_singular_value on the tridiagonal
     jacobi_matrix at each size: block inverse iteration with a banded LU
     (LAPACK dgttrf), O(n) per size. An exact zero pivot gives sigma_min = 0,
-    never a LinAlgError; the iteration stops on a 1e-10 relative change or
-    after 50 steps.
+    never a LinAlgError; the iteration stops on a 1e-10 relative change, at
+    the roundoff floor eps ||M||_inf, or after 50 steps.
 
     The threshold is mesh-calibrated: ten times the smallest singular value,
     by the same routine, of the same-size discretization of the known
     degenerate configuration (constant weight, straight curve, Neumann ends),
-    floored by the roundoff of finite-differenced coefficients.
+    floored by the roundoff of finite-differenced coefficients and by the
+    roundoff floor eps ||M||_inf of the finest Jacobi matrix itself.
     """
     _, res, sup = stationarity_residual(chart, field)
     scale = float(np.max(field.V0(np.linspace(0, 1, 101))))
@@ -306,6 +317,9 @@ def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stati
         theta = np.linspace(0.0, 1.0, n)
         m = jacobi_matrix(hbar1(field, theta), hbar2(chart, field, theta), chart.k1, chart.k2, n)
         smallest.append(smallest_singular_value(*m))
+    # singular values below eps ||M|| of the finest matrix are roundoff even
+    # when the coefficients are exact (analytic derivatives, zero fd_noise)
+    roundoff = np.finfo(float).eps * _tridiagonal_inf_norm(*m)
     # calibration runs the known degenerate configuration (constant weight,
     # straight curve, Neumann ends) through the same coefficient pathway so
     # it carries the same finite-difference noise floor
@@ -324,7 +338,7 @@ def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stati
         fd_noise /= float(np.min(field.V0(np.linspace(0, 1, 101))))
     else:
         fd_noise = 0.0
-    threshold = 10.0 * max(calibration, fd_noise, 1e-12)
+    threshold = 10.0 * max(calibration, fd_noise, roundoff, 1e-12)
     return NondegeneracyReport(
         n_theta=sizes,
         smallest=tuple(smallest),

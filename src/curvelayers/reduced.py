@@ -2,10 +2,10 @@
 
 The second-order operator eta'' + q1 eta' + q2 eta with Robin ends is brought
 to Liouville normal form -u'' + Q u = lam u (u = rho^{1/2} eta,
-rho = exp(int q1)), discretized by Chebyshev collocation, and its geiegenbasis
-drives the modal solvers: the location equation after the arclength
-substitution, and the near-resonant amplitude equation whose spectrum
-produces the critical epsilon values.
+rho = exp(int q1)), discretized by Chebyshev collocation with the two Robin
+rows eliminated, and its eigenbasis drives the modal solvers: the location
+equation after the arclength substitution, and the near-resonant amplitude
+equation whose spectrum produces the critical epsilon values.
 """
 
 from dataclasses import dataclass, field
@@ -142,21 +142,29 @@ class SpectralBasis:
 
 
 def _robin_eig(op, k_left, k_right, D1, n_keep, n):
-    """Eigenpairs of op with Robin rows replacing the boundary equations."""
-    A = op.copy()
-    B = np.eye(n + 1)
-    A[0] = D1[0] + np.eye(n + 1)[0] * k_left
-    A[-1] = D1[-1] + np.eye(n + 1)[-1] * k_right
-    B[0] = 0.0
-    B[-1] = 0.0
-    vals, vecs = sla.eig(A, B)
+    """Eigenpairs of op on the nodes with u' + k_left u = 0 at the first node
+    and u' + k_right u = 0 at the last.
+
+    The two Robin rows give the end values as a linear map T of the interior
+    values; substituting them leaves a standard (n-1) x (n-1) eigenproblem.
+    Only the n_keep smallest real eigenpairs are lifted back to all nodes.
+    """
+    robin = np.array([[D1[0, 0] + k_left, D1[0, n]], [D1[n, 0], D1[n, n] + k_right]])
+    if np.linalg.cond(robin) > 1.0 / np.finfo(float).eps:
+        raise DegenerateOperatorError(
+            f"Robin constants k_left = {k_left:.12g}, k_right = {k_right:.12g} make the "
+            "boundary block singular; the end values are not determined"
+        )
+    ends = [0, n]
+    T = -np.linalg.solve(robin, D1[ends, 1:n])
+    vals, vecs = sla.eig(op[1:n, 1:n] + op[1:n, ends] @ T)
     finite = np.isfinite(vals.real) & (np.abs(vals.imag) <= 1e-6 * (1.0 + np.abs(vals.real)))
-    vals = vals[finite].real
-    vecs = vecs[:, finite].real
-    order = np.argsort(vals)
-    vals = vals[order][:n_keep]
-    vecs = vecs[:, order][:, :n_keep]
-    return vals, vecs
+    keep = np.flatnonzero(finite)[np.argsort(vals[finite].real)][:n_keep]
+    interior = vecs[:, keep].real
+    lifted = np.empty((n + 1, keep.size))
+    lifted[1:n] = interior
+    lifted[ends] = T @ interior
+    return vals[keep].real, lifted
 
 
 def build_basis(q1, q2, k1, k2, j_max=60, n_cheb=None):
@@ -201,8 +209,9 @@ def build_basis(q1, q2, k1, k2, j_max=60, n_cheb=None):
     anchor = Y[0] + 0.1 * Y[min(4, n_cheb)]
     Y = Y * np.where(anchor >= 0, 1.0, -1.0)
     Yp = D1 @ Y
-    # Rayleigh-quotient polish: the QZ values carry roundoff of order
-    # eps * ||D2||; the quotient error is quadratic in the eigenvector error
+    # Rayleigh-quotient polish: the eigenvalues of the eliminated collocation
+    # matrix carry roundoff of order eps * ||D2||; the quotient error is
+    # quadratic in the eigenvector error
     lam_rq = (wq[:, None] * (Yp**2 + Q[:, None] * Y**2)).sum(axis=0)
     lam_rq += k2t * Y[-1] ** 2 - k1t * Y[0] ** 2
     lam = np.where(np.abs(lam_rq - lam) < 1e-4 * (1.0 + np.abs(lam)), lam_rq, lam)
@@ -307,8 +316,6 @@ class ReducedProblem:
         self.j_max = int(j_max)
 
         # arclength substitution: vartheta = a(theta)/ell
-        n_basis = n_cheb if n_cheb is not None else max(192, int(2.5 * j_max) + 40)
-        nodes, _, _ = cheb_nodes_matrices(n_basis)
         self.theta_of = lambda v: potential.arc_inv(self.ell * np.asarray(v, dtype=float))
         self.of_theta = lambda th: potential.arc(np.asarray(th, dtype=float)) / self.ell
 
@@ -323,7 +330,7 @@ class ReducedProblem:
 
         self.kappa1 = chart.k1 * self.ell / potential.beta(0.0)
         self.kappa2 = chart.k2 * self.ell / potential.beta(1.0)
-        self.basis = build_basis(q1, q2, self.kappa1, self.kappa2, j_max=j_max, n_cheb=n_basis)
+        self.basis = build_basis(q1, q2, self.kappa1, self.kappa2, j_max=j_max, n_cheb=n_cheb)
         self.theta_nodes = self.theta_of(self.basis.nodes)
         self.beta_nodes = potential.beta(self.theta_nodes)
         if np.min(np.abs(self.basis.lam)) < 1e-8 * max(1.0, np.max(np.abs(self.basis.lam[:3]))):

@@ -116,44 +116,54 @@ class StripLayer:
     active: np.ndarray
     dropped: dict = field(default_factory=dict)
 
-    def _coef(self, z, order=0):
-        """Mode coefficients c (order 0), c' (1) or c'' (2) at points z."""
+    _last: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def _tables(self, z):
+        """Read-only mode coefficient tables c and c' at points z.
+
+        The evaluators are called in a row at the same z, so the tables of the
+        last z are kept. The key is a copy of z, so an in-place change of the
+        caller's array cannot return stale tables.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=float))
+        if self._last is not None and np.array_equal(self._last[0], z):
+            return self._last[1]
         mu = self.basis.mu[self.active]
         d0 = self.d0[self.active][:, None]
         d1 = self.d1[self.active][:, None]
         nu = np.sqrt(np.abs(mu))[:, None]
         zz = z[None, :]
         c = np.zeros((mu.size, z.size))
+        cp = np.zeros((mu.size, z.size))
         neg = mu < 0
         if np.any(neg):
             nn = nu[neg]
-            c_neg = (d1[neg] * _cosh_ratio(nn, zz, self.L) - d0[neg] * _cosh_ratio(nn, self.L - zz, self.L)) / nn
-            cp_neg = d1[neg] * _sinh_ratio(nn, zz, self.L) + d0[neg] * _sinh_ratio(nn, self.L - zz, self.L)
-            if order == 0:
-                c[neg] = c_neg
-            elif order == 1:
-                c[neg] = cp_neg
-            else:
-                c[neg] = -mu[neg][:, None] * c_neg
+            c[neg] = (d1[neg] * _cosh_ratio(nn, zz, self.L) - d0[neg] * _cosh_ratio(nn, self.L - zz, self.L)) / nn
+            cp[neg] = d1[neg] * _sinh_ratio(nn, zz, self.L) + d0[neg] * _sinh_ratio(nn, self.L - zz, self.L)
         pos = mu > 0
         if np.any(pos):
             npos = nu[pos]
             s = np.sin(npos * self.L)
-            c_pos = (
+            c[pos] = (
                 (d0[pos] * np.cos(npos * self.L) - d1[pos]) / (npos * s) * np.cos(npos * zz)
                 + d0[pos] / npos * np.sin(npos * zz)
             )
-            if order == 0:
-                c[pos] = c_pos
-            elif order == 1:
-                c[pos] = (
-                    -(d0[pos] * np.cos(npos * self.L) - d1[pos]) / s * np.sin(npos * zz)
-                    + d0[pos] * np.cos(npos * zz)
-                )
-            else:
-                c[pos] = -mu[pos][:, None] * c_pos
-        return c
+            cp[pos] = (
+                -(d0[pos] * np.cos(npos * self.L) - d1[pos]) / s * np.sin(npos * zz)
+                + d0[pos] * np.cos(npos * zz)
+            )
+        c.flags.writeable = cp.flags.writeable = False
+        self._last = (z.copy(), (c, cp))
+        return c, cp
+
+    def _coef(self, z, order=0):
+        """Mode coefficients c (order 0), c' (1) or c'' = -mu c (2) at points z."""
+        c, cp = self._tables(z)
+        if order == 0:
+            return c
+        if order == 1:
+            return cp
+        return -self.basis.mu[self.active][:, None] * c
 
     def _synth(self, table, z, order=0):
         return table[:, self.active] @ self._coef(z, order)

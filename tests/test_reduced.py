@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from curvelayers import reduced as rd
 from curvelayers.util import loglog_slope
@@ -30,6 +31,32 @@ def test_basis_eigenvalues_simple_increasing():
     assert b.gram_deviation() < 1e-8
     with pytest.raises(ValueError):
         rd.build_basis(0.0, 0.0, 0.0, 0.0, j_max=60, n_cheb=100)
+
+
+def test_basis_robin_roots():
+    # -y'' = lam y, y'(0) = 0, y'(1) + y(1) = 0: sqrt(lam) tan(sqrt(lam)) = 1,
+    # one root s_j in (j pi, j pi + pi/2) for each j
+    b = rd.build_basis(0.0, 0.0, 0.0, 1.0, j_max=60)
+    s = np.array([brentq(lambda s: s * np.sin(s) - np.cos(s), j * np.pi + 1e-12, (j + 0.5) * np.pi) for j in range(51)])
+    assert abs(b.lam[0] - 0.74017388) < 1e-8
+    assert np.max(np.abs(b.lam[:51] - s**2) / s**2) < 1e-12
+
+
+def test_e_operator_neumann_eigenvalues():
+    op = rd.EOperator(1.0, 0.0, 0.0, 0.0)
+    ref = (np.arange(op.mu.size) * np.pi) ** 2
+    assert op.mu.size == int(0.4 * 192)
+    assert np.max(np.abs(op.mu - ref) / np.maximum(ref, 1.0)) <= 1e-9
+
+
+def test_singular_robin_block_is_refused():
+    # this k_left zeroes the determinant of the 2 x 2 Robin block exactly;
+    # in floating point the block has condition number ~1e17
+    n = 192
+    _, D1, _ = rd.cheb_nodes_matrices(n)
+    k_left = -D1[0, 0] + D1[0, n] * D1[n, 0] / D1[n, n]
+    with pytest.raises(rd.DegenerateOperatorError, match=r"k_left = 24576\.33.*k_right = 0\b"):
+        rd.build_basis(0.0, 0.0, k_left, 0.0, j_max=20, n_cheb=n)
 
 
 def test_basis_interpolation_matrix():

@@ -75,6 +75,28 @@ def test_generic_even_data_and_oracle(bases):
     assert lay.decay_rate(z_frac=0.05, x_window=(4.0, 9.0)) > 0.7
 
 
+def test_evaluators_match_a_fresh_layer(bases):
+    bt, _ = bases
+    x = bt.x
+    w, w_x, _ = ground_state(3.0, x)
+    raw = x * w_x
+    data0 = raw - bt.project(raw)[bt.idx_resonant] * bt.E[:, bt.idx_resonant]
+    names = ("value", "dx", "dxx", "dz", "dxz", "dzz")
+    lay = st.solve_strip_layer(bt, data0, 0.6 * data0, 12.0)
+
+    def check(z):
+        got = [getattr(lay, name)(z) for name in names]
+        for name, g in zip(names, got):
+            fresh = st.solve_strip_layer(bt, data0, 0.6 * data0, 12.0)
+            assert np.array_equal(g, getattr(fresh, name)(z)), name
+
+    z = np.linspace(0.0, 12.0, 9)
+    check(z)
+    z *= 0.5  # in place: the same array object now holds other points
+    check(z)
+    check(np.linspace(1.0, 11.0, 9))
+
+
 def test_refusals(bases):
     bt, bm = bases
     x = bt.x
