@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import geodesic, reduced
-from .profiles import LinearizedSolver1D, build_profiles
+from .profiles import build_profiles
 from .strip import build_strip_basis, solve_strip_layer
 from .util import bridge_cutoff, fd_derivative, simpson_weights, smoothstep
 
@@ -177,7 +177,6 @@ class StripContext:
     fine_tables: dict
     basis_t: object
     basis_m: object
-    solver_fine: LinearizedSolver1D
     k_tilde: float
 
     def integrate(self, values, axis=0):
@@ -224,7 +223,6 @@ def build_strip_context(p, x_max=20.0, n_fine=4001, stride=5, k_tilde=25.0):
         fine_tables=pack(ps, every),
         basis_t=build_strip_basis(p, x, "translated"),
         basis_m=build_strip_basis(p, x, "massive", k_tilde),
-        solver_fine=LinearizedSolver1D(ps.p, ps.x, ps.w, ps.w_x),
         k_tilde=float(k_tilde),
     )
 
@@ -710,7 +708,7 @@ def _to_fine(ctx, arr):
 def _solve_phi4(bundle):
     th_grid = bundle.theta_grid()
     rhs_even, rhs_odd = _phi4_rhs(bundle, th_grid)
-    solver = bundle.ctx.solver_fine
+    solver = bundle.ctx.fine.solver
     sol_even = solver.solve_many(rhs_even.T).T
     sol_odd = solver.solve_many(rhs_odd.T).T
     sub = bundle.ctx.sub

@@ -6,7 +6,7 @@ driven by curvature/potential terms, and a bordered solver for the
 linearized operator with the translation mode pinned by orthogonality.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
@@ -76,7 +76,11 @@ def ground_state(p, x):
 
 @dataclass(frozen=True)
 class ProfileSet:
-    """Tabulated 1D profiles and their scalar invariants on [-X, X]."""
+    """Tabulated 1D profiles and their scalar invariants on [-X, X].
+
+    ``solver`` is the factorized bordered solver that produced w1; reuse it
+    for further linearized solves on the same grid.
+    """
 
     p: float
     sigma: float
@@ -97,6 +101,7 @@ class ProfileSet:
     rho2: float
     int_w2: float
     int_wp1: float
+    solver: "LinearizedSolver1D" = field(repr=False, compare=False)
 
     @property
     def x_max(self):
@@ -147,6 +152,11 @@ class LinearizedSolver1D:
     Dirichlet conditions at the endpoints (the data decays exponentially)
     and the translation mode pinned by the constraint <phi, w_x> = 0 through
     a Lagrange-multiplier bordering of the tridiagonal system.
+
+    The bordered matrix is an arrowhead: a tridiagonal plus one dense row
+    and column. A minimum-degree ordering on A^T + A keeps the dense border
+    last, so the LU has about 3n nonzeros; a column ordering such as COLAMD
+    moves the border column forward and the U factor fills to O(n^2).
     """
 
     def __init__(self, p, x, w, w_x, tol_solv=1e-6):
@@ -171,7 +181,7 @@ class LinearizedSolver1D:
         row = (wq * self.w_x)[1:-1]
         top = sp.hstack([a, col.reshape(-1, 1)], format="csc")
         bottom = sp.hstack([sp.csc_matrix(row.reshape(1, -1)), sp.csc_matrix((1, 1))], format="csc")
-        self._lu = spla.splu(sp.vstack([top, bottom], format="csc"))
+        self._lu = spla.splu(sp.vstack([top, bottom], format="csc"), permc_spec="MMD_AT_PLUS_A")
         self._wq = wq
         self._norm_wx = np.sqrt(np.sum(wq * self.w_x**2))
 
@@ -301,13 +311,13 @@ def build_profiles(p, x_max=20.0, n=4001):
         rho2=rho2,
         int_w2=int_w2,
         int_wp1=int_wp1,
+        solver=solver,
     )
 
 
 def solve_linearized_1d(profiles, r, parity="none"):
     """Convenience wrapper returning only phi for a single right-hand side."""
-    solver = LinearizedSolver1D(profiles.p, profiles.x, profiles.w, profiles.w_x)
-    phi, _ = solver.solve(np.asarray(r, dtype=float), parity=parity)
+    phi, _ = profiles.solver.solve(np.asarray(r, dtype=float), parity=parity)
     return phi
 
 

@@ -1,10 +1,12 @@
 """Scenario definitions: domain + potential + run parameters, JSON round-trip.
 
 Potentials and test parameters are expression strings evaluated in a numpy
-namespace (scenario files are trusted input). Expressions may use t, theta
-(chart coordinates) or y1, y2 (physical coordinates through the chart map).
+namespace; names are checked at every nesting depth and attribute access is
+refused. Expressions may use t, theta (chart coordinates) or y1, y2
+(physical coordinates through the chart map).
 """
 
+import ast
 import json
 from dataclasses import asdict, dataclass, field
 
@@ -32,12 +34,25 @@ _NAMESPACE = {
 _STAGES = ("profiles", "chart", "gap", "geodesic", "ansatz", "reduced", "pde")
 
 
+# nodes that reach attributes or open a nested scope, where names escape a
+# check of the top-level code object
+_REFUSED_NODES = (ast.Attribute, ast.Lambda, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.NamedExpr)
+
+
 def parse_expression(expr, names):
-    """Vectorized callable of the named variables from a trusted expression."""
-    code = compile(expr, "<scenario>", "eval")
-    for var in code.co_names:
-        if var not in _NAMESPACE and var not in names:
-            raise ValueError(f"unknown name {var!r} in expression {expr!r}")
+    """Vectorized callable of the named variables from an expression string.
+
+    Every name, at any nesting depth, must be a namespace entry or one of
+    ``names``; attribute access, lambdas, comprehensions and assignment
+    expressions raise ValueError.
+    """
+    tree = ast.parse(expr, "<scenario>", "eval")
+    for node in ast.walk(tree):
+        if isinstance(node, _REFUSED_NODES):
+            raise ValueError(f"{type(node).__name__} not allowed in expression {expr!r}")
+        if isinstance(node, ast.Name) and node.id not in _NAMESPACE and node.id not in names:
+            raise ValueError(f"unknown name {node.id!r} in expression {expr!r}")
+    code = compile(tree, "<scenario>", "eval")
 
     def fn(*args):
         local = dict(zip(names, (np.asarray(a, dtype=float) for a in args)))

@@ -40,6 +40,11 @@ class StripBasis:
     idx_resonant: int | None
     idx_zero: np.ndarray
 
+    @property
+    def shift(self):
+        """Mass term of the cross-section operator: 1 or k_tilde."""
+        return 1.0 if self.variant == "translated" else self.k_tilde
+
     def project(self, data):
         return self.hx * (self.E.T @ np.asarray(data, dtype=float))
 
@@ -118,16 +123,24 @@ class StripLayer:
 
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def _tables(self, z):
-        """Read-only mode coefficient tables c and c' at points z.
+    def _entry(self, z):
+        """Points z as an array and the cache entry (a dict) kept for them.
 
-        The evaluators are called in a row at the same z, so the tables of the
-        last z are kept. The key is a copy of z, so an in-place change of the
-        caller's array cannot return stale tables.
+        Only the last z is kept: the evaluators are called in a row at the
+        same z, and the strip fields revisit the z of the phi4 right side.
+        The key is a copy of z, so an in-place change of the caller's array
+        cannot return stale values.
         """
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        if self._last is not None and np.array_equal(self._last[0], z):
-            return self._last[1]
+        if self._last is None or not np.array_equal(self._last[0], z):
+            self._last = (z.copy(), {})
+        return z, self._last[1]
+
+    def _tables(self, z):
+        """Read-only mode coefficient tables c and c' at points z."""
+        z, entry = self._entry(z)
+        if "c" in entry:
+            return entry["c"], entry["cp"]
         mu = self.basis.mu[self.active]
         d0 = self.d0[self.active][:, None]
         d1 = self.d1[self.active][:, None]
@@ -152,49 +165,63 @@ class StripLayer:
                 -(d0[pos] * np.cos(npos * self.L) - d1[pos]) / s * np.sin(npos * zz)
                 + d0[pos] * np.cos(npos * zz)
             )
+        # far from the data-carrying end the modes underflow; subnormal
+        # entries make the synthesis products several times slower
+        tiny = np.finfo(float).tiny
+        c[np.abs(c) < tiny] = 0.0
+        cp[np.abs(cp) < tiny] = 0.0
         c.flags.writeable = cp.flags.writeable = False
-        self._last = (z.copy(), (c, cp))
+        entry["c"], entry["cp"] = c, cp
         return c, cp
 
     def _coef(self, z, order=0):
-        """Mode coefficients c (order 0), c' (1) or c'' = -mu c (2) at points z."""
-        c, cp = self._tables(z)
-        if order == 0:
-            return c
-        if order == 1:
-            return cp
-        return -self.basis.mu[self.active][:, None] * c
+        """Mode coefficients c (order 0) or c' (order 1) at points z."""
+        return self._tables(z)[order]
 
-    def _synth(self, table, z, order=0):
-        return table[:, self.active] @ self._coef(z, order)
+    def _products(self, z):
+        """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at points z.
+
+        The six evaluators follow from these three: E_x = fd_first_axis(E)
+        and that map is linear along x, and E_xx = (shift + mu) E - p w^(p-1) E
+        column by column.
+        """
+        z, entry = self._entry(z)
+        if "v" not in entry:
+            c, cp = self._tables(z)
+            e = self.basis.E[:, self.active]
+            entry["v"], entry["vz"], entry["m"] = e @ c, e @ cp, e @ (self.basis.mu[self.active][:, None] * c)
+            for key in ("v", "vz", "m"):
+                entry[key].flags.writeable = False
+        return entry["v"], entry["vz"], entry["m"]
 
     def value(self, z):
-        return self._synth(self.basis.E, z)
+        return self._products(z)[0].copy()
 
     def dx(self, z):
-        return self._synth(self.basis.E_x, z)
+        return fd_first_axis(self._products(z)[0], self.basis.hx)
 
     def dxx(self, z):
-        return self._synth(self.basis.E_xx, z)
+        v, _, m = self._products(z)
+        b = self.basis
+        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * v + m
 
     def dz(self, z):
-        return self._synth(self.basis.E, z, order=1)
+        return self._products(z)[1].copy()
 
     def dxz(self, z):
-        return self._synth(self.basis.E_x, z, order=1)
+        return fd_first_axis(self._products(z)[1], self.basis.hx)
 
     def dzz(self, z):
-        return self._synth(self.basis.E, z, order=2)
+        return -self._products(z)[2]
 
     def pde_residual(self, z):
         """Residual of the discrete-x PDE at interior points z (machine-level)."""
         v = self.value(z)
         vzz = self.dzz(z)
         hx = self.basis.hx
-        shift = 1.0 if self.basis.variant == "translated" else self.basis.k_tilde
         lap_x = np.zeros_like(v)
         lap_x[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / hx**2
-        res = lap_x + vzz - shift * v + self.basis.p * self.basis.w[:, None] ** (self.basis.p - 1.0) * v
+        res = lap_x + vzz - self.basis.shift * v + self.basis.p * self.basis.w[:, None] ** (self.basis.p - 1.0) * v
         return res[1:-1]
 
     def boundary_mismatch(self, data0, data1):

@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelayers import cli, harness, scenarios
 
@@ -14,6 +18,50 @@ def test_expression_parser():
         scenarios.parse_expression("__import__('os')", ("t",))
     with pytest.raises(ValueError):
         scenarios.parse_expression("unknown_symbol + t", ("t",))
+
+
+_NESTINGS = (
+    "{}",
+    "({}) + 0*t",
+    "sin({})",
+    "(lambda: {})()",
+    "[{} for _ in (1,)][0]",
+    "sum({} for _ in (1,))",
+    "{{0: {} for _ in (1,)}}[0]",
+    "(1 if t else {})",
+)
+
+
+@settings(max_examples=40)
+@given(
+    st.sampled_from(("t", "()", "sin", "1.0", "pi")),
+    st.lists(st.sampled_from(("__class__", "__base__", "__subclasses__", "__globals__", "real", "shape")), min_size=1, max_size=3),
+    st.lists(st.sampled_from(_NESTINGS), min_size=1, max_size=3),
+)
+def test_expression_parser_refuses_attribute_access_at_any_depth(base, attrs, nestings):
+    expr = base + "".join("." + a for a in attrs)
+    for wrap in nestings:
+        expr = wrap.format(expr)
+    with pytest.raises(ValueError):
+        scenarios.parse_expression(expr, ("t", "theta"))
+
+
+def test_expression_parser_refuses_nested_scopes():
+    # evaluated to 707.0 when only the top-level code object was checked
+    with pytest.raises(ValueError):
+        scenarios.parse_expression("(lambda: ().__class__.__base__.__subclasses__().__len__())() + 0*t", ("t", "theta"))
+    for expr in ("(lambda: t)()", "[t for t in (1,)][0] + t", "sum(x for x in (t,))", "(y := t) + 1"):
+        with pytest.raises(ValueError):
+            scenarios.parse_expression(expr, ("t",))
+
+
+def test_module_entry_point():
+    # the package may be importable from a source checkout only
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-m", "curvelayers", "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert "run" in out.stdout and "gap-sweep" in out.stdout
 
 
 def test_scenario_roundtrip(tmp_path):

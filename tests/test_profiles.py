@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from curvelayers import profiles as pr
+from curvelayers.util import simpson_weights
 
 
 @pytest.fixture(scope="module", params=[2.0, 3.0, 5.0])
@@ -111,6 +112,30 @@ def test_solvability_rejection():
     with pytest.raises(pr.SolvabilityError) as err:
         s.solve(ps.w_x.copy())  # projection rho1 != 0
     assert abs(err.value.projection - ps.rho1) < 1e-6
+
+
+def test_bordered_lu_stays_sparse(ps):
+    # the arrowhead (tridiagonal plus a dense border) factors without fill;
+    # an ordering that moves the border column forward fills U to O(n^2)
+    lu = ps.solver._lu
+    assert lu.L.nnz + lu.U.nnz <= 8 * (ps.n - 1)
+
+
+def test_solve_many_matches_dense_bordered_solve():
+    x = np.linspace(-20.0, 20.0, 2001)
+    w, w_x, _ = pr.ground_state(3.0, x)
+    s = pr.LinearizedSolver1D(3.0, x, w, w_x)
+    m = x.size - 2
+    h2 = s.hx**2
+    dense = np.zeros((m + 1, m + 1))
+    dense[:m, :m] = np.diag(2.0 / h2 + 1.0 - 3.0 * w[1:-1] ** 2) - (np.eye(m, k=1) + np.eye(m, k=-1)) / h2
+    dense[:m, m] = w_x[1:-1]
+    dense[m, :m] = (simpson_weights(x.size, s.hx) * w_x)[1:-1]
+    rhs = np.random.default_rng(0).standard_normal((4, x.size))
+    ref = np.linalg.solve(dense, np.vstack([rhs[:, 1:-1].T, np.zeros((1, 4))]))[:m].T
+    got = s.solve_many(rhs)
+    assert np.max(np.abs(got[:, 1:-1] - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.all(got[:, [0, -1]] == 0.0)
 
 
 def test_w1_equation_example():

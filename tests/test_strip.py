@@ -97,6 +97,47 @@ def test_evaluators_match_a_fresh_layer(bases):
     check(np.linspace(1.0, 11.0, 9))
 
 
+EVALUATORS = ("value", "dx", "dxx", "dz", "dxz", "dzz")
+
+
+def _layer(basis):
+    w_x = ground_state(3.0, basis.x)[1]
+    data = basis.x * w_x
+    if basis.idx_resonant is not None:
+        data = data - basis.project(data)[basis.idx_resonant] * basis.E[:, basis.idx_resonant]
+    return st.solve_strip_layer(basis, data, -0.4 * data, 9.0)
+
+
+@pytest.mark.parametrize("variant", [0, 1], ids=["translated", "massive"])
+def test_evaluators_match_table_products(bases, variant):
+    b = bases[variant]
+    lay = _layer(b)
+    z = np.linspace(0.0, 9.0, 7)
+    act = lay.active
+    c, cp = lay._coef(z), lay._coef(z, order=1)
+    ref = {
+        "value": b.E[:, act] @ c,
+        "dx": b.E_x[:, act] @ c,
+        "dxx": b.E_xx[:, act] @ c,
+        "dz": b.E[:, act] @ cp,
+        "dxz": b.E_x[:, act] @ cp,
+        "dzz": b.E[:, act] @ (-b.mu[act][:, None] * c),
+    }
+    for name in EVALUATORS:
+        got = getattr(lay, name)(z)
+        assert np.max(np.abs(got - ref[name])) <= 1e-12 * np.max(np.abs(ref[name])), name
+
+
+def test_evaluator_results_do_not_alias(bases):
+    lay = _layer(bases[0])
+    z = np.linspace(0.0, 9.0, 5)
+    for name in EVALUATORS:
+        first = getattr(lay, name)(z)
+        kept = first.copy()
+        first += 1.0
+        assert np.array_equal(getattr(lay, name)(z), kept), name
+
+
 def test_refusals(bases):
     bt, bm = bases
     x = bt.x
@@ -121,3 +162,8 @@ def test_long_strip_stability(bases):
     v = lay.value(np.array([0.0, 200.0, 400.0]))
     assert np.all(np.isfinite(v))
     assert np.max(np.abs(v[:, 1])) < 1e-10  # mid-strip decay of cosh layers
+    # underflowed mode tails are exact zeros, never subnormal numbers
+    z = np.linspace(0.0, 400.0, 41)
+    for order in (0, 1):
+        c = np.abs(lay._coef(z, order))
+        assert not np.any((c > 0.0) & (c < np.finfo(float).tiny))
