@@ -101,7 +101,7 @@ class _Pipeline:
 
 def _stage_profiles(pipe, tables_dir):
     scn = pipe.scn
-    ps = profiles.build_profiles(scn.p)
+    ps = pipe.ensure_ctx().fine  # the profiles the layers are built from
     triple = (ps.int_w2, 2.0 * ps.sigma * ps.rho1, -2.0 * ps.integrate(ps.x * ps.w * ps.w_x))
     rel = max(abs(triple[0] - triple[1]), abs(triple[0] - triple[2])) / abs(triple[0])
     zdev = abs(ps.integrate(ps.Z**2) - 1.0)
@@ -310,6 +310,9 @@ def _stage_pde(pipe, tables_dir, ledgers):
         "linesearch_failures": trace.linesearch_failures,
         "positive": bool(np.min(trace.u) > 0),
     }
+    if trace.singular_at is not None:
+        iteration, pivot = trace.singular_at
+        info["singular_jacobian"] = {"iteration": iteration, "pivot": pivot}
     ok = trace.converged and trace.iterations <= 12
     if trace.converged:
         met = pde.concentration_metrics(trace, field, scn.p, eps)

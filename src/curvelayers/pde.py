@@ -3,15 +3,17 @@
 Finite-volume discretization on tensor grids (plain rectangle, or an
 orthogonal chart image for curved channels): the stiffness form is symmetric
 with exact zero row sums, so constants are annihilated including at the
-boundary and the no-flux condition is built in. The solver is seeded with
-the layered approximation and validates the concentration law.
+boundary and the no-flux condition is built in. Nodes are numbered t-major,
+so the stiffness is a five-diagonal band of half-width n_theta and each
+Newton step is one band LU. The solver is seeded with the layered
+approximation and validates the concentration law.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv
 
 __all__ = [
     "Mesh2D",
@@ -31,7 +33,8 @@ def graded_nodes(eps, half_width, fine_per_layer=12, core=None, ratio=1.15, h_ma
     core = core if core is not None else max(12.0 * eps, 0.4)
     core = min(core, half_width)
     n_core = int(np.ceil(core / h_f))
-    right = list(np.linspace(0.0, n_core * h_f, n_core + 1))
+    # a core rounded up past the edge is shrunk onto [0, half_width]
+    right = list(np.linspace(0.0, min(n_core * h_f, half_width), n_core + 1))
     h = h_f
     while right[-1] < half_width:
         h = min(h * ratio, h_max)
@@ -127,53 +130,21 @@ def chart_mesh(chart, t_nodes, th_nodes, potential, orthogonality_tol=1e-10):
     m2 = chart.metric(tf2, hf2)
     a_h = m2["sqrtg"] * (m2["g11"] / m2["g"])  # g^{22} = g11/g
 
-    th_cell = np.zeros(nh)
-    th_cell[:-1] += hh_ / 2.0
-    th_cell[1:] += hh_ / 2.0
-    t_cell = np.zeros(nt)
-    t_cell[:-1] += ht / 2.0
-    t_cell[1:] += ht / 2.0
+    t_cell, th_cell = _flux_1d(t_nodes)[1], _flux_1d(th_nodes)[1]
 
-    def idx(i, j):
-        return i * nh + j
-
-    rows, cols, vals = [], [], []
-    # t-direction fluxes
-    coef_t = a_t * th_cell[None, :] / ht[:, None]
-    for i in range(nt - 1):
-        for_j = np.arange(nh)
-        c = coef_t[i]
-        rows.extend(idx(i, for_j))
-        cols.extend(idx(i + 1, for_j))
-        vals.extend(c)
-        rows.extend(idx(i + 1, for_j))
-        cols.extend(idx(i, for_j))
-        vals.extend(c)
-        rows.extend(idx(i, for_j))
-        cols.extend(idx(i, for_j))
-        vals.extend(-c)
-        rows.extend(idx(i + 1, for_j))
-        cols.extend(idx(i + 1, for_j))
-        vals.extend(-c)
-    # theta-direction fluxes
-    coef_h = a_h * t_cell[:, None] / hh_[None, :]
-    for j in range(nh - 1):
-        for_i = np.arange(nt)
-        c = coef_h[:, j]
-        rows.extend(idx(for_i, j))
-        cols.extend(idx(for_i, j + 1))
-        vals.extend(c)
-        rows.extend(idx(for_i, j + 1))
-        cols.extend(idx(for_i, j))
-        vals.extend(c)
-        rows.extend(idx(for_i, j))
-        cols.extend(idx(for_i, j))
-        vals.extend(-c)
-        rows.extend(idx(for_i, j + 1))
-        cols.extend(idx(for_i, j + 1))
-        vals.extend(-c)
-    K = sp.csr_matrix((vals, (rows, cols)), shape=(nt * nh, nt * nh))
-    vol = (chart.metric(tt, hh)["sqrtg"] * np.outer(t_cell, th_cell)).ravel()
+    # t-major numbering: t-fluxes couple nodes nh apart, theta-fluxes
+    # neighbours within one t row (none across the row ends)
+    ct = (a_t * th_cell[None, :] / ht[:, None]).ravel()
+    ch = np.zeros((nt, nh))
+    ch[:, :-1] = a_h * t_cell[:, None] / hh_[None, :]
+    ch = ch.ravel()[:-1]
+    main = np.zeros(nt * nh)
+    main[:-nh] -= ct
+    main[nh:] -= ct
+    main[:-1] -= ch
+    main[1:] -= ch
+    K = sp.diags([ct, ch, main, ch, ct], [-nh, -1, 0, 1, nh], format="csr")
+    vol = (met["sqrtg"] * np.outer(t_cell, th_cell)).ravel()
     V = potential.V(tt, hh).ravel()
     y = chart.F(tt, hh)
     return Mesh2D(
@@ -198,6 +169,7 @@ class SolveTrace:
     iterations: int
     linesearch_failures: int
     mesh: Mesh2D = field(repr=False, default=None)
+    singular_at: tuple = None  # (iteration, pivot index) of an exactly singular Jacobian
 
 
 def _residual(mesh, u, p, eps):
@@ -217,6 +189,10 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     min_damping the step min_damping / 2 is taken anyway and the iteration
     is counted in linesearch_failures. Negative excursions are not
     constrained, only counted (they trigger damping through the residual).
+    Each step is one LAPACK band LU with partial pivoting (dgbsv): with
+    t-major nodes the Jacobian has half-bandwidth n_theta. An exactly
+    singular Jacobian stops the iteration unconverged and records
+    (iteration, pivot index) in singular_at.
     """
     u = np.asarray(u0, dtype=float).ravel().copy()
     res = _residual(mesh, u, p, eps)
@@ -224,14 +200,28 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     damping = []
     neg_events = 0
     ls_failures = 0
-    eps2_L = (sp.diags(1.0 / mesh.vol) @ mesh.K) * eps**2
+    singular_at = None
+    nb = mesh.shape[1]
+    eps2_L = ((sp.diags(1.0 / mesh.vol) @ mesh.K) * eps**2).todia()
+    if np.max(np.abs(eps2_L.offsets)) > nb:
+        raise ValueError("stiffness is not banded within n_theta of the diagonal")
+    band_rows = 2 * nb - eps2_L.offsets
+    lin_diag = eps2_L.diagonal() - mesh.V
+    # LAPACK band storage, Fortran order so that dgbsv factorizes in place;
+    # the first nb rows take the fill of the pivoting
+    ab = np.empty((3 * nb + 1, u.size), order="F")
     converged = False
     for it in range(max_iter):
         if norms[-1] < tol:
             converged = True
             break
-        J = eps2_L - sp.diags(mesh.V) + sp.diags(p * np.abs(u) ** (p - 1.0))
-        d = spla.spsolve(J.tocsc(), -res)
+        ab[nb:] = 0.0
+        ab[band_rows] = eps2_L.data
+        ab[2 * nb] = lin_diag + p * np.abs(u) ** (p - 1.0)
+        _, _, d, info = dgbsv(nb, nb, ab, -res, overwrite_ab=True, overwrite_b=True)
+        if info > 0:
+            singular_at = (it, info - 1)
+            break
         lam = 1.0
         while lam >= min_damping:
             u_try = u + lam * d
@@ -258,6 +248,7 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
         iterations=len(damping),
         linesearch_failures=ls_failures,
         mesh=mesh,
+        singular_at=singular_at,
     )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelayers import cli, harness, scenarios
+from curvelayers import ansatz, cli, harness, profiles, scenarios
 
 
 def test_expression_parser():
@@ -147,3 +147,18 @@ def test_stage_list_override(tmp_path):
     res = harness.run_scenario("flat-channel", str(tmp_path), stages=("profiles", "chart"))
     assert res.exit_code == 0
     assert set(res.summary["stages"]) == {"profiles", "chart"}
+
+
+def test_profiles_built_once_per_run(tmp_path, monkeypatch):
+    build = profiles.build_profiles
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(profiles, "build_profiles", counting)
+    monkeypatch.setattr(ansatz, "build_profiles", counting)
+    res = harness.run_scenario("constant-V", str(tmp_path), stages=("profiles", "gap"))
+    assert res.summary["stages"]["profiles"]["passed"]
+    assert len(calls) == 1

@@ -1,11 +1,62 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelayers import ansatz as az
-from curvelayers import pde
+from curvelayers import geodesic, pde, scenarios
 from curvelayers import reduced as rd
 from conftest import seed_from
 from curvelayers.profiles import ground_state
+
+
+def _tier2_seed(ctx, name, eps):
+    """Mesh and tier-2 seed of a builtin scenario, built as the pde stage builds them."""
+    scn = scenarios.builtin_scenario(name)
+    chart = scenarios.build_domain(scn)
+    field = scenarios.build_field(scn, chart)
+    t_nodes = pde.graded_nodes(eps, chart.delta0)
+    th_nodes = np.linspace(0.0, 1.0, 49)
+    if scn.domain["kind"] == "flat_channel":
+        mesh = pde.rectangle_mesh(t_nodes, th_nodes, field)
+    else:
+        mesh = pde.chart_mesh(chart, t_nodes, th_nodes, field)
+    bundle = az.assemble_ansatz(2, az.zero_state(), eps, ctx, chart, field, h_from_state=True)
+    return mesh, seed_from(bundle, mesh)
+
+
+def _coo_stiffness(chart, t_nodes, th_nodes):
+    """Reference chart stiffness: one COO entry per face flux and node pair."""
+    nt, nh = t_nodes.size, th_nodes.size
+    ht, hh = np.diff(t_nodes), np.diff(th_nodes)
+    tf, hf = np.meshgrid(0.5 * (t_nodes[:-1] + t_nodes[1:]), th_nodes, indexing="ij")
+    m = chart.metric(tf, hf)
+    a_t = m["sqrtg"] * (m["g22"] / m["g"])
+    tf, hf = np.meshgrid(t_nodes, 0.5 * (th_nodes[:-1] + th_nodes[1:]), indexing="ij")
+    m = chart.metric(tf, hf)
+    a_h = m["sqrtg"] * (m["g11"] / m["g"])
+    th_cell = np.zeros(nh)
+    th_cell[:-1] += hh / 2.0
+    th_cell[1:] += hh / 2.0
+    t_cell = np.zeros(nt)
+    t_cell[:-1] += ht / 2.0
+    t_cell[1:] += ht / 2.0
+    rows, cols, vals = [], [], []
+    coef_t = a_t * th_cell[None, :] / ht[:, None]
+    for i in range(nt - 1):
+        k, l = i * nh + np.arange(nh), (i + 1) * nh + np.arange(nh)
+        rows.extend(np.concatenate([k, l, k, l]))
+        cols.extend(np.concatenate([l, k, k, l]))
+        vals.extend(np.concatenate([coef_t[i], coef_t[i], -coef_t[i], -coef_t[i]]))
+    coef_h = a_h * t_cell[:, None] / hh[None, :]
+    for j in range(nh - 1):
+        k, l = np.arange(nt) * nh + j, np.arange(nt) * nh + j + 1
+        rows.extend(np.concatenate([k, l, k, l]))
+        cols.extend(np.concatenate([l, k, k, l]))
+        vals.extend(np.concatenate([coef_h[:, j], coef_h[:, j], -coef_h[:, j], -coef_h[:, j]]))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(nt * nh, nt * nh))
 
 
 def test_mesh_invariants(flat_field, bent_chart, bent_field):
@@ -133,3 +184,92 @@ def test_metrics_refuses_unconverged(flat_field):
     trace = pde.newton_solve(mesh, 3.0, 0.5, np.full(mesh.vol.size, 0.1), max_iter=0)
     with pytest.raises(RuntimeError):
         pde.concentration_metrics(trace, flat_field, 3.0, 0.5)
+
+
+def test_graded_nodes_stay_inside_the_channel(bent_chart, bent_field):
+    # 12 eps > delta0: the core is shrunk onto the channel, not rounded past it
+    for eps in (0.042, 0.045, 0.05):
+        t_nodes = pde.graded_nodes(eps, bent_chart.delta0)
+        assert t_nodes[0] == -bent_chart.delta0 and t_nodes[-1] == bent_chart.delta0
+        assert np.all(np.diff(t_nodes) > 0.0)
+        assert np.max(np.diff(t_nodes)) <= (1 + 1e-12) * eps / 12
+        pde.chart_mesh(bent_chart, t_nodes, np.linspace(0.0, 1.0, 9), bent_field)
+
+
+@pytest.mark.parametrize(
+    "eps, half_width, kw",
+    [(0.04, 0.5, {}), (0.03, 0.5, {}), (0.02, 0.5, {}), (0.05, 4.0, {}), (0.1, 4.0, {}),
+     (0.05, 4.0, {"fine_per_layer": 24}), (0.1, 1.0, {}), (0.03, 0.4995, {"fine_per_layer": 10, "h_max": 0.02})],
+)
+def test_graded_nodes_unchanged_where_they_end_at_the_edge(eps, half_width, kw):
+    fpl, ratio, h_max = kw.get("fine_per_layer", 12), 1.15, kw.get("h_max", 0.1)
+    h_f = eps / fpl
+    n_core = int(np.ceil(min(max(12.0 * eps, 0.4), half_width) / h_f))
+    right = list(np.linspace(0.0, n_core * h_f, n_core + 1))
+    h = h_f
+    while right[-1] < half_width:
+        h = min(h * ratio, h_max)
+        right.append(min(right[-1] + h, half_width))
+    assert right[-1] == half_width
+    reference = np.concatenate([-np.asarray(right)[::-1][:-1], right])
+    assert np.array_equal(pde.graded_nodes(eps, half_width, **kw), reference)
+
+
+def test_chart_mesh_matches_coo_reference(bent_chart, bent_field):
+    t_nodes = pde.graded_nodes(0.04, bent_chart.delta0)
+    th_nodes = np.linspace(0.0, 1.0, 49)
+    K = pde.chart_mesh(bent_chart, t_nodes, th_nodes, bent_field).K
+    ref = _coo_stiffness(bent_chart, t_nodes, th_nodes)
+    assert abs(K - ref).max() <= 8 * np.finfo(float).eps * abs(ref).max()
+
+
+def _node_set(lo, hi):
+    gaps = st.lists(st.floats(0.01, 1.0), min_size=1, max_size=12)
+    return gaps.map(lambda g: lo + (hi - lo) * np.concatenate([[0.0], np.cumsum(g)]) / np.sum(g))
+
+
+@settings(max_examples=25)
+@given(_node_set(-0.45, 0.45), _node_set(0.0, 1.0))
+def test_chart_stiffness_symmetric_with_zero_row_sums(bent_chart, bent_field, t_nodes, th_nodes):
+    K = pde.chart_mesh(bent_chart, t_nodes, th_nodes, bent_field).K
+    assert abs(K - K.T).max() == 0.0
+    assert np.max(np.abs(K @ np.ones(K.shape[0]))) <= 1e-12 * abs(K).max()
+
+
+def test_banded_step_matches_sparse_reference(ctx3):
+    eps = 0.04
+    mesh, u0 = _tier2_seed(ctx3, "bent-channel", eps)
+    res = eps**2 * mesh.laplacian(u0) - mesh.V * u0 + u0**3
+    J = (sp.diags(1.0 / mesh.vol) @ mesh.K) * eps**2 - sp.diags(mesh.V) + sp.diags(3.0 * u0**2)
+    d_ref = spla.spsolve(J.tocsc(), -res)
+    trace = pde.newton_solve(mesh, 3.0, eps, u0, max_iter=1)
+    assert trace.damping == [1.0]
+    assert np.max(np.abs((trace.u - u0) - d_ref)) <= 1e-10 * np.max(np.abs(d_ref))
+
+
+@pytest.mark.parametrize("name, eps, damping", [("bent-channel", 0.03, [1.0] * 4), ("flat-channel", 0.05, [1.0] * 3)])
+def test_converged_newton_damping(ctx3, name, eps, damping):
+    mesh, u0 = _tier2_seed(ctx3, name, eps)
+    trace = pde.newton_solve(mesh, 3.0, eps, u0)
+    assert trace.converged and trace.singular_at is None
+    assert trace.damping == damping
+
+
+def test_singular_jacobian_is_reported():
+    # eps = 0 leaves J = diag(3 u^2 - 3), exactly singular where u = 1
+    field = geodesic.build_potential(3.0, lambda t, th: 3.0 + 0.0 * np.asarray(t) * np.asarray(th))
+    mesh = pde.rectangle_mesh(np.linspace(-1, 1, 21), np.linspace(0, 1, 5), field)
+    u0 = np.full(mesh.vol.size, 2.0)
+    u0[52] = 1.0
+    trace = pde.newton_solve(mesh, 3.0, 0.0, u0)
+    assert not trace.converged
+    assert trace.singular_at == (0, 52)
+    assert trace.iterations == 0 and np.all(np.isfinite(trace.residuals))
+
+
+def test_newton_refuses_a_stiffness_wider_than_the_band(unit_field):
+    mesh = pde.rectangle_mesh(np.linspace(-1, 1, 21), np.linspace(0, 1, 5), unit_field)
+    n, nh = mesh.vol.size, mesh.shape[1]
+    mesh.K = mesh.K + sp.eye(n, k=nh + 1)
+    with pytest.raises(ValueError):
+        pde.newton_solve(mesh, 3.0, 0.1, np.ones(n))
