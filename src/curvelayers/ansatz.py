@@ -16,7 +16,7 @@ from scipy.interpolate import CubicSpline
 from . import geodesic, reduced
 from .profiles import build_profiles
 from .strip import build_strip_basis, solve_strip_layer
-from .util import bridge_cutoff, fd_derivative, simpson_weights, smoothstep
+from .util import bridge_cutoff, fd_derivative, fd_first_axis, simpson_weights, smoothstep
 
 __all__ = [
     "ReducedState",
@@ -558,46 +558,60 @@ def default_z_grid(eps, spacing=0.25):
     return np.linspace(0.0, 1.0 / eps, n + 1)
 
 
-def _phi4_rhs(bundle, th):
-    """Right sides of the two per-section problems at the theta grid.
+# theta columns per block of the per-section solves: a fine-grid block of
+# 4001 x 16 doubles is about 0.5 MiB, so no right-side temporary spans the
+# whole theta grid (8 columns measured slower, 32-64 about equal)
+_PHI4_BLOCK = 16
+_PHI4_ROWS = ("k", "varpi", "beta", "dbeta", "d2beta", "alpha", "dalpha", "d2alpha", "xi", "dxi", "a11", "a12")
 
+
+def _phi4_sources(bundle):
+    """Inputs of the phi4 right sides on the theta grid, shared by every block.
+
+    The theta-only coefficients are (1, n_theta) rows; the phi22 and phi3
+    fields are strip-grid (nx_strip, n_theta) tables. The layers are evaluated
+    at full width: E @ c on a column subset differs from the full product at
+    roundoff, and strip_fields later reads the layers' cache at these z.
+    """
+    co = bundle.coeffs
+    st = bundle.state
+    eps = bundle.eps
+    th = bundle.theta_grid()
+    src = {name: getattr(co, name)(th)[None, :] for name in _PHI4_ROWS}
+    src["Vtt"] = co.V_tt0(th)[None, :]
+    src["f"] = st.f.f(th)[None, :]
+    src["h"] = st.h.f(th)[None, :]
+    src["hp"] = st.h.fp(th)[None, :]
+    src["hpp"] = st.h.fpp(th)[None, :]
+    src["e"] = st.e.f(th)[None, :] if bundle.tier >= 4 else np.zeros_like(src["f"])
+    if bundle.amplitude is not None:
+        a_arc = bundle.field.arc(th)
+        src["A"] = bundle.amplitude(a_arc)[None, :]
+        src["Ap"] = bundle.amplitude.deriv(a_arc)[None, :]
+        zt = a_arc / eps
+        if bundle.phi22 is not None:
+            for key, fn in (("q", "value"), ("q_x", "dx"), ("q_zt", "dz"), ("q_xzt", "dxz")):
+                src[key] = getattr(bundle.phi22, fn)(zt)
+        if bundle.phi3 is not None:
+            src["m"] = bundle.phi3.value(zt)
+    return src
+
+
+def _phi4_rhs(bundle, src, cols):
+    """Right sides of the two per-section problems at theta columns cols.
+
+    src comes from _phi4_sources and cols is a slice of the theta grid.
     Returns (rhs_even, rhs_odd_scaled) on the fine x grid; the odd problem is
     already multiplied by eps^2 so both solve directly for their layer.
     """
     ctx = bundle.ctx
-    co = bundle.coeffs
-    st = bundle.state
     eps = bundle.eps
     t = ctx.fine_tables
     x = t["x"][:, None]
-    th = np.atleast_1d(np.asarray(th, dtype=float))
-
-    k = co.k(th)[None, :]
-    vp = co.varpi(th)[None, :]
-    beta = co.beta(th)[None, :]
-    dbeta = co.dbeta(th)[None, :]
-    d2beta = co.d2beta(th)[None, :]
-    alpha = co.alpha(th)[None, :]
-    dalpha = co.dalpha(th)[None, :]
-    d2alpha = co.d2alpha(th)[None, :]
-    xi = co.xi(th)[None, :]
-    dxi = co.dxi(th)[None, :]
-    a11 = co.a11(th)[None, :]
-    a12 = co.a12(th)[None, :]
-    Vtt = co.V_tt0(th)[None, :]
+    k, vp, beta, dbeta, d2beta, alpha, dalpha, d2alpha, xi, dxi, a11, a12 = (src[name][:, cols] for name in _PHI4_ROWS)
+    Vtt, f, h, hp, hpp, e = (src[name][:, cols] for name in ("Vtt", "f", "h", "hp", "hpp", "e"))
     sg = ctx.sigma
-
-    f = st.f.f(th)[None, :]
-    h = st.h.f(th)[None, :]
-    hp = st.h.fp(th)[None, :]
-    hpp = st.h.fpp(th)[None, :]
-    e = st.e.f(th)[None, :] if bundle.tier >= 4 else np.zeros_like(f)
-
-    w, w_x, w_xx = t["w"], t["w_x"], t["w_xx"]
-    w1, w2 = t["w1"], t["w2"]
-    w1_x, w2_x = t["w1_x"], t["w2_x"]
-    Z, Z_x = t["Z"], t["Z_x"]
-    wv, wxv, wxxv = w[:, None], w_x[:, None], w_xx[:, None]
+    wv, wxv, wxxv, w1v, w2v, w1xv, w2xv, Zv, Zxv = (t[key][:, None] for key in ("w", "w_x", "w_xx", "w1", "w2", "w1_x", "w2_x", "Z", "Z_x"))
 
     s6 = (1.0 / beta**2) * (
         (-(k**2) + d2beta / beta + 2.0 * dalpha * dbeta / (alpha * beta)) * x * wxv
@@ -631,39 +645,28 @@ def _phi4_rhs(bundle, th):
     )
 
     if bundle.amplitude is not None:
-        a_arc = bundle.field.arc(th)
-        A = bundle.amplitude(a_arc)[None, :]
-        Ap = bundle.amplitude.deriv(a_arc)[None, :]
-        zt = a_arc / eps
+        A = src["A"][:, cols]
+        Ap = src["Ap"][:, cols]
         if bundle.phi22 is not None:
-            q = bundle.phi22.value(zt)
-            q_x = bundle.phi22.dx(zt)
-            q_zt = bundle.phi22.dz(zt)
-            q_xzt = bundle.phi22.dxz(zt)
-            q, q_x, q_zt, q_xzt = (_to_fine(ctx, arr) for arr in (q, q_x, q_zt, q_xzt))
+            q, q_x, q_zt, q_xzt = (_to_fine(ctx, src[key][:, cols]) for key in ("q", "q_x", "q_zt", "q_xzt"))
         else:
             q = q_x = q_zt = q_xzt = 0.0
-        blockA = A * Z[:, None] + q
-        blockA_x = A * Z_x[:, None] + q_x
-        dz_blockA = eps * Ap * beta * Z[:, None] + beta * q_zt
-        dz_blockA_x = eps * Ap * beta * Z_x[:, None] + beta * q_xzt
+        blockA = A * Zv + q
+        blockA_x = A * Zxv + q_x
+        dz_blockA = eps * Ap * beta * Zv + beta * q_zt
+        dz_blockA_x = eps * Ap * beta * Zxv + beta * q_xzt
         m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
     else:
-        blockA = blockA_x = dz_blockA = dz_blockA_x = np.zeros((x.size, th.size))
+        blockA = blockA_x = dz_blockA = dz_blockA_x = np.zeros((x.size, k.shape[1]))
         m11 = 0.0
 
     if bundle.phi3 is not None:
-        a_arc = bundle.field.arc(th)
-        m = _to_fine(ctx, bundle.phi3.value(a_arc / eps))
-        m21 = eps**2 * (ctx.k_tilde - 1.0) * xi * m
+        m21 = eps**2 * (ctx.k_tilde - 1.0) * xi * _to_fine(ctx, src["m"][:, cols])
     else:
         m21 = 0.0
 
-    m51 = -(eps**2) * (k / sg) * (f + h) * e * Z[:, None]
+    m51 = -(eps**2) * (k / sg) * (f + h) * e * Zv
 
-    w1v, w2v = w1[:, None], w2[:, None]
-    w1xv, w2xv = w1_x[:, None], w2_x[:, None]
-    Zv, Zxv = Z[:, None], Z_x[:, None]
     pp = ctx.p * (ctx.p - 1.0)
     wp2 = np.sign(wv) * np.abs(wv) ** (ctx.p - 2.0)
 
@@ -706,39 +709,44 @@ def _to_fine(ctx, arr):
 
 
 def _solve_phi4(bundle):
+    """Even and odd phi4 layers: one bordered 1D solve per theta section.
+
+    Returns each layer as a dict of theta-spline evaluators (val, dx, dxx,
+    dth, d2th, dxdth) built on the tables of _phi4_tables.
+    """
     th_grid = bundle.theta_grid()
-    rhs_even, rhs_odd = _phi4_rhs(bundle, th_grid)
-    solver = bundle.ctx.fine.solver
-    sol_even = solver.solve_many(rhs_even.T).T
-    sol_odd = solver.solve_many(rhs_odd.T).T
-    sub = bundle.ctx.sub
+    return tuple(_phi4_splines(th_grid, table) for table in _phi4_tables(bundle))
 
-    def wrap(sol_fine, rhs_fine):
-        val = sol_fine[sub]
-        # x-derivatives: exact second derivative through the defining equation
-        p = bundle.ctx.p
-        w = bundle.ctx.fine_tables["w"]
-        dxx_fine = sol_fine - p * np.abs(w[:, None]) ** (p - 1.0) * sol_fine - rhs_fine
-        from .util import fd_first_axis
 
-        dx_fine = fd_first_axis(sol_fine, bundle.ctx.fine.hx)
-        table = {
-            "val": val,
-            "dx": dx_fine[sub],
-            "dxx": dxx_fine[sub],
-        }
-        spl = {key: CubicSpline(th_grid, tab, axis=1) for key, tab in table.items()}
-        out = {
-            "val": lambda th, s=spl["val"]: s(th),
-            "dx": lambda th, s=spl["dx"]: s(th),
-            "dxx": lambda th, s=spl["dxx"]: s(th),
-            "dth": lambda th, s=spl["val"]: s(th, 1),
-            "d2th": lambda th, s=spl["val"]: s(th, 2),
-            "dxdth": lambda th, s=spl["dx"]: s(th, 1),
-        }
-        return out
+def _phi4_tables(bundle):
+    """Strip-grid (nx_strip, n_theta) tables val, dx, dxx of the even and odd layers.
 
-    return wrap(sol_even, rhs_even), wrap(sol_odd, rhs_odd), rhs_odd
+    The sections are streamed in blocks of _PHI4_BLOCK theta columns: each
+    block's right sides are formed and solved on the fine x grid, and only
+    the strip-grid rows are kept, so no fine-grid array spans the whole theta
+    grid. Every column is computed as in a single full-width pass, bit for bit.
+    """
+    ctx = bundle.ctx
+    th_grid = bundle.theta_grid()
+    src = _phi4_sources(bundle)
+    sub = ctx.sub
+    # the defining equation gives the exact second derivative:
+    # sol_xx = sol - p |w|^(p-1) sol - rhs
+    lin = ctx.p * np.abs(ctx.fine_tables["w"][:, None]) ** (ctx.p - 1.0)
+    tables = [{key: np.empty((sub.size, th_grid.size)) for key in ("val", "dx", "dxx")} for _ in range(2)]
+    for start in range(0, th_grid.size, _PHI4_BLOCK):
+        cols = slice(start, start + _PHI4_BLOCK)
+        for table, rhs in zip(tables, _phi4_rhs(bundle, src, cols)):
+            sol = ctx.fine.solver.solve_many(rhs.T).T
+            table["val"][:, cols] = sol[sub]
+            table["dx"][:, cols] = fd_first_axis(sol, ctx.fine.hx)[sub]
+            table["dxx"][:, cols] = (sol - lin * sol - rhs)[sub]
+    return tables
+
+
+def _phi4_splines(th_grid, table):
+    val, dx, dxx = (CubicSpline(th_grid, table[key], axis=1) for key in ("val", "dx", "dxx"))
+    return {"val": val, "dx": dx, "dxx": dxx, "dth": lambda th: val(th, 1), "d2th": lambda th: val(th, 2), "dxdth": lambda th: dx(th, 1)}
 
 
 def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, reduced_problem=None, h_from_state=False, ledger=None, z_grid=None):
@@ -808,7 +816,7 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
             bundle.phi3 = solve_strip_layer(ctx.basis_m, h1x, h2x, potential.ell / eps)
 
     if tier >= 5:
-        bundle.phi4_even, bundle.phi4_odd, _ = _solve_phi4(bundle)
+        bundle.phi4_even, bundle.phi4_odd = _solve_phi4(bundle)
     return bundle
 
 

@@ -187,8 +187,10 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     The residual is scaled by the reaction size; backtracking halves the step
     while the residual norm fails to decrease. When it falls below
     min_damping the step min_damping / 2 is taken anyway and the iteration
-    is counted in linesearch_failures. Negative excursions are not
-    constrained, only counted (they trigger damping through the residual).
+    is counted in linesearch_failures. The last trial point, accepted or
+    the fallback, becomes the iterate with its residual. Negative
+    excursions are not constrained, only counted (they trigger damping
+    through the residual).
     Each step is one LAPACK band LU with partial pivoting (dgbsv): with
     t-major nodes the Jacobian has half-bandwidth n_theta. An exactly
     singular Jacobian stops the iteration unconverged and records
@@ -223,20 +225,21 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
             singular_at = (it, info - 1)
             break
         lam = 1.0
-        while lam >= min_damping:
+        while True:
             u_try = u + lam * d
             res_try = _residual(mesh, u_try, p, eps)
-            if _scaled_norm(mesh, u_try, res_try) < (1.0 - 0.25 * lam) * norms[-1]:
+            norm_try = _scaled_norm(mesh, u_try, res_try)
+            if lam < min_damping:
+                ls_failures += 1
+                break
+            if norm_try < (1.0 - 0.25 * lam) * norms[-1]:
                 break
             lam *= 0.5
-        if lam < min_damping:
-            ls_failures += 1
-        u = u + lam * d
-        res = _residual(mesh, u, p, eps)
+        u, res = u_try, res_try
         if np.min(u) < -1e-8 * max(np.max(u), 1e-300):
             neg_events += 1
         damping.append(lam)
-        norms.append(_scaled_norm(mesh, u, res))
+        norms.append(norm_try)
     else:
         converged = norms[-1] < tol
     return SolveTrace(

@@ -99,17 +99,6 @@ def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
     )
 
 
-def _cosh_ratio(nu, z, L):
-    """cosh(nu z)/sinh(nu L) evaluated without overflow (nu, z broadcast)."""
-    den = -np.expm1(-2.0 * nu * L)
-    return (np.exp(-nu * (L - z)) + np.exp(-nu * (L + z))) / den
-
-
-def _sinh_ratio(nu, z, L):
-    den = -np.expm1(-2.0 * nu * L)
-    return (np.exp(-nu * (L - z)) - np.exp(-nu * (L + z))) / den
-
-
 @dataclass
 class StripLayer:
     """Closed-form modal solution of the strip problem with Neumann data."""
@@ -137,7 +126,14 @@ class StripLayer:
         return z, self._last[1]
 
     def _tables(self, z):
-        """Read-only mode coefficient tables c and c' at points z."""
+        """Read-only mode coefficient tables c and c' at points z.
+
+        Every active mode has mu < 0: solve_strip_layer drops or refuses the
+        resonant and zero modes of the translated basis, and the massive basis
+        is negative definite. With nu = sqrt(-mu) each mode is a combination of
+        cosh(nu z) and cosh(nu (L - z)), written as exp(-nu (L - s)) +-
+        exp(-nu (L + s)) over 1 - exp(-2 nu L) so that nothing overflows.
+        """
         z, entry = self._entry(z)
         if "c" in entry:
             return entry["c"], entry["cp"]
@@ -145,26 +141,14 @@ class StripLayer:
         d0 = self.d0[self.active][:, None]
         d1 = self.d1[self.active][:, None]
         nu = np.sqrt(np.abs(mu))[:, None]
+        L = self.L
         zz = z[None, :]
-        c = np.zeros((mu.size, z.size))
-        cp = np.zeros((mu.size, z.size))
-        neg = mu < 0
-        if np.any(neg):
-            nn = nu[neg]
-            c[neg] = (d1[neg] * _cosh_ratio(nn, zz, self.L) - d0[neg] * _cosh_ratio(nn, self.L - zz, self.L)) / nn
-            cp[neg] = d1[neg] * _sinh_ratio(nn, zz, self.L) + d0[neg] * _sinh_ratio(nn, self.L - zz, self.L)
-        pos = mu > 0
-        if np.any(pos):
-            npos = nu[pos]
-            s = np.sin(npos * self.L)
-            c[pos] = (
-                (d0[pos] * np.cos(npos * self.L) - d1[pos]) / (npos * s) * np.cos(npos * zz)
-                + d0[pos] / npos * np.sin(npos * zz)
-            )
-            cp[pos] = (
-                -(d0[pos] * np.cos(npos * self.L) - d1[pos]) / s * np.sin(npos * zz)
-                + d0[pos] * np.cos(npos * zz)
-            )
+        zr = L - zz
+        den = -np.expm1(-2.0 * nu * L)
+        a, b = np.exp(-nu * (L - zz)), np.exp(-nu * (L + zz))
+        ar, br = np.exp(-nu * (L - zr)), np.exp(-nu * (L + zr))
+        c = (d1 * ((a + b) / den) - d0 * ((ar + br) / den)) / nu
+        cp = d1 * ((a - b) / den) + d0 * ((ar - br) / den)
         # far from the data-carrying end the modes underflow; subnormal
         # entries make the synthesis products several times slower
         tiny = np.finfo(float).tiny

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -5,7 +7,7 @@ from scipy.integrate import solve_ivp
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
 from curvelayers import reduced as rd
-from curvelayers.util import simpson_weights
+from curvelayers.util import fd_first_axis, simpson_weights
 
 
 def test_amplitude_closed_form_and_oracle():
@@ -103,7 +105,7 @@ def test_leading_error_structure_on_bent(ctx3, bent_chart, bent_field, bent_prob
 def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_problem):
     eps = 0.05
     b5 = az.assemble_ansatz(5, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
-    rhs_even, rhs_odd = az._phi4_rhs(b5, b5.theta_grid())
+    rhs_even, rhs_odd = az._phi4_rhs(b5, az._phi4_sources(b5), slice(None))
     wq = simpson_weights(ctx3.fine.n, ctx3.fine.hx)
     proj = (wq[:, None] * rhs_odd * ctx3.fine_tables["w_x"][:, None]).sum(axis=0)
     scale = np.max(np.abs(rhs_odd))
@@ -111,6 +113,48 @@ def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_p
     # parity bookkeeping of the two groups
     assert np.max(np.abs(rhs_even - rhs_even[::-1])) < 1e-10 * np.max(np.abs(rhs_even))
     assert np.max(np.abs(rhs_odd + rhs_odd[::-1])) < 1e-10 * scale
+
+
+def _phi4_one_shot(bundle):
+    """Reference: the phi4 tables from one full-width right side and solve."""
+    ctx = bundle.ctx
+    rhs_pair = az._phi4_rhs(bundle, az._phi4_sources(bundle), slice(None))
+    lin = ctx.p * np.abs(ctx.fine_tables["w"][:, None]) ** (ctx.p - 1.0)
+    tables = []
+    for rhs in rhs_pair:
+        sol = ctx.fine.solver.solve_many(rhs.T).T
+        tables.append({"val": sol[ctx.sub], "dx": fd_first_axis(sol, ctx.fine.hx)[ctx.sub], "dxx": (sol - lin * sol - rhs)[ctx.sub]})
+    return tables
+
+
+@pytest.mark.parametrize("case, eps", [("bent", 0.05), ("flat", 0.2), ("flat", 0.3)])
+def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps):
+    # n_theta = 81 ends in a one-column block, 21 in a five-column block, and
+    # 15 fits in a single block
+    chart, field, problem = (request.getfixturevalue(f"{case}_{name}") for name in ("chart", "field", "problem"))
+    b5 = az.assemble_ansatz(5, az.zero_state(), eps, ctx3, chart, field, reduced_problem=problem)
+    assert b5.theta_grid().size % az._PHI4_BLOCK != 0
+    one_shot = _phi4_one_shot(b5)
+    for tables, ref in zip(az._phi4_tables(b5), one_shot):
+        for key, table in ref.items():
+            assert np.array_equal(tables[key], table), key
+    # the straight channel has no odd sources
+    assert np.max(np.abs(one_shot[0]["val"])) > 0.0
+    assert (np.max(np.abs(one_shot[1]["val"])) > 0.0) == (case == "bent")
+
+
+def test_phi4_solve_keeps_no_full_fine_grid_temporaries(ctx3, bent_chart, bent_field, bent_problem):
+    b5 = az.assemble_ansatz(5, az.zero_state(), 0.02, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    fine_array = ctx3.fine.n * b5.theta_grid().size * 8
+    tracemalloc.start()
+    try:
+        az._solve_phi4(b5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the strip-grid tables and the six theta-splines take about 9 such
+    # arrays; a right side formed at full width alone takes about 20
+    assert peak <= 12 * fine_array
 
 
 def test_parity_of_correction_layers(ctx3, bent_chart, bent_field, bent_problem):

@@ -248,11 +248,16 @@ def test_banded_step_matches_sparse_reference(ctx3):
 
 
 @pytest.mark.parametrize("name, eps, damping", [("bent-channel", 0.03, [1.0] * 4), ("flat-channel", 0.05, [1.0] * 3)])
-def test_converged_newton_damping(ctx3, name, eps, damping):
+def test_converged_newton_damping(ctx3, monkeypatch, name, eps, damping):
     mesh, u0 = _tier2_seed(ctx3, name, eps)
+    calls = []
+    residual = pde._residual
+    monkeypatch.setattr(pde, "_residual", lambda *args: calls.append(1) or residual(*args))
     trace = pde.newton_solve(mesh, 3.0, eps, u0)
     assert trace.converged and trace.singular_at is None
     assert trace.damping == damping
+    # the seed, then one trial per step: each accepted trial is the next iterate
+    assert len(calls) == 1 + len(damping)
 
 
 def test_singular_jacobian_is_reported():

@@ -3,6 +3,7 @@ import pytest
 from scipy.optimize import brentq
 
 from curvelayers import reduced as rd
+from curvelayers import scenarios
 from curvelayers.util import loglog_slope
 
 
@@ -40,6 +41,26 @@ def test_basis_robin_roots():
     s = np.array([brentq(lambda s: s * np.sin(s) - np.cos(s), j * np.pi + 1e-12, (j + 0.5) * np.pi) for j in range(51)])
     assert abs(b.lam[0] - 0.74017388) < 1e-8
     assert np.max(np.abs(b.lam[:51] - s**2) / s**2) < 1e-12
+
+
+def test_bent_channel_basis_at_j_max_400():
+    # the eps-ladder output check reads the collocation nodes but not the
+    # eigenpairs, so the basis of its eps = 0.01 rung is pinned here
+    scn = scenarios.builtin_scenario("bent-channel")
+    chart = scenarios.build_domain(scn)
+    b = rd.ReducedProblem(chart, scenarios.build_field(scn, chart), 3.0, j_max=400).basis
+    assert b.gram_deviation() <= 1e-8
+    ref = {
+        0: -2.455343739362692,
+        1: 8.542091198311983,
+        2: 38.0844665656204,
+        10: 985.6240262990365,
+        100: 98694.71044958946,
+        200: 394782.8425037123,
+        400: 1579135.3711316604,
+    }
+    for j, lam in ref.items():
+        assert abs(b.lam[j] - lam) <= 1e-9 * abs(lam), j
 
 
 def test_e_operator_neumann_eigenvalues():
