@@ -376,7 +376,7 @@ class AnsatzBundle:
     amplitude: object
     phi22: object
     phi3: object
-    phi4_even: object  # (nx_strip, n_theta) tables wrapped in splines
+    phi4_even: object  # dicts of theta evaluators over (nx_strip, n_theta) knot tables
     phi4_odd: object
     c0: float
     c1: float
@@ -392,130 +392,145 @@ class AnsatzBundle:
         return self.eps * self.z_grid
 
     # -- strip fields ------------------------------------------------------
-    def strip_fields(self, z=None):
-        """Arrays (nx, nz) of v and derivatives v_x, v_xx, v_z, v_zz, v_xz."""
+    def strip_fields(self, z=None, cols=slice(None), derivs=True):
+        """Arrays (nx, ncols) of v and, with derivs, v_x, v_xx, v_z, v_zz, v_xz.
+
+        The strip layers are read at all of z (each keeps its syntheses for
+        the last z it saw), and cols selects the columns returned; the
+        theta-only coefficients are evaluated on those columns alone. Without
+        derivs only v is formed, from the same terms in the same order.
+        """
         if z is None:
             z = self.z_grid
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        th = self.eps * z
+        th = self.eps * z[cols]
         eps = self.eps
         t = self.ctx.tables
-        nx, nz = self.ctx.x.size, z.size
-        out = {k: np.zeros((nx, nz)) for k in ("v", "vx", "vxx", "vz", "vzz", "vxz")}
+        nx, nz = self.ctx.x.size, th.size
+        out = {k: np.zeros((nx, nz)) for k in (("v", "vx", "vxx", "vz", "vzz", "vxz") if derivs else ("v",))}
 
         # tier 1: the profile itself
         out["v"] += t["w"][:, None]
-        out["vx"] += t["w_x"][:, None]
-        out["vxx"] += t["w_xx"][:, None]
+        if derivs:
+            out["vx"] += t["w_x"][:, None]
+            out["vxx"] += t["w_xx"][:, None]
 
         st = self.state
         if self.tier >= 2:
             a11 = self.coeffs.a11(th)
-            da11 = self.coeffs.da11(th)
-            d2a11 = self.coeffs.d2a11(th)
             a12 = self.coeffs.a12(th)
-            da12 = self.coeffs.da12(th)
-            d2a12 = self.coeffs.d2a12(th)
             fh = st.f.f(th) + st.h.f(th)
-            fhp = st.f.fp(th) + st.h.fp(th)
-            fhpp = st.f.fpp(th) + st.h.fpp(th)
             c2 = a12 * fh
-            c2p = da12 * fh + a12 * fhp
-            c2pp = d2a12 * fh + 2.0 * da12 * fhp + a12 * fhpp
             out["v"] += eps * (t["w1"][:, None] * a11[None, :] + t["w2"][:, None] * c2[None, :])
-            out["vx"] += eps * (t["w1_x"][:, None] * a11[None, :] + t["w2_x"][:, None] * c2[None, :])
-            out["vxx"] += eps * (t["w1_xx"][:, None] * a11[None, :] + t["w2_xx"][:, None] * c2[None, :])
-            out["vz"] += eps**2 * (t["w1"][:, None] * da11[None, :] + t["w2"][:, None] * c2p[None, :])
-            out["vxz"] += eps**2 * (t["w1_x"][:, None] * da11[None, :] + t["w2_x"][:, None] * c2p[None, :])
-            out["vzz"] += eps**3 * (t["w1"][:, None] * d2a11[None, :] + t["w2"][:, None] * c2pp[None, :])
+            if derivs:
+                da11 = self.coeffs.da11(th)
+                d2a11 = self.coeffs.d2a11(th)
+                da12 = self.coeffs.da12(th)
+                d2a12 = self.coeffs.d2a12(th)
+                fhp = st.f.fp(th) + st.h.fp(th)
+                fhpp = st.f.fpp(th) + st.h.fpp(th)
+                c2p = da12 * fh + a12 * fhp
+                c2pp = d2a12 * fh + 2.0 * da12 * fhp + a12 * fhpp
+                out["vx"] += eps * (t["w1_x"][:, None] * a11[None, :] + t["w2_x"][:, None] * c2[None, :])
+                out["vxx"] += eps * (t["w1_xx"][:, None] * a11[None, :] + t["w2_xx"][:, None] * c2[None, :])
+                out["vz"] += eps**2 * (t["w1"][:, None] * da11[None, :] + t["w2"][:, None] * c2p[None, :])
+                out["vxz"] += eps**2 * (t["w1_x"][:, None] * da11[None, :] + t["w2_x"][:, None] * c2p[None, :])
+                out["vzz"] += eps**3 * (t["w1"][:, None] * d2a11[None, :] + t["w2"][:, None] * c2pp[None, :])
 
         if self.tier >= 3 and self.amplitude is not None:
             xi = self.coeffs.xi(th)
-            dxi = self.coeffs.dxi(th)
-            d2xi = self.coeffs.d2xi(th)
-            beta = self.coeffs.beta(th)
-            dbeta = self.coeffs.dbeta(th)
             a = self.field.arc(th)
-            A = self.amplitude(a)
-            Ap = self.amplitude.deriv(a)
-            App = self.amplitude.deriv2(a)
-            P = A
-            Pp = Ap * beta  # d/dtheta of A(a(theta))
-            Ppp = App * beta**2 + Ap * dbeta
+            P = self.amplitude(a)
             if self.phi22 is not None:
                 zt = self.field.upsilon(z, eps)
-                q = self.phi22.value(zt)
-                q_x = self.phi22.dx(zt)
-                q_xx = self.phi22.dxx(zt)
-                q_zt = self.phi22.dz(zt)
-                q_xzt = self.phi22.dxz(zt)
-                q_ztzt = self.phi22.dzz(zt)
+                q = self.phi22.value(zt, cols)
             else:
-                q = q_x = q_xx = q_zt = q_xzt = q_ztzt = np.zeros((nx, nz))
+                q = np.zeros((nx, nz))
             Zv, Zx, Zxx = t["Z"], t["Z_x"], t["Z_xx"]
             block = Zv[:, None] * P[None, :] + q
-            block_x = Zx[:, None] * P[None, :] + q_x
-            block_xx = Zxx[:, None] * P[None, :] + q_xx
-            # z-derivatives of [P Z + phi22]
-            dz_block = eps * Zv[:, None] * Pp[None, :] + beta[None, :] * q_zt
-            dz_block_x = eps * Zx[:, None] * Pp[None, :] + beta[None, :] * q_xzt
-            dzz_block = (
-                eps**2 * Zv[:, None] * Ppp[None, :]
-                + beta[None, :] ** 2 * q_ztzt
-                + eps * dbeta[None, :] * q_zt
-            )
             out["v"] += eps * xi[None, :] * block
-            out["vx"] += eps * xi[None, :] * block_x
-            out["vxx"] += eps * xi[None, :] * block_xx
-            out["vz"] += eps**2 * dxi[None, :] * block + eps * xi[None, :] * dz_block
-            out["vxz"] += eps**2 * dxi[None, :] * block_x + eps * xi[None, :] * dz_block_x
-            out["vzz"] += (
-                eps**3 * d2xi[None, :] * block
-                + 2.0 * eps**2 * dxi[None, :] * dz_block
-                + eps * xi[None, :] * dzz_block
-            )
-
-        if self.tier >= 4:
-            ev, evp, evpp = st.e.f(th), st.e.fp(th), st.e.fpp(th)
-            Zv, Zx, Zxx = t["Z"], t["Z_x"], t["Z_xx"]
-            out["v"] += eps * Zv[:, None] * ev[None, :]
-            out["vx"] += eps * Zx[:, None] * ev[None, :]
-            out["vxx"] += eps * Zxx[:, None] * ev[None, :]
-            out["vz"] += eps**2 * Zv[:, None] * evp[None, :]
-            out["vxz"] += eps**2 * Zx[:, None] * evp[None, :]
-            out["vzz"] += eps**3 * Zv[:, None] * evpp[None, :]
-            if self.phi3 is not None:
-                xi = self.coeffs.xi(th)
+            if derivs:
                 dxi = self.coeffs.dxi(th)
                 d2xi = self.coeffs.d2xi(th)
                 beta = self.coeffs.beta(th)
                 dbeta = self.coeffs.dbeta(th)
-                zt = self.field.upsilon(z, eps)
-                m = self.phi3.value(zt)
-                m_x = self.phi3.dx(zt)
-                m_xx = self.phi3.dxx(zt)
-                m_zt = self.phi3.dz(zt)
-                m_xzt = self.phi3.dxz(zt)
-                m_ztzt = self.phi3.dzz(zt)
-                out["v"] += eps**2 * xi[None, :] * m
-                out["vx"] += eps**2 * xi[None, :] * m_x
-                out["vxx"] += eps**2 * xi[None, :] * m_xx
-                out["vz"] += eps**3 * dxi[None, :] * m + eps**2 * xi[None, :] * beta[None, :] * m_zt
-                out["vxz"] += eps**3 * dxi[None, :] * m_x + eps**2 * xi[None, :] * beta[None, :] * m_xzt
+                Ap = self.amplitude.deriv(a)
+                App = self.amplitude.deriv2(a)
+                Pp = Ap * beta  # d/dtheta of A(a(theta))
+                Ppp = App * beta**2 + Ap * dbeta
+                if self.phi22 is not None:
+                    q_x = self.phi22.dx(zt, cols)
+                    q_xx = self.phi22.dxx(zt, cols)
+                    q_zt = self.phi22.dz(zt, cols)
+                    q_xzt = self.phi22.dxz(zt, cols)
+                    q_ztzt = self.phi22.dzz(zt, cols)
+                else:
+                    q_x = q_xx = q_zt = q_xzt = q_ztzt = q
+                block_x = Zx[:, None] * P[None, :] + q_x
+                block_xx = Zxx[:, None] * P[None, :] + q_xx
+                # z-derivatives of [P Z + phi22]
+                dz_block = eps * Zv[:, None] * Pp[None, :] + beta[None, :] * q_zt
+                dz_block_x = eps * Zx[:, None] * Pp[None, :] + beta[None, :] * q_xzt
+                dzz_block = (
+                    eps**2 * Zv[:, None] * Ppp[None, :]
+                    + beta[None, :] ** 2 * q_ztzt
+                    + eps * dbeta[None, :] * q_zt
+                )
+                out["vx"] += eps * xi[None, :] * block_x
+                out["vxx"] += eps * xi[None, :] * block_xx
+                out["vz"] += eps**2 * dxi[None, :] * block + eps * xi[None, :] * dz_block
+                out["vxz"] += eps**2 * dxi[None, :] * block_x + eps * xi[None, :] * dz_block_x
                 out["vzz"] += (
-                    eps**4 * d2xi[None, :] * m
-                    + 2.0 * eps**3 * dxi[None, :] * beta[None, :] * m_zt
-                    + eps**2 * xi[None, :] * (beta[None, :] ** 2 * m_ztzt + eps * dbeta[None, :] * m_zt)
+                    eps**3 * d2xi[None, :] * block
+                    + 2.0 * eps**2 * dxi[None, :] * dz_block
+                    + eps * xi[None, :] * dzz_block
                 )
 
+        if self.tier >= 4:
+            ev = st.e.f(th)
+            Zv, Zx, Zxx = t["Z"], t["Z_x"], t["Z_xx"]
+            out["v"] += eps * Zv[:, None] * ev[None, :]
+            if derivs:
+                evp, evpp = st.e.fp(th), st.e.fpp(th)
+                out["vx"] += eps * Zx[:, None] * ev[None, :]
+                out["vxx"] += eps * Zxx[:, None] * ev[None, :]
+                out["vz"] += eps**2 * Zv[:, None] * evp[None, :]
+                out["vxz"] += eps**2 * Zx[:, None] * evp[None, :]
+                out["vzz"] += eps**3 * Zv[:, None] * evpp[None, :]
+            if self.phi3 is not None:
+                xi = self.coeffs.xi(th)
+                zt = self.field.upsilon(z, eps)
+                m = self.phi3.value(zt, cols)
+                out["v"] += eps**2 * xi[None, :] * m
+                if derivs:
+                    dxi = self.coeffs.dxi(th)
+                    d2xi = self.coeffs.d2xi(th)
+                    beta = self.coeffs.beta(th)
+                    dbeta = self.coeffs.dbeta(th)
+                    m_x = self.phi3.dx(zt, cols)
+                    m_xx = self.phi3.dxx(zt, cols)
+                    m_zt = self.phi3.dz(zt, cols)
+                    m_xzt = self.phi3.dxz(zt, cols)
+                    m_ztzt = self.phi3.dzz(zt, cols)
+                    out["vx"] += eps**2 * xi[None, :] * m_x
+                    out["vxx"] += eps**2 * xi[None, :] * m_xx
+                    out["vz"] += eps**3 * dxi[None, :] * m + eps**2 * xi[None, :] * beta[None, :] * m_zt
+                    out["vxz"] += eps**3 * dxi[None, :] * m_x + eps**2 * xi[None, :] * beta[None, :] * m_xzt
+                    out["vzz"] += (
+                        eps**4 * d2xi[None, :] * m
+                        + 2.0 * eps**3 * dxi[None, :] * beta[None, :] * m_zt
+                        + eps**2 * xi[None, :] * (beta[None, :] ** 2 * m_ztzt + eps * dbeta[None, :] * m_zt)
+                    )
+
         if self.tier >= 5 and self.phi4_even is not None:
-            for spl in (self.phi4_even, self.phi4_odd):
-                out["v"] += spl["val"](th)
-                out["vx"] += spl["dx"](th)
-                out["vxx"] += spl["dxx"](th)
-                out["vz"] += eps * spl["dth"](th)
-                out["vxz"] += eps * spl["dxdth"](th)
-                out["vzz"] += eps**2 * spl["d2th"](th)
+            for layer in (self.phi4_even, self.phi4_odd):
+                out["v"] += layer["val"](th)
+                if derivs:
+                    out["vx"] += layer["dx"](th)
+                    out["vxx"] += layer["dxx"](th)
+                    out["vz"] += eps * layer["dth"](th)
+                    out["vxz"] += eps * layer["dxdth"](th)
+                    out["vzz"] += eps**2 * layer["d2th"](th)
         return out
 
     # -- physical evaluation -------------------------------------------------
@@ -528,7 +543,7 @@ class AnsatzBundle:
         t_pts = np.asarray(t_pts, dtype=float)
         th = float(theta_val)
         z = th / self.eps
-        col = self.strip_fields(np.array([z]))["v"][:, 0]
+        col = self.strip_fields(np.array([z]), derivs=False)["v"][:, 0]
         beta = float(self.coeffs.beta(th))
         alpha = float(self.coeffs.alpha(th))
         fh = float(self.state.f.f(th) + self.state.h.f(th))
@@ -568,10 +583,11 @@ _PHI4_ROWS = ("k", "varpi", "beta", "dbeta", "d2beta", "alpha", "dalpha", "d2alp
 def _phi4_sources(bundle):
     """Inputs of the phi4 right sides on the theta grid, shared by every block.
 
-    The theta-only coefficients are (1, n_theta) rows; the phi22 and phi3
-    fields are strip-grid (nx_strip, n_theta) tables. The layers are evaluated
-    at full width: E @ c on a column subset differs from the full product at
-    roundoff, and strip_fields later reads the layers' cache at these z.
+    The theta-only coefficients are (1, n_theta) rows, and zt holds the strip
+    points of the theta grid. Each block reads its columns of the phi22 and
+    phi3 fields at all of zt: the layers synthesize them once at full width
+    (E @ c on a column subset differs from the full product at roundoff), and
+    strip_fields later reads the same syntheses.
     """
     co = bundle.coeffs
     st = bundle.state
@@ -588,12 +604,7 @@ def _phi4_sources(bundle):
         a_arc = bundle.field.arc(th)
         src["A"] = bundle.amplitude(a_arc)[None, :]
         src["Ap"] = bundle.amplitude.deriv(a_arc)[None, :]
-        zt = a_arc / eps
-        if bundle.phi22 is not None:
-            for key, fn in (("q", "value"), ("q_x", "dx"), ("q_zt", "dz"), ("q_xzt", "dxz")):
-                src[key] = getattr(bundle.phi22, fn)(zt)
-        if bundle.phi3 is not None:
-            src["m"] = bundle.phi3.value(zt)
+        src["zt"] = a_arc / eps
     return src
 
 
@@ -648,7 +659,7 @@ def _phi4_rhs(bundle, src, cols):
         A = src["A"][:, cols]
         Ap = src["Ap"][:, cols]
         if bundle.phi22 is not None:
-            q, q_x, q_zt, q_xzt = (_to_fine(ctx, src[key][:, cols]) for key in ("q", "q_x", "q_zt", "q_xzt"))
+            q, q_x, q_zt, q_xzt = (_to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"], cols)) for fn in ("value", "dx", "dz", "dxz"))
         else:
             q = q_x = q_zt = q_xzt = 0.0
         blockA = A * Zv + q
@@ -661,7 +672,7 @@ def _phi4_rhs(bundle, src, cols):
         m11 = 0.0
 
     if bundle.phi3 is not None:
-        m21 = eps**2 * (ctx.k_tilde - 1.0) * xi * _to_fine(ctx, src["m"][:, cols])
+        m21 = eps**2 * (ctx.k_tilde - 1.0) * xi * _to_fine(ctx, bundle.phi3.value(src["zt"], cols))
     else:
         m21 = 0.0
 
@@ -711,11 +722,11 @@ def _to_fine(ctx, arr):
 def _solve_phi4(bundle):
     """Even and odd phi4 layers: one bordered 1D solve per theta section.
 
-    Returns each layer as a dict of theta-spline evaluators (val, dx, dxx,
-    dth, d2th, dxdth) built on the tables of _phi4_tables.
+    Returns each layer as a dict of theta evaluators (val, dx, dxx, dth,
+    d2th, dxdth) read from the knot tables of _phi4_knots.
     """
     th_grid = bundle.theta_grid()
-    return tuple(_phi4_splines(th_grid, table) for table in _phi4_tables(bundle))
+    return tuple(_phi4_evaluators(th_grid, _phi4_knots(th_grid, table)) for table in _phi4_tables(bundle))
 
 
 def _phi4_tables(bundle):
@@ -744,9 +755,88 @@ def _phi4_tables(bundle):
     return tables
 
 
-def _phi4_splines(th_grid, table):
-    val, dx, dxx = (CubicSpline(th_grid, table[key], axis=1) for key in ("val", "dx", "dxx"))
-    return {"val": val, "dx": dx, "dxx": dxx, "dth": lambda th: val(th, 1), "d2th": lambda th: val(th, 2), "dxdth": lambda th: dx(th, 1)}
+# each tabulated phi4 field and the table of its theta slope
+_PHI4_SLOPE = {"val": "dth", "dx": "dxdth", "dxx": "dxxdth"}
+
+
+# x rows per spline when the phi4 knot tables are taken: the spline through
+# each row along theta does not depend on the other rows, and a spline over
+# all 801 rows builds about 20 tables' worth of temporaries
+_KNOT_ROWS = 128
+
+
+def _phi4_knots(th_grid, table):
+    """Strip-grid (nx_strip, n_theta) knot tables of one phi4 layer.
+
+    The layer is the cubic spline in theta through each of the val, dx and
+    dxx tables. The tables hold what strip_fields reads at the theta grid
+    (val, dx, dxx, dth, d2th, dxdth), exactly as the splines give them at
+    their knots, the last knot included, and the knot slope dxxdth for
+    points between knots. The splines are built for _KNOT_ROWS rows at a
+    time and dropped once their tables are taken.
+    """
+    names = (*_PHI4_SLOPE, *_PHI4_SLOPE.values(), "d2th")
+    knots = {name: np.empty(table["val"].shape) for name in names}
+    for key, slope in _PHI4_SLOPE.items():
+        values = table.pop(key)
+        for start in range(0, values.shape[0], _KNOT_ROWS):
+            rows = slice(start, start + _KNOT_ROWS)
+            spl = CubicSpline(th_grid, values[rows], axis=1)
+            knots[key][rows], knots[slope][rows] = spl(th_grid), spl(th_grid, 1)
+            if key == "val":
+                knots["d2th"][rows] = spl(th_grid, 2)
+    return knots
+
+
+def _phi4_evaluators(th_grid, knots):
+    """The phi4 fields as callables of theta over the knot tables.
+
+    At a knot each field is its stored column. Between knots val, dth and
+    d2th evaluate the Hermite cubic of (val, dth), dx and dxdth that of
+    (dx, dxdth), and dxx that of (dxx, dxxdth): the spline's own piecewise
+    cubic, to roundoff.
+    """
+
+    def field(key, cubic, order):
+        def evaluate(th):
+            th = np.atleast_1d(np.asarray(th, dtype=float))
+            at = np.minimum(np.searchsorted(th_grid, th), th_grid.size - 1)
+            out = knots[key][:, at]
+            off = np.flatnonzero(th_grid[at] != th)
+            if off.size:
+                out[:, off] = _hermite(th_grid, knots[cubic], knots[_PHI4_SLOPE[cubic]], th[off], order)
+            return out
+
+        return evaluate
+
+    return {
+        "val": field("val", "val", 0),
+        "dx": field("dx", "dx", 0),
+        "dxx": field("dxx", "dxx", 0),
+        "dth": field("dth", "val", 1),
+        "d2th": field("d2th", "val", 2),
+        "dxdth": field("dxdth", "dx", 1),
+    }
+
+
+def _hermite(grid, y, slope, th, order):
+    """Derivative of the given order of the piecewise cubic with values y and slopes at the grid.
+
+    Each interval's cubic is y0 + m0 s + c2 s^2 + c3 s^3 in s = (th - knot)/h;
+    points outside the grid use the end intervals.
+    """
+    i = np.clip(np.searchsorted(grid, th, side="right") - 1, 0, grid.size - 2)
+    h = grid[i + 1] - grid[i]
+    s = (th - grid[i]) / h
+    y0, y1 = y[:, i], y[:, i + 1]
+    m0, m1 = h * slope[:, i], h * slope[:, i + 1]
+    c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
+    c3 = 2.0 * (y0 - y1) + m0 + m1
+    if order == 0:
+        return y0 + s * (m0 + s * (c2 + s * c3))
+    if order == 1:
+        return (m0 + s * (2.0 * c2 + s * 3.0 * c3)) / h
+    return (2.0 * c2 + 6.0 * s * c3) / h**2
 
 
 def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, reduced_problem=None, h_from_state=False, ledger=None, z_grid=None):
@@ -914,15 +1004,20 @@ def _chart_coeff_arrays(bundle, t, th, mask):
     return coeff
 
 
-def _w_partials(bundle, z):
-    """Chain-rule partials of W(t, theta) on the strip grid at sections z."""
+# z columns per block of the interior residual: the chain-rule temporaries of
+# a block are about 30 strip-grid arrays of this width, so none spans the
+# whole z grid (16 columns measured slower, 32-128 about equal)
+_RESIDUAL_BLOCK = 32
+
+
+def _interior_block(bundle, z, cols):
+    """Interior residual E at the sections z[cols], from the chain-rule partials of W(t, theta)."""
     eps = bundle.eps
     co = bundle.coeffs
     st = bundle.state
     x = bundle.ctx.x[:, None]
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    th = eps * z
-    F = bundle.strip_fields(z)
+    th = eps * z[cols]
+    F = bundle.strip_fields(z, cols)
 
     beta = co.beta(th)[None, :]
     dbeta = co.dbeta(th)[None, :]
@@ -953,18 +1048,18 @@ def _w_partials(bundle, z):
         + 2.0 * dalpha * (vx * x_th + vz / eps)
         + alpha * (vxx * x_th**2 + 2.0 * vxz * x_th / eps + vzz / eps**2 + vx * x_thth)
     )
-    return {
-        "t": t,
-        "theta": th,
-        "W": W,
-        "U_t": U_t,
-        "U_tt": U_tt,
-        "U_th": U_th,
-        "U_tth": U_tth,
-        "U_thth": U_thth,
-        "alpha": alpha,
-        "beta": beta,
-    }
+
+    mask = np.abs(t) < min(6.0 * bundle.delta, bundle.chart.delta0 * 0.999)
+    c_tt, c_tth, c_thth, c_t, c_th = _chart_coeff_arrays(bundle, t, th, mask)
+    V = np.ones_like(t)
+    if np.any(mask):
+        V[mask] = bundle.field.V(t[mask], np.broadcast_to(th[None, :], t.shape)[mask])
+    E_phys = (
+        eps**2 * (c_tt * U_tt + c_tth * U_tth + c_thth * U_thth + c_t * U_t + c_th * U_th)
+        - V * W
+        + _sign_power(W, bundle.p)
+    )
+    return np.where(mask, E_phys / (alpha * beta**2), 0.0)
 
 
 def interior_residual(bundle, z=None):
@@ -972,35 +1067,27 @@ def interior_residual(bundle, z=None):
 
     E(x, z) = [eps^2 Delta_y - V + (.)^p](W) / (alpha beta^2) evaluated with
     the closed-form metric coefficients; no grid differencing enters, so the
-    epsilon-order fits are not polluted by discretization error.
+    epsilon-order fits are not polluted by discretization error. E is formed
+    in blocks of _RESIDUAL_BLOCK sections: each block reads its columns of
+    the strip layers' full-width syntheses, and every other factor is
+    elementwise in z, so the blocks give E bit for bit as one pass would.
     """
     eps = bundle.eps
     z = bundle.z_grid if z is None else np.atleast_1d(np.asarray(z, dtype=float))
-    P = _w_partials(bundle, z)
-    t, th = P["t"], P["theta"]
-    mask = np.abs(t) < min(6.0 * bundle.delta, bundle.chart.delta0 * 0.999)
-    c_tt, c_tth, c_thth, c_t, c_th = _chart_coeff_arrays(bundle, t, th, mask)
+    E = np.empty((bundle.ctx.x.size, z.size))
+    for start in range(0, z.size, _RESIDUAL_BLOCK):
+        cols = slice(start, start + _RESIDUAL_BLOCK)
+        E[:, cols] = _interior_block(bundle, z, cols)
 
-    V = np.ones_like(t)
-    if np.any(mask):
-        V[mask] = bundle.field.V(t[mask], np.broadcast_to(th[None, :], t.shape)[mask])
-    W = P["W"]
-    E_phys = (
-        eps**2 * (c_tt * P["U_tt"] + c_tth * P["U_tth"] + c_thth * P["U_thth"] + c_t * P["U_t"] + c_th * P["U_th"])
-        - V * W
-        + _sign_power(W, bundle.p)
-    )
-    E = np.where(mask, E_phys / (P["alpha"] * P["beta"] ** 2), 0.0)
-
+    th = eps * z
     st = bundle.state
     if bundle.tier >= 4:
         ev = st.e.f(th)[None, :]
         evpp = st.e.fpp(th)[None, :]
         Z = bundle.ctx.tables["Z"][:, None]
-        E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / P["beta"] ** 2 * evpp * Z
+        E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / bundle.coeffs.beta(th)[None, :] ** 2 * evpp * Z
     else:
         E11 = np.zeros_like(E)
-    E12 = E - E11
 
     wqx = bundle.ctx.wq
     hz = z[1] - z[0] if z.size > 1 else 1.0
@@ -1029,7 +1116,7 @@ def interior_residual(bundle, z=None):
         E11=E11,
         sup=float(np.max(np.abs(E))),
         l2=l2_simpson,
-        l2_E12=l2(E12),
+        l2_E12=l2(E - E11),
         proj_wx=proj_wx,
         proj_Z=proj_Z,
         quadrature_flag=flag,

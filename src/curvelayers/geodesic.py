@@ -39,7 +39,11 @@ __all__ = [
 
 
 class StationarityError(RuntimeError):
-    """The curve fails the stationarity relation beyond tolerance."""
+    """The curve fails the stationarity relation beyond tolerance; sup is the residual."""
+
+    def __init__(self, message, sup):
+        super().__init__(message)
+        self.sup = sup
 
 
 class PotentialField:
@@ -294,6 +298,10 @@ class NondegeneracyReport:
 def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stationarity_tol=1e-8):
     """Smallest singular value of the Jacobi operator and the verdict.
 
+    The curve must first be stationary: unless the stationarity residual sup
+    is below stationarity_tol * max(max V0, 1), StationarityError is raised
+    carrying that sup (a NaN residual is refused too).
+
     sigma_min comes from smallest_singular_value on the tridiagonal
     jacobi_matrix at each size: block inverse iteration with a banded LU
     (LAPACK dgttrf), O(n) per size. An exact zero pivot gives sigma_min = 0,
@@ -308,8 +316,8 @@ def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stati
     """
     _, res, sup = stationarity_residual(chart, field)
     scale = float(np.max(field.V0(np.linspace(0, 1, 101))))
-    if sup > stationarity_tol * max(scale, 1.0):
-        raise StationarityError(f"stationarity residual sup {sup:.3e} exceeds tolerance")
+    if not sup < stationarity_tol * max(scale, 1.0):
+        raise StationarityError(f"stationarity residual sup {sup:.3e} exceeds tolerance", sup)
 
     sizes = tuple(sorted(set(list(refine) + [n_theta])))
     smallest = []

@@ -3,11 +3,15 @@
 Each stage records its numbers and a pass flag; later independent stages
 still run when one fails, except that epsilon values rejected by the gap
 stage are withheld from the expensive stages. Summaries are written with
-fixed precision so identical runs are byte-identical.
+fixed precision so identical runs are byte-identical; wall times, memory and
+tracebacks go to a timings.json sidecar instead.
 """
 
 import json
 import os
+import resource
+import time
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +76,7 @@ class _Pipeline:
         self.ctx = None
         self.problem = None
         self.state = None
+        self.ledgers = None  # set by the gap stage
 
     def ensure_geometry(self):
         if self.chart is None:
@@ -170,35 +175,34 @@ def _stage_gap(pipe, tables_dir):
         ],
         "passed": ok,
     }
-    return ok, info, ledgers
+    pipe.ledgers = ledgers
+    return ok, info
 
 
 def _stage_geodesic(pipe, tables_dir):
     chart, field = pipe.ensure_geometry()
-    _, res, sup = geodesic.stationarity_residual(chart, field)
-    scale = float(np.max(field.V0(np.linspace(0, 1, 101))))
-    stationary = sup < 1e-10 * max(scale, 1.0)
-    info = {"stationarity_sup": sup, "stationary": stationary}
-    j0 = geodesic.weighted_length(chart, field, 0.0)
-    info["weighted_length"] = j0
-    if stationary:
-        rep = geodesic.nondegeneracy_test(chart, field)
-        info.update(
-            {
-                "smallest_singular": rep.smallest[-1],
-                "threshold": rep.threshold,
-                "nondegenerate": rep.nondegenerate,
-            }
-        )
-        ok = rep.nondegenerate
-    else:
-        ok = False
-        info["nondegenerate"] = False
-    info["passed"] = ok
-    return ok, info
+    info = {"weighted_length": geodesic.weighted_length(chart, field, 0.0)}
+    try:
+        # the test checks stationarity first, against the stage's 1e-10 bound
+        rep = geodesic.nondegeneracy_test(chart, field, stationarity_tol=1e-10)
+    except geodesic.StationarityError as exc:
+        info.update({"stationarity_sup": exc.sup, "stationary": False, "nondegenerate": False, "passed": False})
+        return False, info
+    info.update(
+        {
+            "stationarity_sup": rep.stationarity_sup,
+            "stationary": True,
+            "smallest_singular": rep.smallest[-1],
+            "threshold": rep.threshold,
+            "nondegenerate": rep.nondegenerate,
+            "passed": rep.nondegenerate,
+        }
+    )
+    return rep.nondegenerate, info
 
 
-def _stage_ansatz(pipe, tables_dir, ledgers):
+def _stage_ansatz(pipe, tables_dir):
+    ledgers = pipe.ledgers
     scn = pipe.scn
     chart, field = pipe.ensure_geometry()
     ctx = pipe.ensure_ctx()
@@ -250,7 +254,7 @@ def _stage_ansatz(pipe, tables_dir, ledgers):
     return ok, info
 
 
-def _stage_reduced(pipe, tables_dir, ledgers):
+def _stage_reduced(pipe, tables_dir):
     scn = pipe.scn
     chart, field = pipe.ensure_geometry()
     ctx = pipe.ensure_ctx()
@@ -276,7 +280,8 @@ def _stage_reduced(pipe, tables_dir, ledgers):
     return ok, info
 
 
-def _stage_pde(pipe, tables_dir, ledgers):
+def _stage_pde(pipe, tables_dir):
+    ledgers = pipe.ledgers
     scn = pipe.scn
     chart, field = pipe.ensure_geometry()
     ctx = pipe.ensure_ctx()
@@ -332,8 +337,24 @@ def _stage_pde(pipe, tables_dir, ledgers):
     return ok, info
 
 
+_STAGES = {
+    "profiles": _stage_profiles,
+    "chart": _stage_chart,
+    "gap": _stage_gap,
+    "geodesic": _stage_geodesic,
+    "ansatz": _stage_ansatz,
+    "reduced": _stage_reduced,
+    "pde": _stage_pde,
+}
+
+
 def run_scenario(scn, outdir, tier=None, stages=None):
-    """Run the enabled stages; nonzero exit when any enabled check fails."""
+    """Run the enabled stages; nonzero exit when any enabled check fails.
+
+    summary.json holds the deterministic results. timings.json beside it
+    holds, per stage in run order, the wall seconds, the peak resident set
+    (ru_maxrss, MiB) after the stage, and the traceback of a stage that raised.
+    """
     if isinstance(scn, str):
         scn = scenarios.load_scenario(scn) if os.path.exists(scn) else scenarios.builtin_scenario(scn)
     if tier is not None:
@@ -344,34 +365,32 @@ def run_scenario(scn, outdir, tier=None, stages=None):
 
     pipe = _Pipeline(scn)
     summary = {"scenario": scn.name, "p": scn.p, "tier": scn.tier, "stages": {}}
+    timings = []
     ok_all = True
-    ledgers = None
-    for stage in ("profiles", "chart", "gap", "geodesic", "ansatz", "reduced", "pde"):
+    for stage, run_stage in _STAGES.items():
         if stage not in enabled:
             continue
+        start = time.perf_counter()
+        trace = None
         try:
-            if stage == "profiles":
-                ok, info = _stage_profiles(pipe, tables_dir)
-            elif stage == "chart":
-                ok, info = _stage_chart(pipe, tables_dir)
-            elif stage == "gap":
-                ok, info, ledgers = _stage_gap(pipe, tables_dir)
-            elif stage == "geodesic":
-                ok, info = _stage_geodesic(pipe, tables_dir)
-            elif stage == "ansatz":
-                ok, info = _stage_ansatz(pipe, tables_dir, ledgers)
-            elif stage == "reduced":
-                ok, info = _stage_reduced(pipe, tables_dir, ledgers)
-            elif stage == "pde":
-                ok, info = _stage_pde(pipe, tables_dir, ledgers)
+            ok, info = run_stage(pipe, tables_dir)
         except Exception as exc:  # stage isolation: record, continue
             ok, info = False, {"error": f"{type(exc).__name__}: {exc}", "passed": False}
+            trace = traceback.format_exc()
+        entry = {"stage": stage, "wall_s": time.perf_counter() - start}
+        entry["maxrss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        if trace is not None:
+            entry["traceback"] = trace
+        timings.append(entry)
         summary["stages"][stage] = info
         ok_all = ok_all and ok
     summary["ok"] = ok_all
     text = format_summary(summary)
     with open(os.path.join(tables_dir, "summary.json"), "w") as fh:
         fh.write(text)
+    with open(os.path.join(tables_dir, "timings.json"), "w") as fh:
+        json.dump({"scenario": scn.name, "stages": timings}, fh, indent=1)
+        fh.write("\n")
     return RunResult(ok=ok_all, summary=summary, outdir=tables_dir)
 
 

@@ -178,25 +178,30 @@ class StripLayer:
                 entry[key].flags.writeable = False
         return entry["v"], entry["vz"], entry["m"]
 
-    def value(self, z):
-        return self._products(z)[0].copy()
+    # The six evaluators return the columns cols of their field at points z.
+    # The products are formed once at all of z, so a caller that walks a long
+    # z in blocks reads every block from one full-width synthesis: E @ c on a
+    # column subset would differ from the full product at roundoff.
 
-    def dx(self, z):
-        return fd_first_axis(self._products(z)[0], self.basis.hx)
+    def value(self, z, cols=slice(None)):
+        return self._products(z)[0][:, cols].copy()
 
-    def dxx(self, z):
+    def dx(self, z, cols=slice(None)):
+        return fd_first_axis(self._products(z)[0][:, cols], self.basis.hx)
+
+    def dxx(self, z, cols=slice(None)):
         v, _, m = self._products(z)
         b = self.basis
-        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * v + m
+        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * v[:, cols] + m[:, cols]
 
-    def dz(self, z):
-        return self._products(z)[1].copy()
+    def dz(self, z, cols=slice(None)):
+        return self._products(z)[1][:, cols].copy()
 
-    def dxz(self, z):
-        return fd_first_axis(self._products(z)[1], self.basis.hx)
+    def dxz(self, z, cols=slice(None)):
+        return fd_first_axis(self._products(z)[1][:, cols], self.basis.hx)
 
-    def dzz(self, z):
-        return -self._products(z)[2]
+    def dzz(self, z, cols=slice(None)):
+        return -self._products(z)[2][:, cols]
 
     def pde_residual(self, z):
         """Residual of the discrete-x PDE at interior points z (machine-level)."""

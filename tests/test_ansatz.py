@@ -3,10 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicSpline
 
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
 from curvelayers import reduced as rd
+from curvelayers.strip import StripLayer
 from curvelayers.util import fd_first_axis, simpson_weights
 
 
@@ -143,18 +145,140 @@ def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps):
     assert (np.max(np.abs(one_shot[1]["val"])) > 0.0) == (case == "bent")
 
 
-def test_phi4_solve_keeps_no_full_fine_grid_temporaries(ctx3, bent_chart, bent_field, bent_problem):
-    b5 = az.assemble_ansatz(5, az.zero_state(), 0.02, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+@pytest.fixture(scope="module")
+def bent_b5_002(ctx3, bent_chart, bent_field, bent_problem):
+    return az.assemble_ansatz(5, az.zero_state(), 0.02, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+
+
+def test_phi4_solve_keeps_no_full_fine_grid_temporaries(ctx3, bent_b5_002):
+    b5 = bent_b5_002
     fine_array = ctx3.fine.n * b5.theta_grid().size * 8
+    strip_table = ctx3.x.size * b5.theta_grid().size * 8
     tracemalloc.start()
     try:
-        az._solve_phi4(b5)
+        layers = az._solve_phi4(b5)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the strip-grid tables, the knot tables and the splines of one block of
+    # rows peak at about 4 such arrays, whole-grid theta-splines at about 8,
+    # and a right side formed at full width alone at about 20
+    assert peak <= 5 * fine_array
+    # each layer keeps 7 knot tables (val, dx, dxx, dth, d2th, dxdth and the
+    # slope of dxx); the coefficients of three CubicSplines fill 12
+    assert len(layers) == 2
+    assert held <= 2 * 8 * strip_table
+
+
+def test_blocked_interior_residual_keeps_no_full_width_products(ctx3, bent_b5_002):
+    b5 = bent_b5_002
+    strip_array = ctx3.x.size * b5.z_grid.size * 8
+    assert b5.z_grid.size > 2 * az._RESIDUAL_BLOCK
+    tracemalloc.start()
+    try:
+        az.interior_residual(b5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the strip-grid tables and the six theta-splines take about 9 such
-    # arrays; a right side formed at full width alone takes about 20
-    assert peak <= 12 * fine_array
+    # E, E11 and the full-width norms and projections take about 5 such
+    # arrays and one block's chain rule about 2 more; the chain rule over all
+    # sections at once takes about 36
+    assert peak <= 10 * strip_array
+
+
+def _one_pass_residual(bundle, z):
+    """Reference: E from one block spanning all of z, then E11, norms and projections."""
+    eps = bundle.eps
+    ctx = bundle.ctx
+    E = az._interior_block(bundle, z, slice(None))
+    th = eps * z
+    beta = bundle.coeffs.beta(th)[None, :]
+    ev, evpp = bundle.state.e.f(th)[None, :], bundle.state.e.fpp(th)[None, :]
+    Z = ctx.tables["Z"][:, None]
+    E11 = eps * ctx.lambda0 * ev * Z + eps**3 / beta**2 * evpp * Z
+    hz = z[1] - z[0]
+    wqz = simpson_weights(z.size, hz) if z.size % 2 == 1 else np.full(z.size, hz)
+    if z.size % 2 == 0:
+        wqz[0] = wqz[-1] = hz / 2.0
+    return {
+        "E": E,
+        "E11": E11,
+        "sup": float(np.max(np.abs(E))),
+        "l2": float(np.sqrt(np.abs(np.sum(E**2 * ctx.wq[:, None] * wqz[None, :])))),
+        "l2_E12": float(np.sqrt(np.abs(np.sum((E - E11) ** 2 * ctx.wq[:, None] * wqz[None, :])))),
+        "proj_wx": ctx.integrate(E * ctx.tables["w_x"][:, None], axis=0),
+        "proj_Z": ctx.integrate(E * ctx.tables["Z"][:, None], axis=0),
+    }
+
+
+@pytest.mark.parametrize("z_count", [None, 9, 10])
+def test_blocked_interior_residual_matches_one_pass(ctx3, bent_chart, bent_field, bent_problem, z_count, monkeypatch):
+    # the default grid (81 sections) ends in a ragged block; 9 and 10
+    # sections fit in a single block (odd and even counts)
+    eps = 0.05
+    st_e = az.state_from_callables(
+        e=lambda th: np.cos(np.pi * np.asarray(th, dtype=float)) + 0.5,
+        ep=lambda th: -np.pi * np.sin(np.pi * np.asarray(th, dtype=float)),
+        epp=lambda th: -np.pi**2 * np.cos(np.pi * np.asarray(th, dtype=float)),
+    )
+    b5 = az.assemble_ansatz(5, st_e, eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    z = b5.z_grid if z_count is None else np.linspace(0.2 / eps, 0.8 / eps, z_count)
+    if z_count is None:
+        assert z.size > az._RESIDUAL_BLOCK and z.size % az._RESIDUAL_BLOCK != 0
+    else:
+        assert z.size < az._RESIDUAL_BLOCK
+    products = StripLayer._products
+    widths = []
+
+    def recording(layer, zt):
+        widths.append(np.atleast_1d(zt).size)
+        return products(layer, zt)
+
+    monkeypatch.setattr(StripLayer, "_products", recording)
+    rep = az.interior_residual(b5, z=None if z_count is None else z)
+    # every block reads the layers' syntheses over all of z
+    assert widths and set(widths) == {z.size}
+    ref = _one_pass_residual(b5, z)
+    assert np.max(np.abs(ref["E11"])) > 0.0
+    for key in ("E", "E11", "sup", "l2", "l2_E12", "proj_wx", "proj_Z"):
+        assert np.array_equal(getattr(rep, key), ref[key]), key
+
+
+def test_phi4_knot_evaluators_match_the_spline(ctx3, bent_chart, bent_field, bent_problem):
+    b5 = az.assemble_ansatz(5, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    th = b5.theta_grid()
+    mid = 0.5 * (th[1:] + th[:-1])
+    for layer, table in zip((b5.phi4_even, b5.phi4_odd), az._phi4_tables(b5)):
+        spl = {key: CubicSpline(th, table[key], axis=1) for key in ("val", "dx", "dxx")}
+        ref = {
+            "val": lambda t: spl["val"](t),
+            "dx": lambda t: spl["dx"](t),
+            "dxx": lambda t: spl["dxx"](t),
+            "dth": lambda t: spl["val"](t, 1),
+            "d2th": lambda t: spl["val"](t, 2),
+            "dxdth": lambda t: spl["dx"](t, 1),
+        }
+        assert set(layer) == set(ref)
+        for key, fn in ref.items():
+            at_knots = fn(th)
+            assert np.array_equal(layer[key](th), at_knots), key
+            # between knots: the same piecewise cubic in Hermite form
+            scale = np.max(np.abs(at_knots))
+            assert scale > 0.0, key
+            assert np.max(np.abs(layer[key](mid) - fn(mid))) <= 1e-12 * scale, key
+        # knots and midpoints mixed in one call, in descending order
+        knots, between = th[::4], mid[::3]
+        got = layer["dth"](np.concatenate([knots, between])[::-1])
+        assert np.array_equal(got[:, -knots.size :], ref["dth"](knots)[:, ::-1])
+        assert np.max(np.abs(got[:, : between.size] - ref["dth"](between)[:, ::-1])) <= 1e-12 * np.max(np.abs(got))
+
+
+def test_seed_value_matches_the_full_strip_fields(ctx3, bent_chart, bent_field, bent_problem):
+    b5 = az.assemble_ansatz(5, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    for z in (b5.z_grid[3:4], np.array([0.37 / b5.eps])):
+        value = b5.strip_fields(z, derivs=False)
+        assert set(value) == {"v"}
+        assert np.array_equal(value["v"], b5.strip_fields(z)["v"])
 
 
 def test_parity_of_correction_layers(ctx3, bent_chart, bent_field, bent_problem):

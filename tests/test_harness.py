@@ -162,3 +162,62 @@ def test_profiles_built_once_per_run(tmp_path, monkeypatch):
     res = harness.run_scenario("constant-V", str(tmp_path), stages=("profiles", "gap"))
     assert res.summary["stages"]["profiles"]["passed"]
     assert len(calls) == 1
+
+
+def test_stationarity_residual_once_per_geodesic_stage(tmp_path, monkeypatch):
+    from curvelayers import geodesic
+
+    residual = geodesic.stationarity_residual
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(geodesic, "stationarity_residual", counting)
+    # one non-degenerate and one degenerate stationary curve
+    for name in ("flat-channel", "constant-V"):
+        calls.clear()
+        res = harness.run_scenario(name, str(tmp_path), stages=("geodesic",))
+        info = res.summary["stages"]["geodesic"]
+        assert info["stationary"] is True and "smallest_singular" in info
+        assert len(calls) == 1, name
+
+
+def test_non_stationary_curve_keeps_its_verdict(tmp_path, monkeypatch):
+    from curvelayers import geodesic
+
+    residual = geodesic.stationarity_residual
+
+    def shifted(chart, field, n_theta=401):
+        theta, res, sup = residual(chart, field, n_theta)
+        return theta, res + 2e-9, sup + 2e-9
+
+    # above the stage's 1e-10 bound, below the test's own 1e-8 default
+    monkeypatch.setattr(geodesic, "stationarity_residual", shifted)
+    res = harness.run_scenario("flat-channel", str(tmp_path), stages=("geodesic",))
+    info = res.summary["stages"]["geodesic"]
+    assert res.exit_code != 0
+    assert info["stationary"] is False and info["nondegenerate"] is False and info["passed"] is False
+    assert info["stationarity_sup"] == pytest.approx(2e-9, rel=1e-6)
+    assert "smallest_singular" not in info and "weighted_length" in info
+
+
+def test_timings_sidecar_lists_every_enabled_stage(tmp_path, monkeypatch):
+    def broken(pipe, tables_dir):
+        raise RuntimeError("chart stage broken on purpose")
+
+    monkeypatch.setitem(harness._STAGES, "chart", broken)
+    enabled = ("profiles", "chart", "gap", "geodesic")
+    res = harness.run_scenario("flat-channel", str(tmp_path), stages=enabled)
+    timings = json.load(open(os.path.join(res.outdir, "timings.json")))
+    assert [entry["stage"] for entry in timings["stages"]] == list(enabled)
+    for entry in timings["stages"]:
+        assert entry["wall_s"] >= 0.0 and entry["maxrss_mib"] > 0.0
+        assert ("traceback" in entry) == (entry["stage"] == "chart")
+    assert "chart stage broken on purpose" in timings["stages"][1]["traceback"]
+    assert "Traceback" in timings["stages"][1]["traceback"]
+    # the summary keeps only the one-line error, no machine facts
+    summary = open(os.path.join(res.outdir, "summary.json")).read()
+    assert res.summary["stages"]["chart"]["error"] == "RuntimeError: chart stage broken on purpose"
+    assert "wall_s" not in summary and "maxrss" not in summary and "Traceback" not in summary

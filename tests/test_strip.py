@@ -167,3 +167,18 @@ def test_long_strip_stability(bases):
     for order in (0, 1):
         c = np.abs(lay._coef(z, order))
         assert not np.any((c > 0.0) & (c < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("variant", [0, 1], ids=["translated", "massive"])
+def test_column_reads_match_full_width(bases, variant):
+    # a block of columns is read from the full-width syntheses: bitwise the
+    # columns of the full result, a ragged last block included
+    lay = _layer(bases[variant])
+    z = np.linspace(0.0, 9.0, 11)
+    for name in EVALUATORS:
+        full = getattr(lay, name)(z)
+        for cols in (slice(0, 4), slice(4, 8), slice(8, 12)):
+            block = getattr(lay, name)(z, cols)
+            assert np.array_equal(block, full[:, cols]), name
+            block += 1.0
+            assert np.array_equal(getattr(lay, name)(z, cols), full[:, cols]), name
