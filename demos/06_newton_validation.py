@@ -24,11 +24,7 @@ mesh = pde.rectangle_mesh(t_nodes, th_nodes, field)
 print(f"mesh: {mesh.shape[0]} x {mesh.shape[1]} nodes, finest spacing {np.min(np.diff(t_nodes)):.4f}")
 
 bundle = az.assemble_ansatz(2, az.zero_state(), eps, ctx, flat, field)
-u0 = np.zeros(mesh.shape)
-for j, thv in enumerate(th_nodes):
-    u0[:, j] = bundle.W_eval(t_nodes, thv)
-
-trace = pde.newton_solve(mesh, 3.0, eps, u0.ravel())
+trace = pde.newton_solve(mesh, 3.0, eps, bundle.W_on_mesh(mesh))
 print(f"newton: converged={trace.converged} in {trace.iterations} iterations")
 print("residual history:", " -> ".join(f"{r:.1e}" for r in trace.residuals))
 

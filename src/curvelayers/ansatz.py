@@ -8,10 +8,10 @@ through the chart (no grid differencing), so order fits stay clean down to
 the smallest epsilon.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, make_interp_spline
 
 from . import geodesic, reduced
 from .profiles import build_profiles
@@ -117,26 +117,28 @@ class Amplitude:
     sin_margin: float
     flagged: bool
 
+    @property
+    def K(self):
+        """Coefficient of cos(r a / eps), r = sqrt(lambda0), set by the end data c0, c1."""
+        r = np.sqrt(self.lambda0)
+        return (self.c0 * np.cos(r * self.ell / self.eps) - self.c1) / (r * np.sin(r * self.ell / self.eps))
+
     def __call__(self, a):
         r = np.sqrt(self.lambda0)
         a = np.asarray(a, dtype=float)
-        K = (self.c0 * np.cos(r * self.ell / self.eps) - self.c1) / (r * np.sin(r * self.ell / self.eps))
-        return K * np.cos(r * a / self.eps) + self.c0 / r * np.sin(r * a / self.eps)
+        return self.K * np.cos(r * a / self.eps) + self.c0 / r * np.sin(r * a / self.eps)
 
     def deriv(self, a):
         r = np.sqrt(self.lambda0)
         a = np.asarray(a, dtype=float)
-        K = (self.c0 * np.cos(r * self.ell / self.eps) - self.c1) / (r * np.sin(r * self.ell / self.eps))
-        return (-K * np.sin(r * a / self.eps) + self.c0 / r * np.cos(r * a / self.eps)) * (r / self.eps)
+        return (-self.K * np.sin(r * a / self.eps) + self.c0 / r * np.cos(r * a / self.eps)) * (r / self.eps)
 
     def deriv2(self, a):
         return -(self.lambda0 / self.eps**2) * self(a)
 
     @property
     def sup(self):
-        r = np.sqrt(self.lambda0)
-        K = (self.c0 * np.cos(r * self.ell / self.eps) - self.c1) / (r * np.sin(r * self.ell / self.eps))
-        return float(np.hypot(K, self.c0 / r))
+        return float(np.hypot(self.K, self.c0 / np.sqrt(self.lambda0)))
 
 
 def resonance_amplitude(eps, c0, c1, ell, lambda0, margin_threshold=0.05):
@@ -361,6 +363,127 @@ def solve_h_bvp(problem, coeffs, ctx, amplitude, phi22, eps, ledger=None):
 
 
 # ---------------------------------------------------------------------------
+# layers
+
+_FIELDS = ("v", "vx", "vxx", "vz", "vzz", "vxz")
+
+# rows read from the state: f, e and h with their first two theta-derivatives
+_STATE_ROWS = {name + "p" * order: (name, ("f", "fp", "fpp")[order]) for name in "feh" for order in range(3)}
+
+# rows derived from other rows; d/dtheta of A(a(theta)) carries a' = beta
+_DERIVED_ROWS = {
+    "one": lambda r: np.ones_like(r.th),
+    "zero": lambda r: np.zeros_like(r.th),
+    "fh": lambda r: r["f"] + r["h"],
+    "fhp": lambda r: r["fp"] + r["hp"],
+    "fhpp": lambda r: r["fpp"] + r["hpp"],
+    "c2": lambda r: r["a12"] * r["fh"],
+    "c2p": lambda r: r["da12"] * r["fh"] + r["a12"] * r["fhp"],
+    "c2pp": lambda r: r["d2a12"] * r["fh"] + 2.0 * r["da12"] * r["fhp"] + r["a12"] * r["fhpp"],
+    "arc": lambda r: r.bundle.field.arc(r.th),
+    "A": lambda r: r.bundle.amplitude(r["arc"]),
+    "Ap": lambda r: r.bundle.amplitude.deriv(r["arc"]),
+    "App": lambda r: r.bundle.amplitude.deriv2(r["arc"]),
+    "xiA": lambda r: r["xi"] * r["A"],
+    "xiAp": lambda r: r["dxi"] * r["A"] + r["xi"] * r["Ap"] * r["beta"],
+    "xiApp": lambda r: r["d2xi"] * r["A"]
+    + 2.0 * r["dxi"] * r["Ap"] * r["beta"]
+    + r["xi"] * (r["App"] * r["beta"] ** 2 + r["Ap"] * r["dbeta"]),
+    "zt": lambda r: r.bundle.field.upsilon(r.z, r.bundle.eps),
+}
+
+
+class _Rows(dict):
+    """Theta-only rows at the sections z[cols], each evaluated once on first use.
+
+    One instance serves every layer of a strip_fields call and the chain rule
+    of the interior residual. A row is a state function (_STATE_ROWS), a
+    derived row (_DERIVED_ROWS) or a LayerCoeffs function of that name; "zt"
+    holds the strip points of all of z, where the strip layers synthesize.
+    """
+
+    def __init__(self, bundle, z, cols=slice(None)):
+        super().__init__()
+        self.bundle, self.z, self.cols, self.th = bundle, z, cols, bundle.eps * z[cols]
+
+    def __missing__(self, name):
+        if name in _DERIVED_ROWS:
+            value = _DERIVED_ROWS[name](self)
+        elif name in _STATE_ROWS:
+            part, fn = _STATE_ROWS[name]
+            value = getattr(getattr(self.bundle.state, part), fn)(self.th)
+        else:
+            value = getattr(self.bundle.coeffs, name)(self.th)
+        self[name] = value
+        return value
+
+
+class _ProfileLayer:
+    """eps^k g(x) c(theta): a profile table times a theta coefficient.
+
+    coef names the rows of c and of its first two theta-derivatives; a z
+    derivative is eps times a theta derivative.
+    """
+
+    def __init__(self, tables, key, k, coef):
+        self.g = [tables[key + suffix][:, None] for suffix in ("", "_x", "_xx")]
+        self.k, self.coef = k, coef
+
+    def fields(self, rows, derivs):
+        g, gx, gxx = self.g
+        s0, s1, s2 = (rows.bundle.eps ** (self.k + j) for j in range(3))
+        c = rows[self.coef[0]][None, :]
+        v = s0 * g * c
+        if not derivs:
+            return (v,)
+        cp, cpp = (rows[name][None, :] for name in self.coef[1:])
+        return v, s0 * gx * c, s0 * gxx * c, s1 * g * cp, s2 * g * cpp, s1 * gx * cp
+
+
+class _StripTerm:
+    """eps^k xi(theta) L(x, zt) for a strip layer L read at zt = upsilon(z).
+
+    dzt/dz = beta and d2zt/dz2 = eps beta'.
+    """
+
+    def __init__(self, layer, k):
+        self.layer, self.k = layer, k
+
+    def fields(self, rows, derivs):
+        L, zt, cols, eps = self.layer, rows["zt"], rows.cols, rows.bundle.eps
+        s0, s1, s2 = (eps ** (self.k + j) for j in range(3))
+        xi = rows["xi"][None, :]
+        m = L.value(zt, cols)
+        v = s0 * xi * m
+        if not derivs:
+            return (v,)
+        dxi, d2xi, beta, dbeta = (rows[name][None, :] for name in ("dxi", "d2xi", "beta", "dbeta"))
+        m_x, m_z = L.dx(zt, cols), L.dz(zt, cols)
+        return (
+            v,
+            s0 * xi * m_x,
+            s0 * xi * L.dxx(zt, cols),
+            s1 * dxi * m + s0 * xi * beta * m_z,
+            s2 * d2xi * m + 2.0 * s1 * dxi * beta * m_z + s0 * xi * (beta**2 * L.dzz(zt, cols) + eps * dbeta * m_z),
+            s1 * dxi * m_x + s0 * xi * beta * L.dxz(zt, cols),
+        )
+
+
+class _TableLayer:
+    """A phi4 layer read from its knot-table evaluators (see _phi4_evaluators)."""
+
+    def __init__(self, evaluators):
+        self.ev = evaluators
+
+    def fields(self, rows, derivs):
+        ev, th, eps = self.ev, rows.th, rows.bundle.eps
+        v = ev["val"](th)
+        if not derivs:
+            return (v,)
+        return v, ev["dx"](th), ev["dxx"](th), eps * ev["dth"](th), eps**2 * ev["d2th"](th), eps * ev["dxdth"](th)
+
+
+# ---------------------------------------------------------------------------
 # bundle assembly
 
 
@@ -373,15 +496,16 @@ class AnsatzBundle:
     coeffs: LayerCoeffs
     ctx: StripContext
     state: ReducedState
-    amplitude: object
-    phi22: object
-    phi3: object
-    phi4_even: object  # dicts of theta evaluators over (nx_strip, n_theta) knot tables
-    phi4_odd: object
-    c0: float
-    c1: float
     delta: float
     z_grid: np.ndarray
+    layers: list  # in tier order; assembly stops after its tier
+    amplitude: object = None
+    phi22: object = None
+    phi3: object = None
+    phi4_even: object = None  # dicts of theta evaluators over (nx_strip, n_theta) knot tables
+    phi4_odd: object = None
+    c0: float = 0.0
+    c1: float = 0.0
     h_solution: object = None
 
     @property
@@ -392,145 +516,25 @@ class AnsatzBundle:
         return self.eps * self.z_grid
 
     # -- strip fields ------------------------------------------------------
-    def strip_fields(self, z=None, cols=slice(None), derivs=True):
+    def strip_fields(self, z=None, cols=slice(None), derivs=True, rows=None):
         """Arrays (nx, ncols) of v and, with derivs, v_x, v_xx, v_z, v_zz, v_xz.
 
-        The strip layers are read at all of z (each keeps its syntheses for
-        the last z it saw), and cols selects the columns returned; the
-        theta-only coefficients are evaluated on those columns alone. Without
-        derivs only v is formed, from the same terms in the same order.
+        Each field is the sum over the layers, in order, of their parts. The
+        strip layers are read at all of z (each keeps its syntheses for the
+        last z it saw), and cols selects the columns returned; the theta-only
+        rows are evaluated on those columns alone, once per call, or taken
+        from rows. Without derivs only v is formed, from the same terms in
+        the same order.
         """
         if z is None:
             z = self.z_grid
         z = np.atleast_1d(np.asarray(z, dtype=float))
-        th = self.eps * z[cols]
-        eps = self.eps
-        t = self.ctx.tables
-        nx, nz = self.ctx.x.size, th.size
-        out = {k: np.zeros((nx, nz)) for k in (("v", "vx", "vxx", "vz", "vzz", "vxz") if derivs else ("v",))}
-
-        # tier 1: the profile itself
-        out["v"] += t["w"][:, None]
-        if derivs:
-            out["vx"] += t["w_x"][:, None]
-            out["vxx"] += t["w_xx"][:, None]
-
-        st = self.state
-        if self.tier >= 2:
-            a11 = self.coeffs.a11(th)
-            a12 = self.coeffs.a12(th)
-            fh = st.f.f(th) + st.h.f(th)
-            c2 = a12 * fh
-            out["v"] += eps * (t["w1"][:, None] * a11[None, :] + t["w2"][:, None] * c2[None, :])
-            if derivs:
-                da11 = self.coeffs.da11(th)
-                d2a11 = self.coeffs.d2a11(th)
-                da12 = self.coeffs.da12(th)
-                d2a12 = self.coeffs.d2a12(th)
-                fhp = st.f.fp(th) + st.h.fp(th)
-                fhpp = st.f.fpp(th) + st.h.fpp(th)
-                c2p = da12 * fh + a12 * fhp
-                c2pp = d2a12 * fh + 2.0 * da12 * fhp + a12 * fhpp
-                out["vx"] += eps * (t["w1_x"][:, None] * a11[None, :] + t["w2_x"][:, None] * c2[None, :])
-                out["vxx"] += eps * (t["w1_xx"][:, None] * a11[None, :] + t["w2_xx"][:, None] * c2[None, :])
-                out["vz"] += eps**2 * (t["w1"][:, None] * da11[None, :] + t["w2"][:, None] * c2p[None, :])
-                out["vxz"] += eps**2 * (t["w1_x"][:, None] * da11[None, :] + t["w2_x"][:, None] * c2p[None, :])
-                out["vzz"] += eps**3 * (t["w1"][:, None] * d2a11[None, :] + t["w2"][:, None] * c2pp[None, :])
-
-        if self.tier >= 3 and self.amplitude is not None:
-            xi = self.coeffs.xi(th)
-            a = self.field.arc(th)
-            P = self.amplitude(a)
-            if self.phi22 is not None:
-                zt = self.field.upsilon(z, eps)
-                q = self.phi22.value(zt, cols)
-            else:
-                q = np.zeros((nx, nz))
-            Zv, Zx, Zxx = t["Z"], t["Z_x"], t["Z_xx"]
-            block = Zv[:, None] * P[None, :] + q
-            out["v"] += eps * xi[None, :] * block
-            if derivs:
-                dxi = self.coeffs.dxi(th)
-                d2xi = self.coeffs.d2xi(th)
-                beta = self.coeffs.beta(th)
-                dbeta = self.coeffs.dbeta(th)
-                Ap = self.amplitude.deriv(a)
-                App = self.amplitude.deriv2(a)
-                Pp = Ap * beta  # d/dtheta of A(a(theta))
-                Ppp = App * beta**2 + Ap * dbeta
-                if self.phi22 is not None:
-                    q_x = self.phi22.dx(zt, cols)
-                    q_xx = self.phi22.dxx(zt, cols)
-                    q_zt = self.phi22.dz(zt, cols)
-                    q_xzt = self.phi22.dxz(zt, cols)
-                    q_ztzt = self.phi22.dzz(zt, cols)
-                else:
-                    q_x = q_xx = q_zt = q_xzt = q_ztzt = q
-                block_x = Zx[:, None] * P[None, :] + q_x
-                block_xx = Zxx[:, None] * P[None, :] + q_xx
-                # z-derivatives of [P Z + phi22]
-                dz_block = eps * Zv[:, None] * Pp[None, :] + beta[None, :] * q_zt
-                dz_block_x = eps * Zx[:, None] * Pp[None, :] + beta[None, :] * q_xzt
-                dzz_block = (
-                    eps**2 * Zv[:, None] * Ppp[None, :]
-                    + beta[None, :] ** 2 * q_ztzt
-                    + eps * dbeta[None, :] * q_zt
-                )
-                out["vx"] += eps * xi[None, :] * block_x
-                out["vxx"] += eps * xi[None, :] * block_xx
-                out["vz"] += eps**2 * dxi[None, :] * block + eps * xi[None, :] * dz_block
-                out["vxz"] += eps**2 * dxi[None, :] * block_x + eps * xi[None, :] * dz_block_x
-                out["vzz"] += (
-                    eps**3 * d2xi[None, :] * block
-                    + 2.0 * eps**2 * dxi[None, :] * dz_block
-                    + eps * xi[None, :] * dzz_block
-                )
-
-        if self.tier >= 4:
-            ev = st.e.f(th)
-            Zv, Zx, Zxx = t["Z"], t["Z_x"], t["Z_xx"]
-            out["v"] += eps * Zv[:, None] * ev[None, :]
-            if derivs:
-                evp, evpp = st.e.fp(th), st.e.fpp(th)
-                out["vx"] += eps * Zx[:, None] * ev[None, :]
-                out["vxx"] += eps * Zxx[:, None] * ev[None, :]
-                out["vz"] += eps**2 * Zv[:, None] * evp[None, :]
-                out["vxz"] += eps**2 * Zx[:, None] * evp[None, :]
-                out["vzz"] += eps**3 * Zv[:, None] * evpp[None, :]
-            if self.phi3 is not None:
-                xi = self.coeffs.xi(th)
-                zt = self.field.upsilon(z, eps)
-                m = self.phi3.value(zt, cols)
-                out["v"] += eps**2 * xi[None, :] * m
-                if derivs:
-                    dxi = self.coeffs.dxi(th)
-                    d2xi = self.coeffs.d2xi(th)
-                    beta = self.coeffs.beta(th)
-                    dbeta = self.coeffs.dbeta(th)
-                    m_x = self.phi3.dx(zt, cols)
-                    m_xx = self.phi3.dxx(zt, cols)
-                    m_zt = self.phi3.dz(zt, cols)
-                    m_xzt = self.phi3.dxz(zt, cols)
-                    m_ztzt = self.phi3.dzz(zt, cols)
-                    out["vx"] += eps**2 * xi[None, :] * m_x
-                    out["vxx"] += eps**2 * xi[None, :] * m_xx
-                    out["vz"] += eps**3 * dxi[None, :] * m + eps**2 * xi[None, :] * beta[None, :] * m_zt
-                    out["vxz"] += eps**3 * dxi[None, :] * m_x + eps**2 * xi[None, :] * beta[None, :] * m_xzt
-                    out["vzz"] += (
-                        eps**4 * d2xi[None, :] * m
-                        + 2.0 * eps**3 * dxi[None, :] * beta[None, :] * m_zt
-                        + eps**2 * xi[None, :] * (beta[None, :] ** 2 * m_ztzt + eps * dbeta[None, :] * m_zt)
-                    )
-
-        if self.tier >= 5 and self.phi4_even is not None:
-            for layer in (self.phi4_even, self.phi4_odd):
-                out["v"] += layer["val"](th)
-                if derivs:
-                    out["vx"] += layer["dx"](th)
-                    out["vxx"] += layer["dxx"](th)
-                    out["vz"] += eps * layer["dth"](th)
-                    out["vxz"] += eps * layer["dxdth"](th)
-                    out["vzz"] += eps**2 * layer["d2th"](th)
+        rows = _Rows(self, z, cols) if rows is None else rows
+        names = _FIELDS if derivs else _FIELDS[:1]
+        out = dict.fromkeys(names, 0.0)
+        for layer in self.layers:
+            for name, part in zip(names, layer.fields(rows, derivs)):
+                out[name] += part
         return out
 
     # -- physical evaluation -------------------------------------------------
@@ -548,12 +552,17 @@ class AnsatzBundle:
         alpha = float(self.coeffs.alpha(th))
         fh = float(self.state.f.f(th) + self.state.h.f(th))
         xq = beta * (t_pts / self.eps - fh)
-        from scipy.interpolate import make_interp_spline
-
         spl = make_interp_spline(self.ctx.x, col, k=5)
         vals = np.where(np.abs(xq) <= self.ctx.x[-1], spl(np.clip(xq, self.ctx.x[0], self.ctx.x[-1])), 0.0)
         eta = self.window(t_pts)[0]
         return eta * alpha * vals
+
+    def W_on_mesh(self, mesh):
+        """Newton seed: W at the mesh nodes, one theta column at a time, flattened t-major."""
+        u0 = np.zeros(mesh.shape)
+        for j, thv in enumerate(mesh.th_nodes):
+            u0[:, j] = self.W_eval(mesh.t_nodes, thv)
+        return u0.ravel()
 
 
 def export_strip_table(report, path, stride=(4, 1)):
@@ -581,31 +590,15 @@ _PHI4_ROWS = ("k", "varpi", "beta", "dbeta", "d2beta", "alpha", "dalpha", "d2alp
 
 
 def _phi4_sources(bundle):
-    """Inputs of the phi4 right sides on the theta grid, shared by every block.
+    """Theta-only rows on the theta grid, shared by every block of the phi4 right sides.
 
-    The theta-only coefficients are (1, n_theta) rows, and zt holds the strip
-    points of the theta grid. Each block reads its columns of the phi22 and
-    phi3 fields at all of zt: the layers synthesize them once at full width
-    (E @ c on a column subset differs from the full product at roundoff), and
-    strip_fields later reads the same syntheses.
+    Their "zt" holds the strip points of the theta grid. Each block reads
+    its columns of the phi22 and phi3 fields at all of zt: the layers
+    synthesize them once at full width (E @ c on a column subset differs
+    from the full product at roundoff), and strip_fields later reads the
+    same syntheses.
     """
-    co = bundle.coeffs
-    st = bundle.state
-    eps = bundle.eps
-    th = bundle.theta_grid()
-    src = {name: getattr(co, name)(th)[None, :] for name in _PHI4_ROWS}
-    src["Vtt"] = co.V_tt0(th)[None, :]
-    src["f"] = st.f.f(th)[None, :]
-    src["h"] = st.h.f(th)[None, :]
-    src["hp"] = st.h.fp(th)[None, :]
-    src["hpp"] = st.h.fpp(th)[None, :]
-    src["e"] = st.e.f(th)[None, :] if bundle.tier >= 4 else np.zeros_like(src["f"])
-    if bundle.amplitude is not None:
-        a_arc = bundle.field.arc(th)
-        src["A"] = bundle.amplitude(a_arc)[None, :]
-        src["Ap"] = bundle.amplitude.deriv(a_arc)[None, :]
-        src["zt"] = a_arc / eps
-    return src
+    return _Rows(bundle, bundle.z_grid)
 
 
 def _phi4_rhs(bundle, src, cols):
@@ -619,8 +612,8 @@ def _phi4_rhs(bundle, src, cols):
     eps = bundle.eps
     t = ctx.fine_tables
     x = t["x"][:, None]
-    k, vp, beta, dbeta, d2beta, alpha, dalpha, d2alpha, xi, dxi, a11, a12 = (src[name][:, cols] for name in _PHI4_ROWS)
-    Vtt, f, h, hp, hpp, e = (src[name][:, cols] for name in ("Vtt", "f", "h", "hp", "hpp", "e"))
+    k, vp, beta, dbeta, d2beta, alpha, dalpha, d2alpha, xi, dxi, a11, a12 = (src[name][None, cols] for name in _PHI4_ROWS)
+    Vtt, f, h, hp, hpp, e, A, Ap = (src[name][None, cols] for name in ("V_tt0", "f", "h", "hp", "hpp", "e", "A", "Ap"))
     sg = ctx.sigma
     wv, wxv, wxxv, w1v, w2v, w1xv, w2xv, Zv, Zxv = (t[key][:, None] for key in ("w", "w_x", "w_xx", "w1", "w2", "w1_x", "w2_x", "Z", "Z_x"))
 
@@ -655,21 +648,15 @@ def _phi4_rhs(bundle, src, cols):
         - 0.5 * alpha * beta * hp * wxv
     )
 
-    if bundle.amplitude is not None:
-        A = src["A"][:, cols]
-        Ap = src["Ap"][:, cols]
-        if bundle.phi22 is not None:
-            q, q_x, q_zt, q_xzt = (_to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"], cols)) for fn in ("value", "dx", "dz", "dxz"))
-        else:
-            q = q_x = q_zt = q_xzt = 0.0
-        blockA = A * Zv + q
-        blockA_x = A * Zxv + q_x
-        dz_blockA = eps * Ap * beta * Zv + beta * q_zt
-        dz_blockA_x = eps * Ap * beta * Zxv + beta * q_xzt
-        m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
+    if bundle.phi22 is not None:
+        q, q_x, q_zt, q_xzt = (_to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"], cols)) for fn in ("value", "dx", "dz", "dxz"))
     else:
-        blockA = blockA_x = dz_blockA = dz_blockA_x = np.zeros((x.size, k.shape[1]))
-        m11 = 0.0
+        q = q_x = q_zt = q_xzt = 0.0
+    blockA = A * Zv + q
+    blockA_x = A * Zxv + q_x
+    dz_blockA = eps * Ap * beta * Zv + beta * q_zt
+    dz_blockA_x = eps * Ap * beta * Zxv + beta * q_xzt
+    m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
 
     if bundle.phi3 is not None:
         m21 = eps**2 * (ctx.k_tilde - 1.0) * xi * _to_fine(ctx, bundle.phi3.value(src["zt"], cols))
@@ -840,46 +827,28 @@ def _hermite(grid, y, slope, th, order):
 
 
 def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, reduced_problem=None, h_from_state=False, ledger=None, z_grid=None):
-    """Build the tiered approximation bundle.
+    """Build the bundle of the ansatz layers up to the given tier.
 
-    state supplies (f, e) and optionally h; unless h_from_state, the ring
-    correction is solved from its Robin problem (requiring a non-degenerate
-    reduced operator when the boundary-layer sources are nonzero).
+    Tier 1 is the profile w; tier 2 adds the curvature corrections w1 and w2;
+    tier 3 the resonant amplitude Z xi A and the boundary layer phi22; tier 4
+    the amplitude term Z e and the strip layer phi3; tier 5 the per-section
+    layers phi4. This is the one place that reads the tier: below tier 4 the
+    state's e is set to zero.
+
+    state supplies (f, e) and optionally h; unless h_from_state, tier 3 and
+    up solve the ring correction from its Robin problem (requiring a
+    non-degenerate reduced operator when the boundary-layer sources are
+    nonzero).
     """
     if not 1 <= tier <= 5:
         raise ValueError("tier must be 1..5")
-    coeffs = layer_coeffs(chart, potential)
     delta = delta if delta is not None else chart.delta0 / 8.0
     if 6.0 * delta > chart.delta0:
         raise ValueError("cutoff support exceeds the chart half-width")
-    z_grid = z_grid if z_grid is not None else default_z_grid(eps)
-
-    amplitude = None
-    phi22 = None
-    phi3 = None
-    c0 = c1 = 0.0
-    if tier >= 3:
-        c0, c1, raw0, raw1 = boundary_ring_constants(coeffs, ctx)
-        amplitude = resonance_amplitude(eps, c0, c1, potential.ell, ctx.lambda0)
-        data0 = raw0 - c0 * ctx.tables["Z"]
-        data1 = raw1 - c1 * ctx.tables["Z"]
-        scale = max(np.max(np.abs(data0)), np.max(np.abs(data1)))
-        if scale > 1e-13:
-            # remove the residual discrete resonant-mode content exactly
-            bt = ctx.basis_t
-            er = bt.E[:, bt.idx_resonant]
-            data0 = data0 - (ctx.hx * er @ data0) * er
-            data1 = data1 - (ctx.hx * er @ data1) * er
-            phi22 = solve_strip_layer(bt, data0, data1, potential.ell / eps)
-
-    h_sol = None
-    if not h_from_state and tier >= 3 and amplitude is not None:
-        if reduced_problem is None:
-            reduced_problem = reduced.ReducedProblem(chart, potential, ctx.lambda0)
-        h_sol = solve_h_bvp(reduced_problem, coeffs, ctx, amplitude, phi22, eps, ledger=ledger)
-        if h_sol is not None:
-            state = ReducedState(f=state.f, e=state.e, h=_FnTriple(h_sol, lambda th: h_sol.deriv(th, 1), lambda th: h_sol.deriv(th, 2)))
-
+    if tier < 4:
+        state = ReducedState(f=state.f, e=_as_triple(None), h=state.h)
+    t = ctx.tables
+    coeffs = layer_coeffs(chart, potential)
     bundle = AnsatzBundle(
         tier=tier,
         eps=float(eps),
@@ -888,25 +857,45 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
         coeffs=coeffs,
         ctx=ctx,
         state=state,
-        amplitude=amplitude,
-        phi22=phi22,
-        phi3=None,
-        phi4_even=None,
-        phi4_odd=None,
-        c0=c0,
-        c1=c1,
         delta=float(delta),
-        z_grid=z_grid,
-        h_solution=h_sol,
+        z_grid=z_grid if z_grid is not None else default_z_grid(eps),
+        layers=[_ProfileLayer(t, "w", 0, ("one", "zero", "zero"))],
     )
+    if tier >= 2:
+        bundle.layers += [_ProfileLayer(t, "w1", 1, ("a11", "da11", "d2a11")), _ProfileLayer(t, "w2", 1, ("c2", "c2p", "c2pp"))]
 
-    if tier >= 4 and amplitude is not None:
+    if tier >= 3:
+        c0, c1, raw0, raw1 = boundary_ring_constants(coeffs, ctx)
+        amplitude = resonance_amplitude(eps, c0, c1, potential.ell, ctx.lambda0)
+        bundle.c0, bundle.c1, bundle.amplitude = c0, c1, amplitude
+        bundle.layers.append(_ProfileLayer(t, "Z", 1, ("xiA", "xiAp", "xiApp")))
+        data0 = raw0 - c0 * t["Z"]
+        data1 = raw1 - c1 * t["Z"]
+        if max(np.max(np.abs(data0)), np.max(np.abs(data1))) > 1e-13:
+            # remove the residual discrete resonant-mode content exactly
+            bt = ctx.basis_t
+            er = bt.E[:, bt.idx_resonant]
+            data0 = data0 - (ctx.hx * er @ data0) * er
+            data1 = data1 - (ctx.hx * er @ data1) * er
+            bundle.phi22 = solve_strip_layer(bt, data0, data1, potential.ell / eps)
+            bundle.layers.append(_StripTerm(bundle.phi22, 1))
+        if not h_from_state:
+            if reduced_problem is None:
+                reduced_problem = reduced.ReducedProblem(chart, potential, ctx.lambda0)
+            h_sol = bundle.h_solution = solve_h_bvp(reduced_problem, coeffs, ctx, amplitude, bundle.phi22, eps, ledger=ledger)
+            if h_sol is not None:
+                bundle.state = ReducedState(f=state.f, e=state.e, h=_FnTriple(h_sol, lambda th: h_sol.deriv(th, 1), lambda th: h_sol.deriv(th, 2)))
+
+    if tier >= 4:
+        bundle.layers.append(_ProfileLayer(t, "Z", 1, ("e", "ep", "epp")))
         h1x, h2x = _phi3_data(bundle)
         if np.max(np.abs(h1x)) + np.max(np.abs(h2x)) > 1e-13:
             bundle.phi3 = solve_strip_layer(ctx.basis_m, h1x, h2x, potential.ell / eps)
+            bundle.layers.append(_StripTerm(bundle.phi3, 2))
 
     if tier >= 5:
         bundle.phi4_even, bundle.phi4_odd = _solve_phi4(bundle)
+        bundle.layers += [_TableLayer(bundle.phi4_even), _TableLayer(bundle.phi4_odd)]
     return bundle
 
 
@@ -1013,21 +1002,12 @@ _RESIDUAL_BLOCK = 32
 def _interior_block(bundle, z, cols):
     """Interior residual E at the sections z[cols], from the chain-rule partials of W(t, theta)."""
     eps = bundle.eps
-    co = bundle.coeffs
-    st = bundle.state
     x = bundle.ctx.x[:, None]
-    th = eps * z[cols]
-    F = bundle.strip_fields(z, cols)
-
-    beta = co.beta(th)[None, :]
-    dbeta = co.dbeta(th)[None, :]
-    d2beta = co.d2beta(th)[None, :]
-    alpha = co.alpha(th)[None, :]
-    dalpha = co.dalpha(th)[None, :]
-    d2alpha = co.d2alpha(th)[None, :]
-    fh = (st.f.f(th) + st.h.f(th))[None, :]
-    fhp = (st.f.fp(th) + st.h.fp(th))[None, :]
-    fhpp = (st.f.fpp(th) + st.h.fpp(th))[None, :]
+    rows = _Rows(bundle, z, cols)
+    th = rows.th
+    F = bundle.strip_fields(z, cols, rows=rows)
+    names = ("beta", "dbeta", "d2beta", "alpha", "dalpha", "d2alpha", "fh", "fhp", "fhpp")
+    beta, dbeta, d2beta, alpha, dalpha, d2alpha, fh, fhp, fhpp = (rows[name][None, :] for name in names)
 
     t = eps * (x / beta + fh)
     eta, eta_p, eta_pp = bundle.window(t)
@@ -1080,14 +1060,10 @@ def interior_residual(bundle, z=None):
         E[:, cols] = _interior_block(bundle, z, cols)
 
     th = eps * z
-    st = bundle.state
-    if bundle.tier >= 4:
-        ev = st.e.f(th)[None, :]
-        evpp = st.e.fpp(th)[None, :]
-        Z = bundle.ctx.tables["Z"][:, None]
-        E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / bundle.coeffs.beta(th)[None, :] ** 2 * evpp * Z
-    else:
-        E11 = np.zeros_like(E)
+    ev = bundle.state.e.f(th)[None, :]
+    evpp = bundle.state.e.fpp(th)[None, :]
+    Z = bundle.ctx.tables["Z"][:, None]
+    E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / bundle.coeffs.beta(th)[None, :] ** 2 * evpp * Z
 
     wqx = bundle.ctx.wq
     hz = z[1] - z[0] if z.size > 1 else 1.0
@@ -1252,7 +1228,7 @@ def boundary_residual(bundle):
         core = np.abs(x) < 10.0
         exact_dev = max(exact_dev, float(np.max(np.abs((g - g_exact))[core & inside])))
 
-        e_in = float(st.e.fp(th)) if bundle.tier >= 4 else 0.0
+        e_in = float(st.e.fp(th))
         g_lead = -eps * (k_end * beta * fv + beta * fpv) * ctx.tables["w_x"] + eps**2 * e_in * ctx.tables["Z"]
         g_rest = g - g_lead
         out[end] = (g, g_lead, g_rest)
@@ -1347,10 +1323,7 @@ def project_residual(bundle, report=None):
 
     fv, fpv, fppv = st.f.f(th), st.f.fp(th), st.f.fpp(th)
     hv, hpv = st.h.f(th), st.h.fp(th)
-    e_on = bundle.tier >= 4
-    ev = st.e.f(th) if e_on else np.zeros_like(th)
-    epv = st.e.fp(th) if e_on else np.zeros_like(th)
-    eppv = st.e.fpp(th) if e_on else np.zeros_like(th)
+    ev, epv, eppv = st.e.f(th), st.e.fp(th), st.e.fpp(th)
 
     pred_wx = -(eps**2) * rho1 / beta * (fppv + (h1 + a1v) * fpv + (h2 + a2v) * fv)
     pred_wx += eps**2 * rho1 / beta * (h3 * ev + eps**2 * h4 * eppv)

@@ -291,20 +291,13 @@ def _stage_pde(pipe, tables_dir):
     grid = scn.grid.get("pde", {})
     t_nodes = pde.graded_nodes(eps, chart.delta0, fine_per_layer=grid.get("fine_per_layer", 12))
     th_nodes = np.linspace(0.0, 1.0, grid.get("n_theta", 49))
-    if scn.domain.get("kind") == "flat_channel":
-        mesh = pde.rectangle_mesh(t_nodes, th_nodes, field)
-    else:
-        mesh = pde.chart_mesh(chart, t_nodes, th_nodes, field)
-    state = ansatz.zero_state()
-    seeds = {}
-    for tier in sorted({1, 2, 3, scn.pde_tier}):
-        bundle = ansatz.assemble_ansatz(tier, state, eps, ctx, chart, field, h_from_state=True)
-        u0 = np.zeros(mesh.shape)
-        for j, thv in enumerate(th_nodes):
-            u0[:, j] = bundle.W_eval(t_nodes, thv)
-        seeds[tier] = u0
-    ladder = {tier: pde.initial_residual(mesh, scn.p, eps, seeds[tier].ravel()) for tier in seeds}
-    trace = pde.newton_solve(mesh, scn.p, eps, seeds[scn.pde_tier].ravel())
+    mesh = pde.chart_mesh(chart, t_nodes, th_nodes, field)
+    seeds = {
+        tier: ansatz.assemble_ansatz(tier, ansatz.zero_state(), eps, ctx, chart, field, h_from_state=True).W_on_mesh(mesh)
+        for tier in sorted({1, 2, 3, scn.pde_tier})
+    }
+    ladder = {tier: pde.initial_residual(mesh, scn.p, eps, seed) for tier, seed in seeds.items()}
+    trace = pde.newton_solve(mesh, scn.p, eps, seeds[scn.pde_tier])
     info = {
         "eps": eps,
         "iterations": trace.iterations,
@@ -355,10 +348,7 @@ def run_scenario(scn, outdir, tier=None, stages=None):
     holds, per stage in run order, the wall seconds, the peak resident set
     (ru_maxrss, MiB) after the stage, and the traceback of a stage that raised.
     """
-    if isinstance(scn, str):
-        scn = scenarios.load_scenario(scn) if os.path.exists(scn) else scenarios.builtin_scenario(scn)
-    if tier is not None:
-        scn.tier = int(tier)
+    scn = scenarios.resolve_scenario(scn, tier)
     enabled = tuple(stages) if stages is not None else scn.stages
     tables_dir = os.path.join(outdir, scn.name)
     os.makedirs(tables_dir, exist_ok=True)
@@ -396,9 +386,8 @@ def run_scenario(scn, outdir, tier=None, stages=None):
 
 def order_study(scn, quantity, outdir=None, tier=None):
     """Least-squares epsilon-order of the requested residual quantity."""
-    if isinstance(scn, str):
-        scn = scenarios.load_scenario(scn) if os.path.exists(scn) else scenarios.builtin_scenario(scn)
-    tier = tier if tier is not None else scn.tier
+    scn = scenarios.resolve_scenario(scn, tier)
+    tier = scn.tier
     if len(scn.epsilons) < 3:
         raise ValueError("order study needs at least 3 epsilon values")
     pipe = _Pipeline(scn)

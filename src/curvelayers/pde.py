@@ -1,8 +1,8 @@
 """Damped Newton solve of the full nonlinear Neumann problem on 2D meshes.
 
-Finite-volume discretization on tensor grids (plain rectangle, or an
-orthogonal chart image for curved channels): the stiffness form is symmetric
-with exact zero row sums, so constants are annihilated including at the
+Finite-volume discretization on tensor grids of orthogonal chart
+coordinates, one assembly for every chart (a plain rectangle is the
+identity chart): the stiffness form is symmetric with exact zero row sums, so constants are annihilated including at the
 boundary and the no-flux condition is built in. Nodes are numbered t-major,
 so the stiffness is a five-diagonal band of half-width n_theta and each
 Newton step is one band LU. The solver is seeded with the layered
@@ -43,33 +43,29 @@ def graded_nodes(eps, half_width, fine_per_layer=12, core=None, ratio=1.15, h_ma
     return np.concatenate([-right[::-1][:-1], right])
 
 
-def _flux_1d(nodes, face_coeff=None):
-    """1D zero-flux stiffness K (symmetric) and cell volumes."""
-    nodes = np.asarray(nodes, dtype=float)
+def _cell_volumes(nodes):
+    """Dual-cell lengths of a 1D node set: half of each adjacent interval."""
     h = np.diff(nodes)
-    a = np.ones_like(h) if face_coeff is None else np.asarray(face_coeff, dtype=float)
-    c = a / h
-    n = nodes.size
-    main = np.zeros(n)
-    main[:-1] -= c
-    main[1:] -= c
-    K = sp.diags([c, main, c], offsets=[-1, 0, 1], format="csr")
-    vol = np.zeros(n)
+    vol = np.zeros(nodes.size)
     vol[:-1] += h / 2.0
     vol[1:] += h / 2.0
-    return K, vol
+    return vol
 
 
 @dataclass
 class Mesh2D:
-    kind: str
+    """Finite-volume mesh on a tensor grid of chart coordinates (t, theta).
+
+    Nodes are numbered t-major; K is the symmetric five-diagonal stiffness
+    with zero row sums, vol the cell volumes sqrt(g) dt dtheta and V the
+    potential at the nodes, all flattened t-major.
+    """
+
     t_nodes: np.ndarray
     th_nodes: np.ndarray
     K: object  # sparse stiffness, symmetric, zero row sums
-    vol: np.ndarray  # cell volumes (flattened, t-major)
-    V: np.ndarray  # potential at nodes (flattened)
-    coords: tuple  # physical coordinates of the nodes (y1, y2) arrays
-    chart: object = None
+    vol: np.ndarray
+    V: np.ndarray
 
     @property
     def shape(self):
@@ -82,25 +78,39 @@ class Mesh2D:
         return np.asarray(u).reshape(self.shape)
 
 
-def rectangle_mesh(t_nodes, th_nodes, potential):
-    """Plain Euclidean rectangle with Neumann flux form; V from (t, theta)."""
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    th_nodes = np.asarray(th_nodes, dtype=float)
-    Kt, vt = _flux_1d(t_nodes)
-    Kh, vh = _flux_1d(th_nodes)
-    K = sp.kron(Kt, sp.diags(vh)) + sp.kron(sp.diags(vt), Kh)
-    vol = np.kron(vt, vh)
+def _finite_volume_mesh(t_nodes, th_nodes, potential, a_t, a_h, sqrtg):
+    """Mesh from the face coefficients of the two flux directions and sqrt(g) at the nodes.
+
+    a_t sits on the faces normal to t (n_t - 1, n_theta) and a_h on those
+    normal to theta (n_t, n_theta - 1); a scalar stands for a constant. With
+    t-major numbering t-fluxes couple nodes n_theta apart and theta-fluxes
+    neighbours within one t row (none across the row ends).
+    """
+    nt, nh = t_nodes.size, th_nodes.size
+    t_cell, th_cell = _cell_volumes(t_nodes), _cell_volumes(th_nodes)
+    ct = (a_t * th_cell[None, :] / np.diff(t_nodes)[:, None]).ravel()
+    ch = np.zeros((nt, nh))
+    ch[:, :-1] = a_h * t_cell[:, None] / np.diff(th_nodes)[None, :]
+    ch = ch.ravel()[:-1]
+    main = np.zeros(nt * nh)
+    main[:-nh] -= ct
+    main[nh:] -= ct
+    main[:-1] -= ch
+    main[1:] -= ch
+    K = sp.diags([ct, ch, main, ch, ct], [-nh, -1, 0, 1, nh], format="csr")
     tt, hh = np.meshgrid(t_nodes, th_nodes, indexing="ij")
-    V = potential.V(tt, hh).ravel()
     return Mesh2D(
-        kind="rectangle",
         t_nodes=t_nodes,
         th_nodes=th_nodes,
-        K=K.tocsr(),
-        vol=vol,
-        V=V,
-        coords=(tt.ravel(), hh.ravel()),
+        K=K,
+        vol=(sqrtg * np.outer(t_cell, th_cell)).ravel(),
+        V=potential.V(tt, hh).ravel(),
     )
+
+
+def rectangle_mesh(t_nodes, th_nodes, potential):
+    """Plain Euclidean rectangle with Neumann flux form (the identity chart); V from (t, theta)."""
+    return _finite_volume_mesh(np.asarray(t_nodes, dtype=float), np.asarray(th_nodes, dtype=float), potential, 1.0, 1.0, 1.0)
 
 
 def chart_mesh(chart, t_nodes, th_nodes, potential, orthogonality_tol=1e-10):
@@ -111,52 +121,16 @@ def chart_mesh(chart, t_nodes, th_nodes, potential, orthogonality_tol=1e-10):
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     th_nodes = np.asarray(th_nodes, dtype=float)
-    tt, hh = np.meshgrid(t_nodes, th_nodes, indexing="ij")
-    met = chart.metric(tt, hh)
+    met = chart.metric(*np.meshgrid(t_nodes, th_nodes, indexing="ij"))
     if np.max(np.abs(met["g12"])) > orthogonality_tol * np.max(met["g"]):
         raise ValueError("chart is not orthogonal; finite-volume form unsupported")
-
-    nt, nh = t_nodes.size, th_nodes.size
-    ht = np.diff(t_nodes)
-    hh_ = np.diff(th_nodes)
     t_face = 0.5 * (t_nodes[:-1] + t_nodes[1:])
     th_face = 0.5 * (th_nodes[:-1] + th_nodes[1:])
-
-    # faces normal to t: coefficient sqrt(g) g^{11} integrated over dtheta cell
-    tf, hf = np.meshgrid(t_face, th_nodes, indexing="ij")
-    m = chart.metric(tf, hf)
+    m = chart.metric(*np.meshgrid(t_face, th_nodes, indexing="ij"))
     a_t = m["sqrtg"] * (m["g22"] / m["g"])  # g^{11} = g22/g
-    tf2, hf2 = np.meshgrid(t_nodes, th_face, indexing="ij")
-    m2 = chart.metric(tf2, hf2)
-    a_h = m2["sqrtg"] * (m2["g11"] / m2["g"])  # g^{22} = g11/g
-
-    t_cell, th_cell = _flux_1d(t_nodes)[1], _flux_1d(th_nodes)[1]
-
-    # t-major numbering: t-fluxes couple nodes nh apart, theta-fluxes
-    # neighbours within one t row (none across the row ends)
-    ct = (a_t * th_cell[None, :] / ht[:, None]).ravel()
-    ch = np.zeros((nt, nh))
-    ch[:, :-1] = a_h * t_cell[:, None] / hh_[None, :]
-    ch = ch.ravel()[:-1]
-    main = np.zeros(nt * nh)
-    main[:-nh] -= ct
-    main[nh:] -= ct
-    main[:-1] -= ch
-    main[1:] -= ch
-    K = sp.diags([ct, ch, main, ch, ct], [-nh, -1, 0, 1, nh], format="csr")
-    vol = (met["sqrtg"] * np.outer(t_cell, th_cell)).ravel()
-    V = potential.V(tt, hh).ravel()
-    y = chart.F(tt, hh)
-    return Mesh2D(
-        kind="chart",
-        t_nodes=t_nodes,
-        th_nodes=th_nodes,
-        K=K,
-        vol=vol,
-        V=V,
-        coords=(y[..., 0].ravel(), y[..., 1].ravel()),
-        chart=chart,
-    )
+    m = chart.metric(*np.meshgrid(t_nodes, th_face, indexing="ij"))
+    a_h = m["sqrtg"] * (m["g11"] / m["g"])  # g^{22} = g11/g
+    return _finite_volume_mesh(t_nodes, th_nodes, potential, a_t, a_h, met["sqrtg"])
 
 
 @dataclass

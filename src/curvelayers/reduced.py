@@ -8,7 +8,8 @@ equation after the arclength substitution, and the near-resonant amplitude
 equation whose spectrum produces the critical epsilon values.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -340,8 +341,22 @@ class ReducedProblem:
             )
 
 
+class _NodalSolution:
+    """Values and first two derivatives at theta_nodes, each splined between the nodes."""
+
+    @cached_property
+    def _splines(self):
+        return tuple(CubicSpline(self.theta_nodes, v) for v in (self.values, self.d1, self.d2))
+
+    def __call__(self, theta):
+        return self._splines[0](theta)
+
+    def deriv(self, theta, order=1):
+        return self._splines[order](theta)
+
+
 @dataclass
-class FSolution:
+class FSolution(_NodalSolution):
     theta_nodes: np.ndarray
     values: np.ndarray
     d1: np.ndarray
@@ -349,18 +364,6 @@ class FSolution:
     coef: np.ndarray
     norm_star: float
     bound_constant: float
-    _spl: object = field(default=None, repr=False)
-
-    def _splines(self):
-        if self._spl is None:
-            object.__setattr__(self, "_spl", tuple(CubicSpline(self.theta_nodes, v) for v in (self.values, self.d1, self.d2)))
-        return self._spl
-
-    def __call__(self, theta):
-        return self._splines()[0](theta)
-
-    def deriv(self, theta, order=1):
-        return self._splines()[order](theta)
 
 
 def _norm_star(wq, f, fp, fpp):
@@ -488,7 +491,7 @@ def solve_f_problem(problem, g, eps, alpha1=None, alpha2=None, robin=(0.0, 0.0),
 
 
 @dataclass
-class ESolution:
+class ESolution(_NodalSolution):
     theta_nodes: np.ndarray
     values: np.ndarray
     d1: np.ndarray
@@ -497,18 +500,6 @@ class ESolution:
     mu: np.ndarray
     norm_dstar: float
     bound_constant: float
-    _spl: object = field(default=None, repr=False)
-
-    def _splines(self):
-        if self._spl is None:
-            object.__setattr__(self, "_spl", tuple(CubicSpline(self.theta_nodes, v) for v in (self.values, self.d1, self.d2)))
-        return self._spl
-
-    def __call__(self, theta):
-        return self._splines()[0](theta)
-
-    def deriv(self, theta, order=1):
-        return self._splines()[order](theta)
 
 
 class EOperator:

@@ -8,13 +8,14 @@ refused. Expressions may use t, theta (chart coordinates) or y1, y2
 
 import ast
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import geodesic, geometry
 
-__all__ = ["Scenario", "load_scenario", "save_scenario", "builtin_scenario", "parse_expression", "build_domain"]
+__all__ = ["Scenario", "load_scenario", "save_scenario", "builtin_scenario", "resolve_scenario", "parse_expression", "build_domain"]
 
 _NAMESPACE = {
     "sin": np.sin,
@@ -79,7 +80,6 @@ class Scenario:
     pde_eps: float = 0.05
     pde_tier: int = 2
     grid: dict = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         eps = tuple(float(e) for e in self.epsilons)
@@ -107,6 +107,17 @@ def load_scenario(path):
         return Scenario(**raw)
     except TypeError as exc:
         raise ValueError(f"bad scenario file {path}: {exc}") from None
+
+
+def resolve_scenario(scn, tier=None):
+    """Scenario from a JSON path, a builtin name or a Scenario.
+
+    A given tier replaces the scenario's in a copy; the caller's object is
+    never changed.
+    """
+    if isinstance(scn, str):
+        scn = load_scenario(scn) if os.path.exists(scn) else builtin_scenario(scn)
+    return scn if tier is None else replace(scn, tier=int(tier))
 
 
 def build_domain(scn):

@@ -26,14 +26,6 @@ def record_criterion(number, passed, detail):
     return passed
 
 
-def seed_from(bundle, mesh):
-    """Newton seed: the bundle's W evaluated column by column on the mesh."""
-    u0 = np.zeros(mesh.shape)
-    for j, thv in enumerate(mesh.th_nodes):
-        u0[:, j] = bundle.W_eval(mesh.t_nodes, thv)
-    return u0.ravel()
-
-
 @pytest.fixture(scope="session")
 def ctx3():
     return ansatz.build_strip_context(3.0)

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion, seed_from
+from conftest import record_criterion
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
 from curvelayers import geometry as ge
@@ -257,7 +257,7 @@ def test_criterion_8_pde_validation(ctx3, flat_chart, flat_field, bent_chart, be
     th_nodes = np.linspace(0.0, 1.0, 49)
     mesh = pde.rectangle_mesh(t_nodes, th_nodes, flat_field)
     seeds = {
-        tier: seed_from(az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, flat_chart, flat_field), mesh)
+        tier: az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, flat_chart, flat_field).W_on_mesh(mesh)
         for tier in (1, 2, 3)
     }
     # the tier 1..3 correction layers vanish on the straight channel
@@ -275,7 +275,7 @@ def test_criterion_8_pde_validation(ctx3, flat_chart, flat_field, bent_chart, be
         bundle = az.assemble_ansatz(
             tier, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=prob
         )
-        ladder[tier] = pde.initial_residual(bent_mesh, 3.0, eps, seed_from(bundle, bent_mesh))
+        ladder[tier] = pde.initial_residual(bent_mesh, 3.0, eps, bundle.W_on_mesh(bent_mesh))
     elapsed = time.time() - t0
 
     conv_ok = trace.converged and trace.iterations <= 12 and trace.residuals[-1] < 1e-10

@@ -404,3 +404,83 @@ def test_norm_definitions(sincos_state):
     assert abs(st.norm_dstar(eps) - expect) < 1e-6
     h0, h1 = st.robin_residuals(0.0, 0.0)
     assert h0 == 0.0 and h1 == 0.0
+
+
+def _sixth_order(values, h, order):
+    """Sixth-order central differences along axis 0, without the three points at each end."""
+    if order == 1:
+        weights = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / (60.0 * h)
+    else:
+        weights = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / (180.0 * h**2)
+    n = values.shape[0]
+    return sum(wk * values[3 + k : n - 3 + k] for k, wk in zip(range(-3, 4), weights))
+
+
+@pytest.fixture(scope="module")
+def fields_by_tier(ctx3, bent_chart, bent_field, bent_problem, flat_chart, sincos_state):
+    """strip_fields of each tier at eps 0.05, with sixth-order differences of v and v_x.
+
+    "bent" is bent-channel. On "graded", a straight channel whose potential
+    grows along the curve, beta(0) != beta(1), so the cutoff xi turns; the
+    ring correction is taken from the state there. The sections sit
+    mid-interval of the theta grid: near both ends, in the middle, and where
+    xi turns while the far-end strip layers are still felt. The z stencils
+    stay between the knots of the phi4 tables, where those are one cubic in
+    theta.
+    """
+    eps, hz = 0.05, 0.01
+    out = {}
+    for case in ("bent", "graded"):
+        if case == "bent":
+            chart, field, kw = bent_chart, bent_field, {"reduced_problem": bent_problem}
+        else:
+            V = lambda t, th: (1.0 + np.asarray(t, dtype=float) ** 2) * (1.0 + 0.5 * np.asarray(th, dtype=float))
+            chart, field, kw = flat_chart, gd.build_potential(3.0, V), {"h_from_state": True}
+        for tier in range(1, 6):
+            b = az.assemble_ansatz(tier, sincos_state, eps, ctx3, chart, field, **kw)
+            dz = b.z_grid[1] - b.z_grid[0]
+            z0 = b.z_grid[[2, b.z_grid.size // 2, int(0.7 * b.z_grid.size), -4]] + 0.5 * dz
+            F = b.strip_fields(z0)
+            stencil = b.strip_fields((z0[None, :] + hz * np.arange(-3, 4)[:, None]).ravel())
+            v, vx = (stencil[key].reshape(-1, 7, z0.size).transpose(1, 0, 2) for key in ("v", "vx"))
+            diffs = {
+                "vx": _sixth_order(F["v"], ctx3.hx, 1),
+                "vxx": _sixth_order(F["v"], ctx3.hx, 2),
+                "vz": _sixth_order(v, hz, 1)[0],
+                "vzz": _sixth_order(v, hz, 2)[0],
+                "vxz": _sixth_order(vx, hz, 1)[0],
+            }
+            out[case, tier] = ({key: F[key][3:-3] if key in ("vx", "vxx") else F[key] for key in diffs}, diffs)
+    return out
+
+
+# relative bounds of each partial against the differences; the strip layers'
+# v_xx is the three-point second difference of their x eigenbasis, which
+# differs from d_xx by (hx^2 / 12) d_x^4
+_PARTIAL_RTOL = {"vx": 1e-6, "vxx": 5e-3, "vz": 1e-6, "vzz": 1e-6, "vxz": 1e-6}
+
+
+@pytest.mark.parametrize("case", ["bent", "graded"])
+@pytest.mark.parametrize("tier", range(1, 6))
+def test_strip_field_partials_match_differences_of_v(fields_by_tier, case, tier):
+    # each tier is checked on what it adds to the tier below, so a layer is
+    # held to its own size
+    partials, diffs = fields_by_tier[case, tier]
+    below = fields_by_tier.get((case, tier - 1), ({key: 0.0 for key in diffs}, {key: 0.0 for key in diffs}))
+    for key, rtol in _PARTIAL_RTOL.items():
+        added = partials[key] - below[0][key]
+        err = np.max(np.abs(added - (diffs[key] - below[1][key])))
+        assert err <= rtol * np.max(np.abs(added)) + 1e-10, (key, err, np.max(np.abs(added)))
+
+
+def test_layers_are_a_prefix_by_tier(ctx3, bent_chart, bent_field, bent_problem, sincos_state):
+    kinds = []
+    for tier in range(1, 6):
+        b = az.assemble_ansatz(tier, sincos_state, 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+        kinds.append([type(layer) for layer in b.layers])
+        # below tier 4 the amplitude term is off: e is zero in every consumer
+        e_zero = not np.any(b.state.e.f(np.linspace(0.0, 1.0, 11)))
+        assert e_zero == (tier < 4)
+    assert [len(k) for k in kinds] == [1, 3, 5, 7, 9]
+    for lower, upper in zip(kinds, kinds[1:]):
+        assert upper[: len(lower)] == lower

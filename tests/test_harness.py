@@ -221,3 +221,33 @@ def test_timings_sidecar_lists_every_enabled_stage(tmp_path, monkeypatch):
     summary = open(os.path.join(res.outdir, "summary.json")).read()
     assert res.summary["stages"]["chart"]["error"] == "RuntimeError: chart stage broken on purpose"
     assert "wall_s" not in summary and "maxrss" not in summary and "Traceback" not in summary
+
+
+@pytest.mark.parametrize("name", ["flat-channel", "bent-channel", "disk-diameter", "constant-V"])
+def test_shipped_fixture_matches_the_builtin(name):
+    path = os.path.join(os.path.dirname(scenarios.__file__), "fixtures", f"{name}.json")
+    assert scenarios.load_scenario(path) == scenarios.builtin_scenario(name)
+
+
+def test_tier_override_leaves_the_callers_scenario_alone(tmp_path):
+    scn = scenarios.builtin_scenario("flat-channel")
+    res = harness.run_scenario(scn, str(tmp_path), tier=1, stages=("profiles",))
+    assert res.summary["tier"] == 1
+    assert scn.tier == 5
+    assert scenarios.resolve_scenario(scn) is scn
+    assert scenarios.resolve_scenario("flat-channel", tier=2) == scenarios.Scenario(name="flat-channel", tier=2)
+
+
+_DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+
+
+@pytest.mark.parametrize("demo", ["04_correction_layers.py", "06_newton_validation.py"])
+def test_demo_runs(tmp_path, demo):
+    # run from tmp_path: the demos may write their plots to the working directory
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, os.path.join(_DEMOS, demo)], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout

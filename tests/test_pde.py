@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from curvelayers import ansatz as az
 from curvelayers import geodesic, pde, scenarios
 from curvelayers import reduced as rd
-from conftest import seed_from
 from curvelayers.profiles import ground_state
 
 
@@ -19,12 +18,9 @@ def _tier2_seed(ctx, name, eps):
     field = scenarios.build_field(scn, chart)
     t_nodes = pde.graded_nodes(eps, chart.delta0)
     th_nodes = np.linspace(0.0, 1.0, 49)
-    if scn.domain["kind"] == "flat_channel":
-        mesh = pde.rectangle_mesh(t_nodes, th_nodes, field)
-    else:
-        mesh = pde.chart_mesh(chart, t_nodes, th_nodes, field)
+    mesh = pde.chart_mesh(chart, t_nodes, th_nodes, field)
     bundle = az.assemble_ansatz(2, az.zero_state(), eps, ctx, chart, field, h_from_state=True)
-    return mesh, seed_from(bundle, mesh)
+    return mesh, bundle.W_on_mesh(mesh)
 
 
 def _coo_stiffness(chart, t_nodes, th_nodes):
@@ -95,7 +91,7 @@ def test_flat_newton_small(ctx3, flat_chart, flat_field):
     t_nodes = pde.graded_nodes(eps, 4.0)
     mesh = pde.rectangle_mesh(t_nodes, np.linspace(0, 1, 33), flat_field)
     b2 = az.assemble_ansatz(2, az.zero_state(), eps, ctx3, flat_chart, flat_field)
-    trace = pde.newton_solve(mesh, 3.0, eps, seed_from(b2, mesh))
+    trace = pde.newton_solve(mesh, 3.0, eps, b2.W_on_mesh(mesh))
     assert trace.converged and trace.iterations <= 12
     assert trace.residuals[-1] < 1e-10
     assert np.min(trace.u) > 0.0
@@ -144,7 +140,7 @@ def test_eps_refinement_consistency(ctx3, flat_chart, flat_field):
         t_nodes = pde.graded_nodes(eps, 4.0, fine_per_layer=fpl)
         mesh = pde.rectangle_mesh(t_nodes, np.linspace(0, 1, 25), flat_field)
         b2 = az.assemble_ansatz(2, az.zero_state(), eps, ctx3, flat_chart, flat_field)
-        trace = pde.newton_solve(mesh, 3.0, eps, seed_from(b2, mesh))
+        trace = pde.newton_solve(mesh, 3.0, eps, b2.W_on_mesh(mesh))
         met = pde.concentration_metrics(trace, flat_field, 3.0, eps)
         ratios.append(float(np.mean(met.amplitude_ratio)))
     assert abs(ratios[1] - ratios[0]) < 0.02 * ratios[0]
@@ -159,7 +155,7 @@ def test_resonant_probe_flagged(ctx3, flat_chart, flat_field):
     t_nodes = pde.graded_nodes(eps5, 4.0)
     mesh = pde.rectangle_mesh(t_nodes, np.linspace(0, 1, 25), flat_field)
     b2 = az.assemble_ansatz(2, az.zero_state(), eps5, ctx3, flat_chart, flat_field)
-    trace = pde.newton_solve(mesh, 3.0, eps5, seed_from(b2, mesh))
+    trace = pde.newton_solve(mesh, 3.0, eps5, b2.W_on_mesh(mesh))
     assert trace.converged  # recorded behavior at the probe
 
 
@@ -174,7 +170,7 @@ def test_bent_channel_tier_ladder(ctx3, bent_chart, bent_field, bent_problem):
     sups, rmss = {}, {}
     for tier in (1, 2, 3):
         b = az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=prob)
-        sups[tier], rmss[tier] = pde.initial_residual(mesh, 3.0, eps, seed_from(b, mesh))
+        sups[tier], rmss[tier] = pde.initial_residual(mesh, 3.0, eps, b.W_on_mesh(mesh))
     assert sups[1] > sups[2] > sups[3]
     assert rmss[1] > rmss[2] > rmss[3]
 
@@ -213,6 +209,34 @@ def test_graded_nodes_unchanged_where_they_end_at_the_edge(eps, half_width, kw):
     assert right[-1] == half_width
     reference = np.concatenate([-np.asarray(right)[::-1][:-1], right])
     assert np.array_equal(pde.graded_nodes(eps, half_width, **kw), reference)
+
+
+def test_rectangle_mesh_is_the_flat_chart_mesh(flat_chart, flat_field):
+    t_nodes = pde.graded_nodes(0.05, 4.0)
+    th_nodes = np.linspace(0.0, 1.0, 49)
+    rect = pde.rectangle_mesh(t_nodes, th_nodes, flat_field)
+    flat = pde.chart_mesh(flat_chart, t_nodes, th_nodes, flat_field)
+    bound = 8 * np.finfo(float).eps * abs(flat.K).max()
+    assert abs(rect.K - flat.K).max() <= bound
+    assert np.array_equal(rect.vol, flat.vol) and np.array_equal(rect.V, flat.V)
+    # the Kronecker form of the 1D flux stiffnesses, weighted by the cell volumes
+    K1, vol = [], []
+    for n in (t_nodes, th_nodes):
+        c = 1.0 / np.diff(n)
+        K1.append(sp.diags([c, -np.convolve(c, [1.0, 1.0]), c], [-1, 0, 1]))
+        vol.append(np.zeros(n.size))
+        vol[-1][:-1] += np.diff(n) / 2.0
+        vol[-1][1:] += np.diff(n) / 2.0
+    assert abs(rect.K - (sp.kron(K1[0], sp.diags(vol[1])) + sp.kron(sp.diags(vol[0]), K1[1]))).max() <= bound
+
+
+def test_seed_on_mesh_is_the_column_loop(ctx3, bent_chart, bent_field, bent_problem):
+    eps = 0.04
+    t_nodes = pde.graded_nodes(eps, bent_chart.delta0)
+    mesh = pde.chart_mesh(bent_chart, t_nodes, np.linspace(0.0, 1.0, 17), bent_field)
+    b3 = az.assemble_ansatz(3, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    columns = np.column_stack([b3.W_eval(mesh.t_nodes, thv) for thv in mesh.th_nodes])
+    assert np.array_equal(b3.W_on_mesh(mesh), columns.ravel())
 
 
 def test_chart_mesh_matches_coo_reference(bent_chart, bent_field):
