@@ -14,6 +14,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from . import geodesic, reduced
+from .geometry import ScalarFn
 from .profiles import build_profiles
 from .strip import build_strip_basis, solve_strip_layer
 from .util import bridge_cutoff, fd_derivative, fd_first_axis, simpson_weights, smoothstep
@@ -27,7 +28,6 @@ __all__ = [
     "StripContext",
     "build_strip_context",
     "LayerCoeffs",
-    "layer_coeffs",
     "boundary_ring_constants",
     "solve_h_bvp",
     "AnsatzBundle",
@@ -46,25 +46,28 @@ __all__ = [
 # parameters (f, e, h)
 
 
-class _FnTriple:
-    def __init__(self, f, fp, fpp):
-        self.f, self.fp, self.fpp = f, fp, fpp
+def _zero(th):
+    return np.zeros_like(np.asarray(th, dtype=float))
 
 
-def _as_triple(f, fp=None, fpp=None):
+def _theta_fn(f, fp=None, fpp=None):
+    """f with its first two theta-derivatives: zero when f is None, differenced where not given."""
     if f is None:
-        zero = lambda th: np.zeros_like(np.asarray(th, dtype=float))
-        return _FnTriple(zero, zero, zero)
+        return ScalarFn(_zero, d1=_zero, d2=_zero)
     if fp is None:
-        fp = lambda th: fd_derivative(f, np.asarray(th, dtype=float), order=1, h=1e-5)
+        fp = lambda th: fd_derivative(f, th, order=1, h=1e-5)
     if fpp is None:
-        fpp = lambda th: fd_derivative(f, np.asarray(th, dtype=float), order=2, h=2e-3)
-    return _FnTriple(f, fp, fpp)
+        fpp = lambda th: fd_derivative(f, th, order=2, h=2e-3)
+    return ScalarFn(f, d1=fp, d2=fpp)
 
 
 @dataclass
 class ReducedState:
-    """Layer-location parameter f, resonance amplitude e, ring correction h."""
+    """Layer-location parameter f, resonance amplitude e, ring correction h.
+
+    Each is a function of theta with fn(th) and fn.deriv(th, order) for the
+    orders 1 and 2: a geometry.ScalarFn or a reduced FSolution/ESolution.
+    """
 
     f: object
     e: object
@@ -74,29 +77,29 @@ class ReducedState:
         th = np.linspace(0.0, 1.0, 2001)
         wq = simpson_weights(th.size, th[1] - th[0])
         return float(
-            np.max(np.abs(self.f.f(th)))
-            + np.max(np.abs(self.f.fp(th)))
-            + np.sqrt(np.sum(wq * self.f.fpp(th) ** 2))
+            np.max(np.abs(self.f(th)))
+            + np.max(np.abs(self.f.deriv(th, 1)))
+            + np.sqrt(np.sum(wq * self.f.deriv(th, 2) ** 2))
         )
 
     def norm_dstar(self, eps):
         th = np.linspace(0.0, 1.0, 2001)
         wq = simpson_weights(th.size, th[1] - th[0])
         return float(
-            np.max(np.abs(self.e.f(th)))
-            + eps * np.sqrt(np.sum(wq * self.e.fp(th) ** 2))
-            + eps**2 * np.sqrt(np.sum(wq * self.e.fpp(th) ** 2))
+            np.max(np.abs(self.e(th)))
+            + eps * np.sqrt(np.sum(wq * self.e.deriv(th, 1) ** 2))
+            + eps**2 * np.sqrt(np.sum(wq * self.e.deriv(th, 2) ** 2))
         )
 
     def robin_residuals(self, k1, k2):
         """Robin mismatches of h at the two ends."""
-        h0 = float(self.h.fp(0.0) + k1 * self.h.f(0.0))
-        h1 = float(self.h.fp(1.0) + k2 * self.h.f(1.0))
+        h0 = float(self.h.deriv(0.0, 1) + k1 * self.h(0.0))
+        h1 = float(self.h.deriv(1.0, 1) + k2 * self.h(1.0))
         return h0, h1
 
 
 def state_from_callables(f=None, fp=None, fpp=None, e=None, ep=None, epp=None, h=None, hp=None, hpp=None):
-    return ReducedState(f=_as_triple(f, fp, fpp), e=_as_triple(e, ep, epp), h=_as_triple(h, hp, hpp))
+    return ReducedState(f=_theta_fn(f, fp, fpp), e=_theta_fn(e, ep, epp), h=_theta_fn(h, hp, hpp))
 
 
 def zero_state():
@@ -274,10 +277,6 @@ class LayerCoeffs:
         return self.field.V_tt(np.zeros_like(th), th)
 
 
-def layer_coeffs(chart, potential):
-    return LayerCoeffs(chart, potential)
-
-
 def boundary_ring_constants(coeffs, ctx):
     """(c0, c1): resonance-mode content of the two end boundary errors."""
     t = ctx.tables
@@ -303,12 +302,11 @@ def _h_sources(coeffs, ctx, amplitude, phi22, eps):
     I_Z_3 = float(ctx.integrate(t["Z"] * wgt3))
 
     if phi22 is None:
-        v_x_wx = v_val_x = v_val = v_3 = None
+        v_x_wx = v_val_x = v_3 = None
     else:
         act = phi22.active
         v_x_wx = ctx.integrate(phi22.basis.E_x[:, act] * t["w_x"][:, None], axis=0)
         v_val_x = ctx.integrate(phi22.basis.E[:, act] * (t["x"] * t["w_x"])[:, None], axis=0)
-        v_val = ctx.integrate(phi22.basis.E_x[:, act] * t["w_x"][:, None], axis=0)
         v_3 = ctx.integrate(phi22.basis.E[:, act] * wgt3[:, None], axis=0)
 
     def parts(th):
@@ -326,7 +324,7 @@ def _h_sources(coeffs, ctx, amplitude, phi22, eps):
             c = phi22._coef(zt)
             cp = phi22._coef(zt, order=1)
             p_xz = v_x_wx @ cp  # int phi*_{x ztilde} w_x dx
-            p_x_wx = v_val @ c  # int phi*_x w_x dx
+            p_x_wx = v_x_wx @ c  # int phi*_x w_x dx
             p_xwx = v_val_x @ c  # int phi* x w_x dx
             p_3 = v_3 @ c
         alpha1 = 2.0 / rho1 * xi * beta * (eps * Apa * I_Zx_wx + p_xz)
@@ -347,19 +345,11 @@ def solve_h_bvp(problem, coeffs, ctx, amplitude, phi22, eps, ledger=None):
     zero solution is returned directly.
     """
     parts = _h_sources(coeffs, ctx, amplitude, phi22, eps)
-    probe = np.linspace(0.0, 1.0, 37)
-    a1p, a2p, gp = parts(probe)
+    a1p, _, gp = parts(np.linspace(0.0, 1.0, 37))
     if np.max(np.abs(a1p)) + np.max(np.abs(gp)) < 1e-14:
         return None  # zero ring correction
-    sol = reduced.solve_f_problem(
-        problem,
-        lambda th: parts(th)[2],
-        eps,
-        alpha1=lambda th: parts(th)[0],
-        alpha2=lambda th: parts(th)[1],
-        ledger=ledger,
-    )
-    return sol
+    alpha1, alpha2, g = parts(problem.theta_nodes)
+    return reduced.solve_f_problem(problem, g, eps, alpha1=alpha1, alpha2=alpha2, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +358,7 @@ def solve_h_bvp(problem, coeffs, ctx, amplitude, phi22, eps, ledger=None):
 _FIELDS = ("v", "vx", "vxx", "vz", "vzz", "vxz")
 
 # rows read from the state: f, e and h with their first two theta-derivatives
-_STATE_ROWS = {name + "p" * order: (name, ("f", "fp", "fpp")[order]) for name in "feh" for order in range(3)}
+_STATE_ROWS = {name + "p" * order: (name, order) for name in "feh" for order in range(3)}
 
 # rows derived from other rows; d/dtheta of A(a(theta)) carries a' = beta
 _DERIVED_ROWS = {
@@ -410,8 +400,9 @@ class _Rows(dict):
         if name in _DERIVED_ROWS:
             value = _DERIVED_ROWS[name](self)
         elif name in _STATE_ROWS:
-            part, fn = _STATE_ROWS[name]
-            value = getattr(getattr(self.bundle.state, part), fn)(self.th)
+            part, order = _STATE_ROWS[name]
+            fn = getattr(self.bundle.state, part)
+            value = fn.deriv(self.th, order) if order else fn(self.th)
         else:
             value = getattr(self.bundle.coeffs, name)(self.th)
         self[name] = value
@@ -550,7 +541,7 @@ class AnsatzBundle:
         col = self.strip_fields(np.array([z]), derivs=False)["v"][:, 0]
         beta = float(self.coeffs.beta(th))
         alpha = float(self.coeffs.alpha(th))
-        fh = float(self.state.f.f(th) + self.state.h.f(th))
+        fh = float(self.state.f(th) + self.state.h(th))
         xq = beta * (t_pts / self.eps - fh)
         spl = make_interp_spline(self.ctx.x, col, k=5)
         vals = np.where(np.abs(xq) <= self.ctx.x[-1], spl(np.clip(xq, self.ctx.x[0], self.ctx.x[-1])), 0.0)
@@ -846,9 +837,9 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
     if 6.0 * delta > chart.delta0:
         raise ValueError("cutoff support exceeds the chart half-width")
     if tier < 4:
-        state = ReducedState(f=state.f, e=_as_triple(None), h=state.h)
+        state = ReducedState(f=state.f, e=_theta_fn(None), h=state.h)
     t = ctx.tables
-    coeffs = layer_coeffs(chart, potential)
+    coeffs = LayerCoeffs(chart, potential)
     bundle = AnsatzBundle(
         tier=tier,
         eps=float(eps),
@@ -884,7 +875,7 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
                 reduced_problem = reduced.ReducedProblem(chart, potential, ctx.lambda0)
             h_sol = bundle.h_solution = solve_h_bvp(reduced_problem, coeffs, ctx, amplitude, bundle.phi22, eps, ledger=ledger)
             if h_sol is not None:
-                bundle.state = ReducedState(f=state.f, e=state.e, h=_FnTriple(h_sol, lambda th: h_sol.deriv(th, 1), lambda th: h_sol.deriv(th, 2)))
+                bundle.state = ReducedState(f=state.f, e=state.e, h=h_sol)
 
     if tier >= 4:
         bundle.layers.append(_ProfileLayer(t, "Z", 1, ("e", "ep", "epp")))
@@ -919,10 +910,10 @@ def _phi3_data(bundle):
         a12 = float(co.a12(end))
         da12 = float(co.da12(end))
         k = float(co.k(end))
-        f0 = float(st.f.f(end))
-        h0 = float(st.h.f(end))
-        fp0 = float(st.f.fp(end))
-        hp0 = float(st.h.fp(end))
+        f0 = float(st.f(end))
+        h0 = float(st.h(end))
+        fp0 = float(st.f.deriv(end, 1))
+        hp0 = float(st.h.deriv(end, 1))
         arc_end = 0.0 if end == 0.0 else bundle.field.ell
         A_end = float(bundle.amplitude(arc_end))
         Ap_end = float(bundle.amplitude.deriv(arc_end))
@@ -1060,8 +1051,8 @@ def interior_residual(bundle, z=None):
         E[:, cols] = _interior_block(bundle, z, cols)
 
     th = eps * z
-    ev = bundle.state.e.f(th)[None, :]
-    evpp = bundle.state.e.fpp(th)[None, :]
+    ev = bundle.state.e(th)[None, :]
+    evpp = bundle.state.e.deriv(th, 2)[None, :]
     Z = bundle.ctx.tables["Z"][:, None]
     E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / bundle.coeffs.beta(th)[None, :] ** 2 * evpp * Z
 
@@ -1115,7 +1106,7 @@ def residual_crosscheck(bundle, n_probe=5, h=None):
         th = eps * z
         for i in (bundle.ctx.x.size // 2 + 3, bundle.ctx.x.size // 2 + 40):
             beta = float(bundle.coeffs.beta(th))
-            fh = float(bundle.state.f.f(th) + bundle.state.h.f(th))
+            fh = float(bundle.state.f(th) + bundle.state.h(th))
             t0 = eps * (bundle.ctx.x[i] / beta + fh)
             if abs(t0) > 2.0 * bundle.delta:
                 continue
@@ -1200,10 +1191,10 @@ def boundary_residual(bundle):
         alpha = float(co.alpha(th))
         dalpha = float(co.dalpha(th))
         dbeta = float(co.dbeta(th))
-        fv = float(st.f.f(th))
-        hv = float(st.h.f(th))
-        fpv = float(st.f.fp(th))
-        hpv = float(st.h.fp(th))
+        fv = float(st.f(th))
+        hv = float(st.h(th))
+        fpv = float(st.f.deriv(th, 1))
+        hpv = float(st.h.deriv(th, 1))
         k_of = float(co.k(th))
         if end == 0:
             k_end, b_t, b_th = bundle.chart.k1, bundle.chart.b1, bundle.chart.b2
@@ -1228,7 +1219,7 @@ def boundary_residual(bundle):
         core = np.abs(x) < 10.0
         exact_dev = max(exact_dev, float(np.max(np.abs((g - g_exact))[core & inside])))
 
-        e_in = float(st.e.fp(th))
+        e_in = float(st.e.deriv(th, 1))
         g_lead = -eps * (k_end * beta * fv + beta * fpv) * ctx.tables["w_x"] + eps**2 * e_in * ctx.tables["Z"]
         g_rest = g - g_lead
         out[end] = (g, g_lead, g_rest)
@@ -1321,9 +1312,9 @@ def project_residual(bundle, report=None):
     else:
         a1v = a2v = np.zeros_like(th)
 
-    fv, fpv, fppv = st.f.f(th), st.f.fp(th), st.f.fpp(th)
-    hv, hpv = st.h.f(th), st.h.fp(th)
-    ev, epv, eppv = st.e.f(th), st.e.fp(th), st.e.fpp(th)
+    fv, fpv, fppv = st.f(th), st.f.deriv(th, 1), st.f.deriv(th, 2)
+    hv, hpv = st.h(th), st.h.deriv(th, 1)
+    ev, epv, eppv = st.e(th), st.e.deriv(th, 1), st.e.deriv(th, 2)
 
     pred_wx = -(eps**2) * rho1 / beta * (fppv + (h1 + a1v) * fpv + (h2 + a2v) * fv)
     pred_wx += eps**2 * rho1 / beta * (h3 * ev + eps**2 * h4 * eppv)

@@ -37,7 +37,11 @@ _FD_STEPS = {1: 1e-4, 2: 2e-3, 3: 5e-3}
 
 
 class ScalarFn:
-    """Scalar function with derivatives, analytic when supplied, FD otherwise."""
+    """Function of one parameter with derivatives, analytic when supplied, FD otherwise.
+
+    The values may be scalars or points of the plane (a curve): the parameter
+    is vectorized over and a curve carries its two coordinates in the last axis.
+    """
 
     def __init__(self, f, d1=None, d2=None, d3=None):
         self.f = f
@@ -55,23 +59,6 @@ class ScalarFn:
         return fd_derivative(self.f, x, order=order, h=_FD_STEPS[order])
 
 
-class VectorFn:
-    """Plane curve with derivatives (vectorized over the parameter)."""
-
-    def __init__(self, f, d1=None, d2=None, d3=None):
-        self.f = f
-        self._d = [d1, d2, d3]
-
-    def __call__(self, s):
-        return np.asarray(self.f(np.asarray(s, dtype=float)), dtype=float)
-
-    def deriv(self, s, order=1):
-        g = self._d[order - 1]
-        if g is not None:
-            return np.asarray(g(np.asarray(s, dtype=float)), dtype=float)
-        return fd_derivative(self.f, s, order=order, h=_FD_STEPS[order])
-
-
 def _rot90(v):
     """Counterclockwise quarter turn; (gamma', n) positively oriented."""
     out = np.empty_like(v)
@@ -84,7 +71,7 @@ def _rot90(v):
 class CurveSpec:
     """Arclength curve, its normal frame, and the two boundary graphs."""
 
-    gamma: VectorFn
+    gamma: ScalarFn
     phi1: ScalarFn
     phi2: ScalarFn
     sigma0: float = 0.1
@@ -154,9 +141,6 @@ class DomainChart:
     # -- curve-side quantities ------------------------------------------
     def k(self, theta):
         return self.curve.curvature(theta)
-
-    def dk(self, theta):
-        return self.curve.curvature_deriv(theta)
 
     def varpi(self, theta):
         """Theta_tt(0, theta) = (k2 - k1) theta + k1."""
@@ -374,7 +358,7 @@ def drift_leading(chart, t, theta):
 
 def flat_channel_curve(sigma0=0.1):
     """Straight unit segment; boundary graphs are the channel walls."""
-    gamma = VectorFn(
+    gamma = ScalarFn(
         lambda s: np.stack([np.zeros_like(np.asarray(s, dtype=float)), np.asarray(s, dtype=float)], axis=-1),
         d1=lambda s: np.stack([np.zeros_like(np.asarray(s, dtype=float)), np.ones_like(np.asarray(s, dtype=float))], axis=-1),
         d2=lambda s: np.zeros(np.shape(np.asarray(s, dtype=float)) + (2,)),
@@ -434,7 +418,7 @@ def bent_channel_curve(kappa=0.5 * np.pi, sigma0=0.1):
     phi1 = ScalarFn(zero, d1=zero, d2=zero, d3=zero)
     phi2 = ScalarFn(lambda t: np.ones_like(np.asarray(t, dtype=float)), d1=zero, d2=zero, d3=zero)
     return CurveSpec(
-        gamma=VectorFn(gamma, d1=dgamma, d2=d2gamma, d3=d3gamma),
+        gamma=ScalarFn(gamma, d1=dgamma, d2=d2gamma, d3=d3gamma),
         phi1=phi1,
         phi2=phi2,
         sigma0=sigma0,

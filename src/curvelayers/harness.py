@@ -268,7 +268,7 @@ def _stage_reduced(pipe, tables_dir):
     # resonance sweep for the plotting table
     sweep_eps = np.linspace(0.08, 0.32, 121)
     norms = []
-    co = ansatz.layer_coeffs(chart, field)
+    co = ansatz.LayerCoeffs(chart, field)
     op = reduced.EOperator(field.beta, co.hbar5, co.b5_tilde, co.b6_tilde)
     for e in sweep_eps:
         led = reduced.gap_check(e, scn.gap_constant, ctx.lambda0, field.ell)

@@ -141,9 +141,13 @@ class SolveTrace:
     negative_events: int
     converged: bool
     iterations: int
-    linesearch_failures: int
     mesh: Mesh2D = field(repr=False, default=None)
     singular_at: tuple = None  # (iteration, pivot index) of an exactly singular Jacobian
+    linesearch_failed_at: int = None  # iteration whose line search found no decrease
+
+    @property
+    def linesearch_failures(self):
+        return int(self.linesearch_failed_at is not None)
 
 
 def _residual(mesh, u, p, eps):
@@ -159,12 +163,12 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     """Damped Newton iteration for eps^2 Lap u - V u + u^p = 0 with no-flux.
 
     The residual is scaled by the reaction size; backtracking halves the step
-    while the residual norm fails to decrease. When it falls below
-    min_damping the step min_damping / 2 is taken anyway and the iteration
-    is counted in linesearch_failures. The last trial point, accepted or
-    the fallback, becomes the iterate with its residual. Negative
-    excursions are not constrained, only counted (they trigger damping
-    through the residual).
+    while the residual norm fails to decrease. The accepted trial point
+    becomes the iterate with its residual. When no step down to min_damping
+    passes, the iteration stops unconverged at the last accepted iterate and
+    records the iteration in linesearch_failed_at. Negative excursions are
+    not constrained, only counted (they trigger damping through the
+    residual).
     Each step is one LAPACK band LU with partial pivoting (dgbsv): with
     t-major nodes the Jacobian has half-bandwidth n_theta. An exactly
     singular Jacobian stops the iteration unconverged and records
@@ -175,8 +179,7 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     norms = [_scaled_norm(mesh, u, res)]
     damping = []
     neg_events = 0
-    ls_failures = 0
-    singular_at = None
+    singular_at = linesearch_failed_at = None
     nb = mesh.shape[1]
     eps2_L = ((sp.diags(1.0 / mesh.vol) @ mesh.K) * eps**2).todia()
     if np.max(np.abs(eps2_L.offsets)) > nb:
@@ -199,16 +202,16 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
             singular_at = (it, info - 1)
             break
         lam = 1.0
-        while True:
+        while lam >= min_damping:
             u_try = u + lam * d
             res_try = _residual(mesh, u_try, p, eps)
             norm_try = _scaled_norm(mesh, u_try, res_try)
-            if lam < min_damping:
-                ls_failures += 1
-                break
             if norm_try < (1.0 - 0.25 * lam) * norms[-1]:
                 break
             lam *= 0.5
+        else:
+            linesearch_failed_at = it
+            break
         u, res = u_try, res_try
         if np.min(u) < -1e-8 * max(np.max(u), 1e-300):
             neg_events += 1
@@ -223,9 +226,9 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
         negative_events=neg_events,
         converged=converged,
         iterations=len(damping),
-        linesearch_failures=ls_failures,
         mesh=mesh,
         singular_at=singular_at,
+        linesearch_failed_at=linesearch_failed_at,
     )
 
 

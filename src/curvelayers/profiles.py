@@ -27,7 +27,6 @@ __all__ = [
     "build_profiles",
     "principal_eigenvalue_fd",
     "LinearizedSolver1D",
-    "solve_linearized_1d",
     "ground_state_by_shooting",
     "save_profiles",
     "load_profiles",
@@ -313,12 +312,6 @@ def build_profiles(p, x_max=20.0, n=4001):
         int_wp1=int_wp1,
         solver=solver,
     )
-
-
-def solve_linearized_1d(profiles, r, parity="none"):
-    """Convenience wrapper returning only phi for a single right-hand side."""
-    phi, _ = profiles.solver.solve(np.asarray(r, dtype=float), parity=parity)
-    return phi
 
 
 def ground_state_by_shooting(p, x_max=20.0, rtol=1e-12):

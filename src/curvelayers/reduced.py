@@ -2,10 +2,12 @@
 
 The second-order operator eta'' + q1 eta' + q2 eta with Robin ends is brought
 to Liouville normal form -u'' + Q u = lam u (u = rho^{1/2} eta,
-rho = exp(int q1)), discretized by Chebyshev collocation with the two Robin
-rows eliminated, and its eigenbasis drives the modal solvers: the location
-equation after the arclength substitution, and the near-resonant amplitude
-equation whose spectrum produces the critical epsilon values.
+rho = exp(int q1)) and discretized by Chebyshev collocation with the two
+Robin rows eliminated; its spectrum feeds the non-degeneracy check and the
+resonance ledger. The location equation is solved by collocation on the
+same nodes after the arclength substitution; the near-resonant amplitude
+equation is solved modally, its spectrum producing the critical epsilon
+values.
 """
 
 from dataclasses import dataclass
@@ -16,6 +18,7 @@ import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
 from . import geodesic
+from .geometry import ScalarFn
 from .util import cumulative_integral
 
 __all__ = [
@@ -99,9 +102,6 @@ class SpectralBasis:
     Yp: np.ndarray
     rho_half: np.ndarray  # sqrt(exp(int q1)) on the nodes
     q1_nodes: np.ndarray
-    q1p_nodes: np.ndarray
-    k1_tilde: float
-    k2_tilde: float
 
     def gram_deviation(self):
         g = self.Y.T @ (self.wq[:, None] * self.Y)
@@ -118,28 +118,6 @@ class SpectralBasis:
 
     def project(self, values):
         return self.Y.T @ (self.wq * np.asarray(values, dtype=float))
-
-    def synthesize(self, coef):
-        return self.Y @ np.asarray(coef, dtype=float)
-
-    def interp_matrix(self, grid):
-        """Barycentric interpolation matrix from the CGL nodes to a grid."""
-        n = self.nodes.size - 1
-        j = np.arange(n + 1)
-        wbar = np.where((j == 0) | (j == n), 0.5, 1.0) * (-1.0) ** j
-        grid = np.asarray(grid, dtype=float)
-        diff = grid[:, None] - self.nodes[None, :]
-        exact = np.isclose(diff, 0.0, atol=1e-15)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tmp = wbar[None, :] / diff
-        tmp[exact] = 0.0
-        denom = tmp.sum(axis=1)
-        M = tmp / denom[:, None]
-        rows = np.where(exact.any(axis=1))[0]
-        for r in rows:
-            M[r] = 0.0
-            M[r, np.argmax(exact[r])] = 1.0
-        return M
 
 
 def _robin_eig(op, k_left, k_right, D1, n_keep, n):
@@ -239,9 +217,6 @@ def build_basis(q1, q2, k1, k2, j_max=60, n_cheb=None):
         Yp=Yp,
         rho_half=rho_half,
         q1_nodes=q1v,
-        q1p_nodes=q1p,
-        k1_tilde=k1t,
-        k2_tilde=k2t,
     )
 
 
@@ -361,9 +336,12 @@ class FSolution(_NodalSolution):
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    coef: np.ndarray
     norm_star: float
-    bound_constant: float
+
+
+def _on(fn, x):
+    """Values at the points x of a callable, a constant, or an array given at x."""
+    return np.asarray(fn(x), dtype=float) if callable(fn) else np.full(np.shape(x), fn, dtype=float)
 
 
 def _norm_star(wq, f, fp, fpp):
@@ -383,111 +361,45 @@ def _robin_lift(k_left, k_right, g0, g1):
     return co
 
 
-def solve_f_problem(problem, g, eps, alpha1=None, alpha2=None, robin=(0.0, 0.0), ledger=None):
+def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), ledger=None):
     """Solve f'' + (hbar1 + alpha1) f' + (hbar2 + alpha2) f = g, Robin ends.
 
-    g, alpha1, alpha2 are callables of theta (alpha's typically oscillatory,
-    built from the resonance amplitude and the boundary strip layer; they may
-    be None). Inhomogeneous Robin data (Gamma0, Gamma1) is lifted by a
-    quadratic. Refuses when the supplied ledger fails the gap condition.
+    g, alpha1, alpha2 are callables of theta, constants or values at
+    problem.theta_nodes (the alphas are typically oscillatory, built from the
+    resonance amplitude and the boundary strip layer). Chebyshev collocation in the arclength variable:
+    the strip layer imprints end layers of width eps on the coefficients,
+    which the end-clustered nodes resolve while a truncated eigenfunction
+    expansion does not. The Robin data (Gamma0, Gamma1), f' + k f = Gamma at
+    the ends, replaces the first and last rows. Refuses when the supplied
+    ledger fails the gap condition.
     """
     if ledger is not None and not ledger.passes:
         raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
     basis = problem.basis
     th = problem.theta_nodes
-    v_nodes = basis.nodes
     beta = problem.beta_nodes
     ell = problem.ell
-
-    g0, g1 = robin
-    gv = np.asarray(g(th), dtype=float) if callable(g) else np.full_like(th, float(g))
-    h1 = geodesic.hbar1(problem.field, th)
-    h2 = geodesic.hbar2(problem.chart, problem.field, th)
-    a1v = np.asarray(alpha1(th), dtype=float) if alpha1 is not None else np.zeros_like(th)
-    a2v = np.asarray(alpha2(th), dtype=float) if alpha2 is not None else np.zeros_like(th)
-
-    if alpha1 is not None or alpha2 is not None:
-        # collocation solve: the strip layer imprints end layers of width
-        # eps on the coefficients, which the end-clustered nodes resolve
-        # while a truncated eigenfunction expansion does not
-        n = v_nodes.size - 1
-        P1 = basis.q1_nodes + a1v * ell / beta
-        P2 = np.asarray(basis.q2(v_nodes), dtype=float) + a2v * ell**2 / beta**2
-        A = basis.D2 + P1[:, None] * basis.D1 + np.diag(P2)
-        rhs = ell**2 / beta**2 * gv
-        A[0] = basis.D1[0]
-        A[0, 0] += problem.kappa1
-        rhs[0] = g0 * ell / beta[0]
-        A[-1] = basis.D1[-1]
-        A[-1, -1] += problem.kappa2
-        rhs[-1] = g1 * ell / beta[-1]
-        try:
-            eta = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise DegenerateOperatorError(str(exc)) from None
-        eta_p = basis.D1 @ eta
-        # second derivative through the equation (interior identity)
-        eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
-        coef = basis.project(eta * basis.rho_half)
-        fv = eta
-        fp = eta_p * beta / ell
-        fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.dbeta(th) / ell
-        norm = _norm_star(basis.wq, fv, fp, fpp)
-        gnorm = float(np.sqrt(np.sum(basis.wq * gv**2)))
-        return FSolution(
-            theta_nodes=th,
-            values=fv,
-            d1=fp,
-            d2=fpp,
-            coef=coef,
-            norm_star=norm,
-            bound_constant=norm / max(gnorm, 1e-300),
-        )
-
-    lift = np.zeros_like(th)
-    lift_p = np.zeros_like(th)
-    lift_pp = np.zeros_like(th)
-    if g0 != 0.0 or g1 != 0.0:
-        co = _robin_lift(problem.chart.k1, problem.chart.k2, g0, g1)
-        lift = co[0] + co[1] * th + co[2] * th**2
-        lift_p = co[1] + 2 * co[2] * th
-        lift_pp = np.full_like(th, 2 * co[2])
-    gv = gv - (lift_pp + h1 * lift_p + h2 * lift)
-
-    rhs_hat = problem.ell**2 / beta**2 * gv * basis.rho_half
-    G = basis.project(rhs_hat)
-    M = -np.diag(basis.lam)
+    gv = _on(g, th)
+    P1 = basis.q1_nodes + _on(alpha1, th) * ell / beta
+    P2 = np.asarray(basis.q2(basis.nodes), dtype=float) + _on(alpha2, th) * ell**2 / beta**2
+    A = basis.D2 + P1[:, None] * basis.D1 + np.diag(P2)
+    rhs = ell**2 / beta**2 * gv
+    A[0] = basis.D1[0]
+    A[0, 0] += problem.kappa1
+    rhs[0] = robin[0] * ell / beta[0]
+    A[-1] = basis.D1[-1]
+    A[-1, -1] += problem.kappa2
+    rhs[-1] = robin[1] * ell / beta[-1]
     try:
-        coef = np.linalg.solve(M, G)
+        eta = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise DegenerateOperatorError(str(exc)) from None
-
-    u = basis.synthesize(coef)
-    up = basis.Yp @ coef
-    upp = basis.D2 @ u
-    rho = basis.rho_half
-    q1v, q1p = basis.q1_nodes, basis.q1p_nodes
-    eta = u / rho
-    eta_p = (up - 0.5 * q1v * u) / rho
-    eta_pp = (upp - q1v * up + (0.25 * q1v**2 - 0.5 * q1p) * u) / rho
-
-    dv = beta / ell  # d vartheta / d theta
-    fv = eta + lift
-    fp = eta_p * dv + lift_p
-    beta_p = problem.field.dbeta(th)
-    fpp = eta_pp * dv**2 + eta_p * beta_p / ell + lift_pp
-
-    norm = _norm_star(basis.wq, fv, fp, fpp)
-    gnorm = float(np.sqrt(np.sum(basis.wq * np.asarray(gv) ** 2)))
-    return FSolution(
-        theta_nodes=th,
-        values=fv,
-        d1=fp,
-        d2=fpp,
-        coef=coef,
-        norm_star=norm,
-        bound_constant=norm / max(gnorm, 1e-300),
-    )
+    eta_p = basis.D1 @ eta
+    # second derivative through the equation (interior identity)
+    eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
+    fp = eta_p * beta / ell
+    fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.dbeta(th) / ell
+    return FSolution(theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=_norm_star(basis.wq, eta, fp, fpp))
 
 
 @dataclass
@@ -496,10 +408,7 @@ class ESolution(_NodalSolution):
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
-    coef: np.ndarray
-    mu: np.ndarray
     norm_dstar: float
-    bound_constant: float
 
 
 class EOperator:
@@ -510,18 +419,16 @@ class EOperator:
         self.nodes = theta
         self.D1 = D1
         self.D2 = D2
-        bv = np.asarray(beta(theta), dtype=float) if callable(beta) else np.full_like(theta, float(beta))
-        h5 = np.asarray(hbar5(theta), dtype=float) if callable(hbar5) else np.full_like(theta, float(hbar5))
+        bv = _on(beta, theta)
+        h5 = _on(hbar5, theta)
         op = -(np.diag(bv**-2) @ D2 + np.diag(h5) @ D1)
         n_keep = n_keep if n_keep is not None else int(0.4 * n_cheb)
         self.mu, vecs = _robin_eig(op, b5t, b6t, D1, n_keep, n_cheb)
         # self-adjoint weight rho = beta^2 exp(int beta^2 hbar5)
         grid = np.linspace(0.0, 1.0, 2049)
         if callable(beta) or callable(hbar5):
-            bg = np.asarray(beta(grid), dtype=float) if callable(beta) else np.full_like(grid, float(beta))
-            hg = np.asarray(hbar5(grid), dtype=float) if callable(hbar5) else np.full_like(grid, float(hbar5))
-            spl_b = CubicSpline(grid, bg)
-            spl_h = CubicSpline(grid, hg)
+            spl_b = CubicSpline(grid, _on(beta, grid))
+            spl_h = CubicSpline(grid, _on(hbar5, grid))
             anti = cumulative_integral(lambda s: spl_b(s) ** 2 * spl_h(s), grid)
             rho = bv**2 * np.exp(CubicSpline(grid, anti)(theta))
         else:
@@ -547,15 +454,15 @@ def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, operator=None,
         raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
     op = operator if operator is not None else EOperator(beta, hbar5, b5t, b6t, n_cheb=n_cheb)
     th = op.nodes
-    gv = np.asarray(g_tilde(th), dtype=float) if callable(g_tilde) else np.full_like(th, float(g_tilde))
+    gv = _on(g_tilde, th)
 
     g0, g1 = robin
     lift = np.zeros_like(th)
     if g0 != 0.0 or g1 != 0.0:
         co = _robin_lift(b5t, b6t, g0, g1)
         lift = co[0] + co[1] * th + co[2] * th**2
-        bv = np.asarray(beta(th), dtype=float) if callable(beta) else np.full_like(th, float(beta))
-        h5 = np.asarray(hbar5(th), dtype=float) if callable(hbar5) else np.full_like(th, float(hbar5))
+        bv = _on(beta, th)
+        h5 = _on(hbar5, th)
         gv = gv - (eps**2 * (bv**-2 * 2 * co[2] + h5 * (co[1] + 2 * co[2] * th)) + lambda0 * lift)
 
     denom = lambda0 - eps**2 * op.mu
@@ -565,17 +472,7 @@ def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, operator=None,
     epp = op.D2 @ e
     wq = np.gradient(th)
     norm = float(np.max(np.abs(e)) + eps * np.sqrt(np.sum(wq * ep**2)) + eps**2 * np.sqrt(np.sum(wq * epp**2)))
-    gnorm = float(np.sqrt(np.sum(op.wq * gv**2)))
-    return ESolution(
-        theta_nodes=th,
-        values=e,
-        d1=ep,
-        d2=epp,
-        coef=coef,
-        mu=op.mu,
-        norm_dstar=norm,
-        bound_constant=norm * eps / max(gnorm, 1e-300),
-    )
+    return ESolution(theta_nodes=th, values=e, d1=ep, d2=epp, norm_dstar=norm)
 
 
 def solve_coupled(problem, g, g_tilde, eps, gammas=(0.0, 0.0, 0.0, 0.0), e_operator=None, b5t=0.0, b6t=0.0, hbar5=None, ledger=None):
@@ -632,15 +529,8 @@ def reduced_fixed_point(
     hp = h_state or (zero, zero)
     e_op = EOperator(problem.field.beta, hbar5 or zero, b5t, b6t)
 
-    class _Zero:
-        def __call__(self, th):
-            return np.zeros_like(np.asarray(th, dtype=float))
-
-        def deriv(self, th, order=1):
-            return np.zeros_like(np.asarray(th, dtype=float))
-
     th_grid = np.linspace(0.0, 1.0, 513)
-    f_sol, e_sol = _Zero(), _Zero()
+    f_sol = e_sol = ScalarFn(zero, d1=zero, d2=zero)
     f_prev = np.zeros_like(th_grid)
     e_prev = np.zeros_like(th_grid)
     diffs = []

@@ -144,7 +144,7 @@ def build_domain(scn):
         g1 = parse_expression(dom["gamma1"], ("s",))
         g2 = parse_expression(dom["gamma2"], ("s",))
         curve = geometry.CurveSpec(
-            gamma=geometry.VectorFn(lambda s: np.stack([g1(s), g2(s)], axis=-1)),
+            gamma=geometry.ScalarFn(lambda s: np.stack([g1(s), g2(s)], axis=-1)),
             phi1=geometry.ScalarFn(parse_expression(dom["phi1"], ("t",))),
             phi2=geometry.ScalarFn(parse_expression(dom["phi2"], ("t",))),
             sigma0=float(dom.get("sigma0", 0.1)),

@@ -4,7 +4,6 @@ import numpy as np
 
 __all__ = [
     "simpson_weights",
-    "simpson",
     "smoothstep",
     "bridge_cutoff",
     "fd_derivative",
@@ -22,15 +21,6 @@ def simpson_weights(n, h):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
-
-
-def simpson(values, h, axis=-1):
-    values = np.asarray(values)
-    n = values.shape[axis]
-    w = simpson_weights(n, h)
-    shape = [1] * values.ndim
-    shape[axis] = n
-    return np.sum(values * w.reshape(shape), axis=axis)
 
 
 def smoothstep(s):

@@ -50,7 +50,7 @@ def test_flat_channel_trivial_layers(ctx3, flat_chart, flat_field):
     assert b3.c1 == pytest.approx(0.0, abs=1e-9)
     assert b3.amplitude.sup < 1e-9
     assert b3.phi22 is None
-    assert np.max(np.abs(b3.state.h.f(np.linspace(0, 1, 21)))) == 0.0
+    assert np.max(np.abs(b3.state.h(np.linspace(0, 1, 21)))) == 0.0
     # v2 = w exactly (both curvature coefficients vanish)
     f2 = az.assemble_ansatz(2, st, 0.1, ctx3, flat_chart, flat_field).strip_fields(np.array([3.0]))
     assert np.max(np.abs(f2["v"][:, 0] - ctx3.tables["w"])) == 0.0
@@ -193,7 +193,7 @@ def _one_pass_residual(bundle, z):
     E = az._interior_block(bundle, z, slice(None))
     th = eps * z
     beta = bundle.coeffs.beta(th)[None, :]
-    ev, evpp = bundle.state.e.f(th)[None, :], bundle.state.e.fpp(th)[None, :]
+    ev, evpp = bundle.state.e(th)[None, :], bundle.state.e.deriv(th, 2)[None, :]
     Z = ctx.tables["Z"][:, None]
     E11 = eps * ctx.lambda0 * ev * Z + eps**3 / beta**2 * evpp * Z
     hz = z[1] - z[0]
@@ -242,6 +242,28 @@ def test_blocked_interior_residual_matches_one_pass(ctx3, bent_chart, bent_field
     assert np.max(np.abs(ref["E11"])) > 0.0
     for key in ("E", "E11", "sup", "l2", "l2_E12", "proj_wx", "proj_Z"):
         assert np.array_equal(getattr(rep, key), ref[key]), key
+
+
+def test_reduced_solutions_enter_the_state_as_they_are(ctx3, bent_chart, bent_field, bent_problem):
+    # an FSolution/ESolution is a state function: it needs no adapter
+    eps = 0.05
+    f = rd.solve_f_problem(bent_problem, lambda t: 0.2 * np.cos(np.pi * np.asarray(t, dtype=float)), eps)
+    e = rd.solve_e_problem(lambda t: 0.1 * np.sin(np.pi * np.asarray(t, dtype=float)), eps, 0.0, 0.0, 1.0, 0.0, 3.0)
+    direct = az.ReducedState(f=f, e=e, h=az.zero_state().h)
+    wrapped = az.state_from_callables(
+        f=f, fp=lambda th: f.deriv(th, 1), fpp=lambda th: f.deriv(th, 2),
+        e=e, ep=lambda th: e.deriv(th, 1), epp=lambda th: e.deriv(th, 2),
+    )
+    b_direct, b_wrapped = (
+        az.assemble_ansatz(4, st, eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem) for st in (direct, wrapped)
+    )
+    z = np.linspace(0.2 / eps, 0.8 / eps, 9)
+    fields = b_direct.strip_fields(z)
+    assert np.max(np.abs(fields["v"])) > 0.0
+    for key, value in b_wrapped.strip_fields(z).items():
+        assert np.array_equal(fields[key], value), key
+    assert np.array_equal(az.interior_residual(b_direct, z=z).E, az.interior_residual(b_wrapped, z=z).E)
+    assert az.project_residual(b_direct).to_dict() == az.project_residual(b_wrapped).to_dict()
 
 
 def test_phi4_knot_evaluators_match_the_spline(ctx3, bent_chart, bent_field, bent_problem):
@@ -375,12 +397,12 @@ def test_boundary_z_projection_with_active_ring(ctx3, bent_chart, bent_field, be
     b4 = az.assemble_ansatz(4, st_e, eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
     bnd = az.boundary_residual(b4)
     co = b4.coeffs
-    e0 = float(st_e.e.f(0.0))
-    ep0 = float(st_e.e.fp(0.0))
+    e0 = float(st_e.e(0.0))
+    ep0 = float(st_e.e.deriv(0.0, 1))
     pred = eps**2 * (0.5 * co.b5 * e0 + float(co.dalpha(0.0) / co.alpha(0.0)) * e0 + ep0)
     assert abs(bnd.proj_Z[0] - pred) < 0.35 * max(abs(pred), eps**2)
-    e1 = float(st_e.e.f(1.0))
-    ep1 = float(st_e.e.fp(1.0))
+    e1 = float(st_e.e(1.0))
+    ep1 = float(st_e.e.deriv(1.0, 1))
     pred1 = eps**2 * (0.5 * co.b6 * e1 + float(co.dalpha(1.0) / co.alpha(1.0)) * e1 + ep1)
     assert abs(bnd.proj_Z[1] - pred1) < 0.35 * max(abs(pred1), eps**2)
 
@@ -479,7 +501,7 @@ def test_layers_are_a_prefix_by_tier(ctx3, bent_chart, bent_field, bent_problem,
         b = az.assemble_ansatz(tier, sincos_state, 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
         kinds.append([type(layer) for layer in b.layers])
         # below tier 4 the amplitude term is off: e is zero in every consumer
-        e_zero = not np.any(b.state.e.f(np.linspace(0.0, 1.0, 11)))
+        e_zero = not np.any(b.state.e(np.linspace(0.0, 1.0, 11)))
         assert e_zero == (tier < 4)
     assert [len(k) for k in kinds] == [1, 3, 5, 7, 9]
     for lower, upper in zip(kinds, kinds[1:]):

@@ -161,6 +161,14 @@ def test_jacobian_degeneracy_detection():
         chart.F(np.array([0.5]), np.array([0.5]))
 
 
+def test_curve_derivative_order_is_checked():
+    gamma = ge.bent_channel_curve().gamma
+    assert gamma.deriv(0.3, 3).shape == (2,)
+    for order in (0, 4):
+        with pytest.raises(ValueError, match="order"):
+            gamma.deriv(0.3, order)
+
+
 def test_curve_validation_rejects_bad_graphs():
     base = ge.flat_channel_curve()
     bad = ge.CurveSpec(

@@ -122,16 +122,21 @@ def test_newton_counts_linesearch_failures(unit_field):
     mesh = pde.rectangle_mesh(t_nodes, np.linspace(0, 1, 5), unit_field)
     bump = lambda width: np.outer(ground_state(3.0, t_nodes / (width * eps))[0], np.ones(5)).ravel()
     # a sub-threshold bump decays towards u = 0, where the scaled residual
-    # grows: the full step never passes the decrease test
-    trace = pde.newton_solve(mesh, 3.0, eps, 0.3 * bump(1.0), max_iter=4, min_damping=1.0)
-    assert trace.damping == [0.5] * 4
-    assert trace.linesearch_failures == 4
-    # a too-narrow bump: only the iterations that backtracked below
-    # min_damping are counted
-    trace = pde.newton_solve(mesh, 3.0, eps, bump(0.2), max_iter=6)
-    failed = [lam < 1.0 / 64.0 for lam in trace.damping]
-    assert 0 < sum(failed) < len(failed)
-    assert trace.linesearch_failures == sum(failed)
+    # grows: the full step fails the decrease test and the solve stops at the seed
+    u0 = 0.3 * bump(1.0)
+    trace = pde.newton_solve(mesh, 3.0, eps, u0, max_iter=4, min_damping=1.0)
+    assert not trace.converged
+    assert trace.linesearch_failed_at == 0 and trace.linesearch_failures == 1
+    assert trace.damping == [] and trace.iterations == 0
+    assert np.array_equal(trace.u, u0) and len(trace.residuals) == 1
+    # a narrow, low bump: two full steps pass, the third finds no decrease down
+    # to min_damping; the solve stops at the iterate that max_iter = 2 reaches
+    trace = pde.newton_solve(mesh, 3.0, eps, 0.5 * bump(0.4))
+    assert not trace.converged
+    assert trace.linesearch_failed_at == 2 and trace.damping == [1.0, 1.0]
+    two = pde.newton_solve(mesh, 3.0, eps, 0.5 * bump(0.4), max_iter=2)
+    assert two.linesearch_failed_at is None and two.linesearch_failures == 0
+    assert np.array_equal(trace.u, two.u) and trace.residuals == two.residuals
 
 
 def test_eps_refinement_consistency(ctx3, flat_chart, flat_field):

@@ -80,7 +80,7 @@ def test_correction_profiles(ps):
     assert abs(ps.integrate(ps.w1 * ps.w_x)) < 1e-10
     # w2 even, closed form against the solver
     assert np.max(np.abs(ps.w2 - ps.w2[::-1])) < 1e-12
-    phi = pr.solve_linearized_1d(ps, ps.w, parity="even")
+    phi, _ = ps.solver.solve(ps.w, parity="even")
     assert np.max(np.abs(phi - ps.w2)) < 1e-4 * np.max(np.abs(ps.w2))
 
 
@@ -142,7 +142,7 @@ def test_w1_equation_example():
     # r = w_x + x w / sigma must return w1 itself
     ps = pr.build_profiles(3.0)
     r = ps.w_x + ps.x * ps.w / ps.sigma
-    phi = pr.solve_linearized_1d(ps, r, parity="odd")
+    phi, _ = ps.solver.solve(r, parity="odd")
     assert np.max(np.abs(phi - ps.w1)) < 1e-12
 
 

@@ -80,19 +80,6 @@ def test_singular_robin_block_is_refused():
         rd.build_basis(0.0, 0.0, k_left, 0.0, j_max=20, n_cheb=n)
 
 
-def test_basis_interpolation_matrix():
-    b = rd.build_basis(0.0, 0.0, 0.0, 0.0, j_max=20, n_cheb=192)
-    grid = np.linspace(0.0, 1.0, 301)
-    M = b.interp_matrix(grid)
-    # mode 3 is cos(3 pi theta)/norm; interpolation reproduces it off-node
-    vals = M @ b.Y[:, 3]
-    ref = np.sqrt(2.0) * np.cos(3 * np.pi * grid) * np.sign((M @ b.Y[:, 3])[0])
-    assert np.max(np.abs(vals - ref)) < 1e-8
-    # node values pass through exactly
-    Mn = b.interp_matrix(b.nodes[5:8])
-    assert np.max(np.abs(Mn @ b.Y[:, 3] - b.Y[5:8, 3])) < 1e-12
-
-
 def test_gap_ledger_examples():
     led = rd.gap_check(0.1, 0.5, 3.0, 1.0)
     assert abs(led.lambda_star - 3.0 / np.pi**2) < 1e-15
@@ -117,6 +104,15 @@ def test_f_problem_manufactured_robin(flat_problem):
     g = lambda t: (-np.pi**2 * np.cos(np.pi * t) + 0.6) - 3.0 * fe(t)
     sol = rd.solve_f_problem(flat_problem, g, 0.1, robin=(fep(0.0), fep(1.0)))
     assert np.max(np.abs(sol(th) - fe(th))) < 1e-6
+
+
+def test_f_problem_zero_alphas_are_the_default_solve(bent_problem):
+    # one collocation solve: absent and zero alphas give the same bits
+    g = lambda t: np.cos(np.pi * np.asarray(t, dtype=float))
+    plain = rd.solve_f_problem(bent_problem, g, 0.05, robin=(0.2, -0.1))
+    zeros = rd.solve_f_problem(bent_problem, g, 0.05, alpha1=0, alpha2=0, robin=(0.2, -0.1))
+    for key in ("values", "d1", "d2", "norm_star"):
+        assert np.array_equal(getattr(plain, key), getattr(zeros, key)), key
 
 
 def test_f_problem_oscillatory_manufactured(flat_problem):
