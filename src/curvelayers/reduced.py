@@ -366,12 +366,12 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
 
     g, alpha1, alpha2 are callables of theta, constants or values at
     problem.theta_nodes (the alphas are typically oscillatory, built from the
-    resonance amplitude and the boundary strip layer). Chebyshev collocation in the arclength variable:
-    the strip layer imprints end layers of width eps on the coefficients,
-    which the end-clustered nodes resolve while a truncated eigenfunction
-    expansion does not. The Robin data (Gamma0, Gamma1), f' + k f = Gamma at
-    the ends, replaces the first and last rows. Refuses when the supplied
-    ledger fails the gap condition.
+    resonance amplitude and the boundary strip layer). Chebyshev collocation
+    in the arclength variable: the strip layer imprints end layers of width
+    eps on the coefficients, which the end-clustered nodes resolve while a
+    truncated eigenfunction expansion does not. The Robin data
+    (Gamma0, Gamma1), f' + k f = Gamma at the ends, replaces the first and
+    last rows. Refuses when the supplied ledger fails the gap condition.
     """
     if ledger is not None and not ledger.passes:
         raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
