@@ -872,7 +872,7 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
             bundle.layers.append(_StripTerm(bundle.phi22, 1))
         if not h_from_state:
             if reduced_problem is None:
-                reduced_problem = reduced.ReducedProblem(chart, potential, ctx.lambda0)
+                reduced_problem = reduced.ReducedProblem(chart, potential, ctx.lambda0, j_max=reduced.default_j_max(eps))
             h_sol = bundle.h_solution = solve_h_bvp(reduced_problem, coeffs, ctx, amplitude, bundle.phi22, eps, ledger=ledger)
             if h_sol is not None:
                 bundle.state = ReducedState(f=state.f, e=state.e, h=h_sol)

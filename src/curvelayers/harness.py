@@ -92,8 +92,7 @@ class _Pipeline:
     def ensure_problem(self):
         if self.problem is None:
             chart, field = self.ensure_geometry()
-            eps_min = min(self.scn.epsilons)
-            j_max = max(60, int(np.ceil(4.0 / eps_min)))
+            j_max = reduced.default_j_max(min(self.scn.epsilons))
             self.problem = reduced.ReducedProblem(chart, field, self.ensure_ctx().lambda0, j_max=j_max)
         return self.problem
 
@@ -269,10 +268,9 @@ def _stage_reduced(pipe, tables_dir):
     sweep_eps = np.linspace(0.08, 0.32, 121)
     norms = []
     co = ansatz.LayerCoeffs(chart, field)
-    op = reduced.EOperator(field.beta, co.hbar5, co.b5_tilde, co.b6_tilde)
     for e in sweep_eps:
         led = reduced.gap_check(e, scn.gap_constant, ctx.lambda0, field.ell)
-        sol = reduced.solve_e_problem(lambda th: np.exp(th), e, co.b5_tilde, co.b6_tilde, field.beta, co.hbar5, ctx.lambda0, operator=op)
+        sol = reduced.solve_e_problem(lambda th: np.exp(th), e, co.b5_tilde, co.b6_tilde, field.beta, co.hbar5, ctx.lambda0)
         norms.append([e, led.margin, float(np.max(np.abs(sol.values)))])
     np.savetxt(os.path.join(tables_dir, "resonance_sweep.txt"), np.asarray(norms), header="eps margin e_sup", fmt="%.12e")
     ok = info["lambda_min"] > 1e-8
@@ -394,12 +392,14 @@ def order_study(scn, quantity, outdir=None, tier=None):
     chart, field = pipe.ensure_geometry()
     ctx = pipe.ensure_ctx()
     state = pipe.ensure_state()
+    # one basis sized for the smallest eps serves every eps; tiers 1-2 read none
+    problem = pipe.ensure_problem() if tier >= 3 else None
     vals = []
     for eps in scn.epsilons:
         led = reduced.gap_check(eps, scn.gap_constant, ctx.lambda0, field.ell)
         if not led.passes:
             continue
-        bundle = ansatz.assemble_ansatz(tier, state, eps, ctx, chart, field)
+        bundle = ansatz.assemble_ansatz(tier, state, eps, ctx, chart, field, reduced_problem=problem)
         rep = ansatz.interior_residual(bundle)
         if quantity == "interior_sup":
             vals.append((eps, rep.sup))
@@ -438,11 +438,10 @@ def order_study(scn, quantity, outdir=None, tier=None):
 def gap_sweep(p, eps_min, eps_max, n=200, c=0.5, outdir=None):
     """Tabulated (eps, margin, e-sup) over an epsilon range for unit weight."""
     lam0 = profiles.lambda0_closed_form(p)
-    op = reduced.EOperator(1.0, 0.0, 0.0, 0.0)
     rows = []
     for eps in np.linspace(eps_max, eps_min, n):
         led = reduced.gap_check(eps, c, lam0, 1.0)
-        sol = reduced.solve_e_problem(lambda th: np.exp(th), eps, 0.0, 0.0, 1.0, 0.0, lam0, operator=op)
+        sol = reduced.solve_e_problem(lambda th: np.exp(th), eps, 0.0, 0.0, 1.0, 0.0, lam0)
         rows.append([eps, led.margin, float(np.max(np.abs(sol.values)))])
     rows = np.asarray(rows)
     if outdir:

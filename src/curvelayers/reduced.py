@@ -1,13 +1,13 @@
 """Reduced solvers on the curve: spectral basis, resonance ledger, f/e systems.
 
-The second-order operator eta'' + q1 eta' + q2 eta with Robin ends is brought
-to Liouville normal form -u'' + Q u = lam u (u = rho^{1/2} eta,
-rho = exp(int q1)) and discretized by Chebyshev collocation with the two
-Robin rows eliminated; its spectrum feeds the non-degeneracy check and the
-resonance ledger. The location equation is solved by collocation on the
-same nodes after the arclength substitution; the near-resonant amplitude
-equation is solved modally, its spectrum producing the critical epsilon
-values.
+Both reduced equations, the location equation (f, and the ring correction
+h) and the near-resonant amplitude equation (e), are second order with Robin
+ends, and one Chebyshev collocation routine solves them: the first and last
+rows carry the Robin conditions and their data. The location operator
+eta'' + q1 eta' + q2 eta is also brought to Liouville normal form
+-u'' + Q u = lam u (u = rho^{1/2} eta, rho = exp(int q1)) with the two Robin
+rows eliminated. The few eigenvalues nearest zero (shift-invert) decide
+non-degeneracy; the full eigenbasis is computed only where it is read.
 """
 
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 
 from . import geodesic
@@ -25,9 +26,9 @@ __all__ = [
     "cheb_nodes_matrices",
     "clenshaw_curtis_weights",
     "SpectralBasis",
-    "build_basis",
     "ResonanceLedger",
     "gap_check",
+    "default_j_max",
     "ReducedProblem",
     "FSolution",
     "ESolution",
@@ -84,24 +85,133 @@ def clenshaw_curtis_weights(n):
     return 0.5 * w  # interval length 1
 
 
-@dataclass
-class SpectralBasis:
-    """L2-orthonormal eigenbasis of the Liouville-normal-form operator."""
+def _on(fn, x):
+    """Values at the points x of a callable, a constant, or an array given at x."""
+    return np.asarray(fn(x), dtype=float) if callable(fn) else np.full(np.shape(x), fn, dtype=float)
 
-    q1: object
-    q2: object
-    k1: float
-    k2: float
-    j_max: int
-    nodes: np.ndarray
-    wq: np.ndarray
-    D1: np.ndarray
-    D2: np.ndarray
-    lam: np.ndarray
-    Y: np.ndarray  # (n+1, j_max+1) eigenfunction values on the nodes
-    Yp: np.ndarray
-    rho_half: np.ndarray  # sqrt(exp(int q1)) on the nodes
-    q1_nodes: np.ndarray
+
+def _robin_collocation(D1, D2, c2, c1, c0, rhs, k, data):
+    """Solve c2 u'' + c1 u' + c0 u = rhs on the nodes of D1, D2 with
+    u' + k[0] u = data[0] at the first node and u' + k[1] u = data[1] at the last.
+
+    The coefficients are constants or node values; the two Robin rows replace
+    the first and last rows of the collocation system.
+    """
+    c2, c1, c0 = (np.broadcast_to(c, rhs.shape) for c in (c2, c1, c0))
+    A = c2[:, None] * D2 + c1[:, None] * D1 + np.diag(c0)
+    rhs = np.array(rhs, dtype=float)
+    A[[0, -1]] = D1[[0, -1]]
+    A[0, 0] += k[0]
+    A[-1, -1] += k[1]
+    rhs[[0, -1]] = data
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateOperatorError(str(exc)) from None
+
+
+class SpectralBasis:
+    """Chebyshev collocation of -(y'' + q1 y' + q2 y) = lam y with Robin ends.
+
+    The grid, the coefficients on it and the elimination of the two Robin
+    rows are built here; a singular Robin block raises
+    DegenerateOperatorError. The eigenpairs, computed when first read, are
+    those of the Liouville normal form (they coincide with the original ones
+    when q1 = 0 and are orthonormal in L2(0,1) always); rho_half maps them
+    back to the original problem.
+    """
+
+    def __init__(self, q1, q2, k1, k2, j_max=60, n_cheb=None):
+        if j_max < 1:
+            raise ValueError("j_max must be positive")
+        if n_cheb is None:
+            n_cheb = max(192, int(2.5 * j_max) + 40)
+        if n_cheb < 2 * j_max + 20:
+            raise ValueError("collocation too coarse to resolve the requested modes")
+        n = n_cheb
+        self.q1, self.q2, self.j_max = q1, q2, j_max
+        self.k1, self.k2 = float(k1), float(k2)
+        self.nodes, self.D1, self.D2 = cheb_nodes_matrices(n)
+        self.wq = clenshaw_curtis_weights(n)
+        self.q1_nodes = _on(q1, self.nodes)
+        self.q2_nodes = _on(q2, self.nodes)
+        if callable(q1):
+            # moderate spline grid: differentiating q1 on a finer one amplifies
+            # the roundoff carried by finite-differenced coefficients
+            grid = np.linspace(0.0, 1.0, 257)
+            q1p = CubicSpline(grid, np.asarray(q1(grid), dtype=float))(self.nodes, 1)
+        else:
+            q1p = np.zeros_like(self.nodes)
+        self.Q = 0.25 * self.q1_nodes**2 + 0.5 * q1p - self.q2_nodes
+
+        # Liouville transform u = rho^{1/2} y shifts the Robin constants by -q1/2
+        self.k1t = self.k1 - 0.5 * self.q1_nodes[0]
+        self.k2t = self.k2 - 0.5 * self.q1_nodes[-1]
+        # u' + k1t u = 0 at the first node and u' + k2t u = 0 at the last give
+        # the two end values as a linear map T of the interior values
+        D1 = self.D1
+        robin = np.array([[D1[0, 0] + self.k1t, D1[0, n]], [D1[n, 0], D1[n, n] + self.k2t]])
+        if np.linalg.cond(robin) > 1.0 / np.finfo(float).eps:
+            raise DegenerateOperatorError(
+                f"Robin constants k_left = {self.k1t:.12g}, k_right = {self.k2t:.12g} make the "
+                "boundary block singular; the end values are not determined"
+            )
+        self.T = -np.linalg.solve(robin, D1[[0, n], 1:n])
+
+    def _eliminated(self):
+        """-D2 + diag(Q) on the interior nodes with the two Robin rows substituted."""
+        n = self.nodes.size - 1
+        op = -self.D2 + np.diag(self.Q)
+        return op[1:n, 1:n] + op[1:n, [0, n]] @ self.T
+
+    def eigenvalues_near_zero(self):
+        """The four eigenvalues nearest 0, ascending: shift-invert ARPACK on an
+        LU of the eliminated matrix, from a fixed start vector."""
+        M = self._eliminated()
+        vals = spla.eigs(M, k=4, sigma=0.0, v0=np.ones(M.shape[0]), return_eigenvectors=False)
+        return np.sort(vals.real)
+
+    @cached_property
+    def _eigenpairs(self):
+        n = self.nodes.size - 1
+        vals, vecs = sla.eig(self._eliminated())
+        finite = np.isfinite(vals.real) & (np.abs(vals.imag) <= 1e-6 * (1.0 + np.abs(vals.real)))
+        keep = np.flatnonzero(finite)[np.argsort(vals[finite].real)][: self.j_max + 1]
+        lam = vals[keep].real
+        if np.any(np.diff(lam) <= 0):
+            raise RuntimeError("eigenvalues not simple/increasing; refine the collocation")
+        interior = vecs[:, keep].real
+        lifted = np.empty((n + 1, keep.size))
+        lifted[1:n] = interior
+        lifted[[0, n]] = self.T @ interior
+
+        # L2 normalization and a sign convention
+        wq = self.wq
+        norms = np.sqrt(np.abs(lifted.T @ (wq[:, None] * lifted)).diagonal())
+        Y = lifted / norms
+        anchor = Y[0] + 0.1 * Y[min(4, n)]
+        Y = Y * np.where(anchor >= 0, 1.0, -1.0)
+        Yp = self.D1 @ Y
+        # Rayleigh-quotient polish: the eigenvalues of the eliminated collocation
+        # matrix carry roundoff of order eps * ||D2||; the quotient error is
+        # quadratic in the eigenvector error
+        lam_rq = (wq[:, None] * (Yp**2 + self.Q[:, None] * Y**2)).sum(axis=0)
+        lam_rq += self.k2t * Y[-1] ** 2 - self.k1t * Y[0] ** 2
+        lam = np.where(np.abs(lam_rq - lam) < 1e-4 * (1.0 + np.abs(lam)), lam_rq, lam)
+        return lam, Y, Yp
+
+    lam = property(lambda self: self._eigenpairs[0])
+    Y = property(lambda self: self._eigenpairs[1])  # (n+1, j_max+1) values on the nodes
+    Yp = property(lambda self: self._eigenpairs[2])
+
+    @cached_property
+    def rho_half(self):
+        """sqrt(exp(int q1)) on the nodes."""
+        if not callable(self.q1):
+            return np.exp(0.5 * float(self.q1) * self.nodes)
+        grid = np.linspace(0.0, 1.0, 4097)
+        anti = cumulative_integral(lambda s: np.asarray(self.q1(s), dtype=float), grid)
+        return np.exp(0.5 * CubicSpline(grid, anti)(self.nodes))
 
     def gram_deviation(self):
         g = self.Y.T @ (self.wq[:, None] * self.Y)
@@ -118,106 +228,6 @@ class SpectralBasis:
 
     def project(self, values):
         return self.Y.T @ (self.wq * np.asarray(values, dtype=float))
-
-
-def _robin_eig(op, k_left, k_right, D1, n_keep, n):
-    """Eigenpairs of op on the nodes with u' + k_left u = 0 at the first node
-    and u' + k_right u = 0 at the last.
-
-    The two Robin rows give the end values as a linear map T of the interior
-    values; substituting them leaves a standard (n-1) x (n-1) eigenproblem.
-    Only the n_keep smallest real eigenpairs are lifted back to all nodes.
-    """
-    robin = np.array([[D1[0, 0] + k_left, D1[0, n]], [D1[n, 0], D1[n, n] + k_right]])
-    if np.linalg.cond(robin) > 1.0 / np.finfo(float).eps:
-        raise DegenerateOperatorError(
-            f"Robin constants k_left = {k_left:.12g}, k_right = {k_right:.12g} make the "
-            "boundary block singular; the end values are not determined"
-        )
-    ends = [0, n]
-    T = -np.linalg.solve(robin, D1[ends, 1:n])
-    vals, vecs = sla.eig(op[1:n, 1:n] + op[1:n, ends] @ T)
-    finite = np.isfinite(vals.real) & (np.abs(vals.imag) <= 1e-6 * (1.0 + np.abs(vals.real)))
-    keep = np.flatnonzero(finite)[np.argsort(vals[finite].real)][:n_keep]
-    interior = vecs[:, keep].real
-    lifted = np.empty((n + 1, keep.size))
-    lifted[1:n] = interior
-    lifted[ends] = T @ interior
-    return vals[keep].real, lifted
-
-
-def build_basis(q1, q2, k1, k2, j_max=60, n_cheb=None):
-    """Eigenbasis of -(y'' + q1 y' + q2 y) = lam y with Robin ends.
-
-    Returned eigenfunctions are those of the Liouville normal form (they
-    coincide with the original ones when q1 = 0 and are orthonormal in
-    L2(0,1) always); rho_half maps them back to the original problem.
-    """
-    if j_max < 1:
-        raise ValueError("j_max must be positive")
-    if n_cheb is None:
-        n_cheb = max(192, int(2.5 * j_max) + 40)
-    if n_cheb < 2 * j_max + 20:
-        raise ValueError("collocation too coarse to resolve the requested modes")
-    theta, D1, D2 = cheb_nodes_matrices(n_cheb)
-    wq = clenshaw_curtis_weights(n_cheb)
-
-    q1v = np.asarray(q1(theta), dtype=float) if callable(q1) else np.full(theta.shape, float(q1))
-    q2v = np.asarray(q2(theta), dtype=float) if callable(q2) else np.full(theta.shape, float(q2))
-    if callable(q1):
-        # moderate spline grid: differentiating q1 on a finer one amplifies
-        # the roundoff carried by finite-differenced coefficients
-        grid = np.linspace(0.0, 1.0, 257)
-        q1p = CubicSpline(grid, np.asarray(q1(grid), dtype=float))(theta, 1)
-    else:
-        q1p = np.zeros_like(theta)
-
-    Q = 0.25 * q1v**2 + 0.5 * q1p - q2v
-    # Liouville transform u = rho^{1/2} y shifts the Robin constants by -q1/2
-    k1t = float(k1) - 0.5 * q1v[0]
-    k2t = float(k2) - 0.5 * q1v[-1]
-
-    op = -D2 + np.diag(Q)
-    lam, vecs = _robin_eig(op, k1t, k2t, D1, j_max + 1, n_cheb)
-    if np.any(np.diff(lam) <= 0):
-        raise RuntimeError("eigenvalues not simple/increasing; refine the collocation")
-
-    # L2 normalization and a sign convention
-    norms = np.sqrt(np.abs(vecs.T @ (wq[:, None] * vecs)).diagonal())
-    Y = vecs / norms
-    anchor = Y[0] + 0.1 * Y[min(4, n_cheb)]
-    Y = Y * np.where(anchor >= 0, 1.0, -1.0)
-    Yp = D1 @ Y
-    # Rayleigh-quotient polish: the eigenvalues of the eliminated collocation
-    # matrix carry roundoff of order eps * ||D2||; the quotient error is
-    # quadratic in the eigenvector error
-    lam_rq = (wq[:, None] * (Yp**2 + Q[:, None] * Y**2)).sum(axis=0)
-    lam_rq += k2t * Y[-1] ** 2 - k1t * Y[0] ** 2
-    lam = np.where(np.abs(lam_rq - lam) < 1e-4 * (1.0 + np.abs(lam)), lam_rq, lam)
-
-    if callable(q1):
-        grid = np.linspace(0.0, 1.0, 4097)
-        anti = cumulative_integral(lambda s: np.asarray(q1(s), dtype=float), grid)
-        rho_half = np.exp(0.5 * CubicSpline(grid, anti)(theta))
-    else:
-        rho_half = np.exp(0.5 * float(q1) * theta)
-
-    return SpectralBasis(
-        q1=q1,
-        q2=q2,
-        k1=float(k1),
-        k2=float(k2),
-        j_max=j_max,
-        nodes=theta,
-        wq=wq,
-        D1=D1,
-        D2=D2,
-        lam=lam,
-        Y=Y,
-        Yp=Yp,
-        rho_half=rho_half,
-        q1_nodes=q1v,
-    )
 
 
 @dataclass
@@ -281,6 +291,11 @@ def lemma_series_sums(eps, lambda0, ell, k1=0.0, k2=0.0, q_mean=0.0, j_sum=None)
 # ---------------------------------------------------------------------------
 
 
+def default_j_max(eps):
+    """Basis size that resolves the reduced location problem at this eps."""
+    return max(60, int(np.ceil(4.0 / eps)))
+
+
 class ReducedProblem:
     """Geometry/potential context shared by the f- and e-solvers."""
 
@@ -306,18 +321,25 @@ class ReducedProblem:
 
         self.kappa1 = chart.k1 * self.ell / potential.beta(0.0)
         self.kappa2 = chart.k2 * self.ell / potential.beta(1.0)
-        self.basis = build_basis(q1, q2, self.kappa1, self.kappa2, j_max=j_max, n_cheb=n_cheb)
+        self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2, j_max=j_max, n_cheb=n_cheb)
         self.theta_nodes = self.theta_of(self.basis.nodes)
         self.beta_nodes = potential.beta(self.theta_nodes)
-        if np.min(np.abs(self.basis.lam)) < 1e-8 * max(1.0, np.max(np.abs(self.basis.lam[:3]))):
+        lam = self.lam_near_zero = self.basis.eigenvalues_near_zero()
+        if np.min(np.abs(lam)) < 1e-8 * max(1.0, np.max(np.abs(lam[:3]))):
             raise DegenerateOperatorError(
                 "reduced location operator has a numerically zero eigenvalue; "
                 "see the non-degeneracy test"
             )
 
 
+@dataclass
 class _NodalSolution:
     """Values and first two derivatives at theta_nodes, each splined between the nodes."""
+
+    theta_nodes: np.ndarray
+    values: np.ndarray
+    d1: np.ndarray
+    d2: np.ndarray
 
     @cached_property
     def _splines(self):
@@ -332,33 +354,7 @@ class _NodalSolution:
 
 @dataclass
 class FSolution(_NodalSolution):
-    theta_nodes: np.ndarray
-    values: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
     norm_star: float
-
-
-def _on(fn, x):
-    """Values at the points x of a callable, a constant, or an array given at x."""
-    return np.asarray(fn(x), dtype=float) if callable(fn) else np.full(np.shape(x), fn, dtype=float)
-
-
-def _norm_star(wq, f, fp, fpp):
-    l2 = float(np.sqrt(np.sum(wq * fpp**2)))
-    return float(np.max(np.abs(f)) + np.max(np.abs(fp)) + l2)
-
-
-def _robin_lift(k_left, k_right, g0, g1):
-    """Quadratic c0 + c1 th + c2 th^2 with Robin residuals (g0, g1)."""
-    rows = np.array([
-        [k_left, 1.0, 0.0],
-        [k_right, 1.0 + k_right, 2.0 + k_right],
-    ])
-    co, *_ = np.linalg.lstsq(rows, np.array([g0, g1]), rcond=None)
-    if np.max(np.abs(rows @ co - np.array([g0, g1]))) > 1e-10 * (abs(g0) + abs(g1) + 1e-300):
-        raise RuntimeError("Robin lift failed; boundary constants degenerate")
-    return co
 
 
 def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), ledger=None):
@@ -381,111 +377,62 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     ell = problem.ell
     gv = _on(g, th)
     P1 = basis.q1_nodes + _on(alpha1, th) * ell / beta
-    P2 = np.asarray(basis.q2(basis.nodes), dtype=float) + _on(alpha2, th) * ell**2 / beta**2
-    A = basis.D2 + P1[:, None] * basis.D1 + np.diag(P2)
-    rhs = ell**2 / beta**2 * gv
-    A[0] = basis.D1[0]
-    A[0, 0] += problem.kappa1
-    rhs[0] = robin[0] * ell / beta[0]
-    A[-1] = basis.D1[-1]
-    A[-1, -1] += problem.kappa2
-    rhs[-1] = robin[1] * ell / beta[-1]
-    try:
-        eta = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateOperatorError(str(exc)) from None
+    P2 = basis.q2_nodes + _on(alpha2, th) * ell**2 / beta**2
+    eta = _robin_collocation(
+        basis.D1, basis.D2, 1.0, P1, P2, ell**2 / beta**2 * gv,
+        (problem.kappa1, problem.kappa2), (robin[0] * ell / beta[0], robin[1] * ell / beta[-1]),
+    )
     eta_p = basis.D1 @ eta
     # second derivative through the equation (interior identity)
     eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
     fp = eta_p * beta / ell
     fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.dbeta(th) / ell
-    return FSolution(theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=_norm_star(basis.wq, eta, fp, fpp))
+    norm = float(np.max(np.abs(eta)) + np.max(np.abs(fp)) + np.sqrt(np.sum(basis.wq * fpp**2)))
+    return FSolution(theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=norm)
 
 
 @dataclass
 class ESolution(_NodalSolution):
-    theta_nodes: np.ndarray
-    values: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
     norm_dstar: float
 
 
-class EOperator:
-    """Weighted eigenbasis of -[beta^-2 e'' + hbar5 e'] with Robin ends."""
-
-    def __init__(self, beta, hbar5, b5t, b6t, n_cheb=192, n_keep=None):
-        theta, D1, D2 = cheb_nodes_matrices(n_cheb)
-        self.nodes = theta
-        self.D1 = D1
-        self.D2 = D2
-        bv = _on(beta, theta)
-        h5 = _on(hbar5, theta)
-        op = -(np.diag(bv**-2) @ D2 + np.diag(h5) @ D1)
-        n_keep = n_keep if n_keep is not None else int(0.4 * n_cheb)
-        self.mu, vecs = _robin_eig(op, b5t, b6t, D1, n_keep, n_cheb)
-        # self-adjoint weight rho = beta^2 exp(int beta^2 hbar5)
-        grid = np.linspace(0.0, 1.0, 2049)
-        if callable(beta) or callable(hbar5):
-            spl_b = CubicSpline(grid, _on(beta, grid))
-            spl_h = CubicSpline(grid, _on(hbar5, grid))
-            anti = cumulative_integral(lambda s: spl_b(s) ** 2 * spl_h(s), grid)
-            rho = bv**2 * np.exp(CubicSpline(grid, anti)(theta))
-        else:
-            rho = float(beta) ** 2 * np.exp(float(beta) ** 2 * float(hbar5) * theta)
-        self.rho = rho
-        self.wq = clenshaw_curtis_weights(n_cheb)
-        norms = np.sqrt((vecs**2 * (self.wq * rho)[:, None]).sum(axis=0))
-        self.Y = vecs / norms
-        anchor = self.Y[0] + 0.1 * self.Y[4]
-        self.Y *= np.where(anchor >= 0, 1.0, -1.0)
-
-    def project(self, values):
-        return self.Y.T @ (self.wq * self.rho * np.asarray(values, dtype=float))
+# the amplitude equation has smooth coefficients in theta: one fixed CGL grid
+_E_NODES, _E_D1, _E_D2 = cheb_nodes_matrices(192)
+_E_WQ = clenshaw_curtis_weights(192)
 
 
-def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, operator=None, ledger=None, robin=(0.0, 0.0), n_cheb=192):
+def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, robin=(0.0, 0.0)):
     """Solve eps^2 [beta^-2 e'' + hbar5 e'] + lambda0 e = g with Robin ends.
 
-    Modal solve in the weighted eigenbasis of the second-order part; the
-    amplification 1/(lambda0 - eps^2 mu_j) exposes the resonance structure.
+    e' + b5t e = robin[0] at theta = 0 and e' + b6t e = robin[1] at 1, by
+    Chebyshev collocation on the CGL grid of degree 192. Near a resonant eps
+    the operator has the small divisor lambda0 - eps^2 mu_j, mu_j an
+    eigenvalue of -[beta^-2 e'' + hbar5 e'], and the amplitude grows like
+    its inverse.
     """
     if ledger is not None and not ledger.passes:
         raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
-    op = operator if operator is not None else EOperator(beta, hbar5, b5t, b6t, n_cheb=n_cheb)
-    th = op.nodes
-    gv = _on(g_tilde, th)
-
-    g0, g1 = robin
-    lift = np.zeros_like(th)
-    if g0 != 0.0 or g1 != 0.0:
-        co = _robin_lift(b5t, b6t, g0, g1)
-        lift = co[0] + co[1] * th + co[2] * th**2
-        bv = _on(beta, th)
-        h5 = _on(hbar5, th)
-        gv = gv - (eps**2 * (bv**-2 * 2 * co[2] + h5 * (co[1] + 2 * co[2] * th)) + lambda0 * lift)
-
-    denom = lambda0 - eps**2 * op.mu
-    coef = op.project(gv) / denom
-    e = op.Y @ coef + lift
-    ep = op.D1 @ e
-    epp = op.D2 @ e
-    wq = np.gradient(th)
-    norm = float(np.max(np.abs(e)) + eps * np.sqrt(np.sum(wq * ep**2)) + eps**2 * np.sqrt(np.sum(wq * epp**2)))
+    th = _E_NODES
+    e = _robin_collocation(
+        _E_D1, _E_D2, eps**2 * _on(beta, th) ** -2, eps**2 * _on(hbar5, th), lambda0, _on(g_tilde, th),
+        (b5t, b6t), robin,
+    )
+    ep = _E_D1 @ e
+    epp = _E_D2 @ e
+    norm = float(np.max(np.abs(e)) + eps * np.sqrt(np.sum(_E_WQ * ep**2)) + eps**2 * np.sqrt(np.sum(_E_WQ * epp**2)))
     return ESolution(theta_nodes=th, values=e, d1=ep, d2=epp, norm_dstar=norm)
 
 
-def solve_coupled(problem, g, g_tilde, eps, gammas=(0.0, 0.0, 0.0, 0.0), e_operator=None, b5t=0.0, b6t=0.0, hbar5=None, ledger=None):
+def solve_coupled(problem, g, g_tilde, eps, gammas=(0.0, 0.0, 0.0, 0.0), b5t=0.0, b6t=0.0, hbar5=None, ledger=None):
     """Block solve of the (f, e) system with inhomogeneous Robin data.
 
     gammas = (Gamma_f at 0, Gamma_f at 1, Gamma_e at 0, Gamma_e at 1); the
     a-priori constant ||f||_* + ||e||_** over the data sizes is reported.
     """
     f_sol = solve_f_problem(problem, g, eps, robin=(gammas[0], gammas[1]), ledger=ledger)
-    h5 = hbar5 if hbar5 is not None else (lambda th: np.zeros_like(np.asarray(th, dtype=float)))
     e_sol = solve_e_problem(
-        g_tilde, eps, b5t, b6t, problem.field.beta, h5, problem.lambda0,
-        operator=e_operator, ledger=ledger, robin=(gammas[2], gammas[3]),
+        g_tilde, eps, b5t, b6t, problem.field.beta, 0.0 if hbar5 is None else hbar5, problem.lambda0,
+        ledger=ledger, robin=(gammas[2], gammas[3]),
     )
     th = np.linspace(0, 1, 257)
     gsz = float(np.sqrt(np.mean(np.asarray(g(th) if callable(g) else g) ** 2)))
@@ -512,7 +459,6 @@ def reduced_fixed_point(
     ledger=None,
     tol=1e-11,
     max_iter=60,
-    relax_threshold=0.9,
 ):
     """Picard iteration for the coupled nonlinear reduced system.
 
@@ -527,14 +473,13 @@ def reduced_fixed_point(
     h4 = h4 or zero
     h6 = h6 or zero
     hp = h_state or (zero, zero)
-    e_op = EOperator(problem.field.beta, hbar5 or zero, b5t, b6t)
 
     th_grid = np.linspace(0.0, 1.0, 513)
     f_sol = e_sol = ScalarFn(zero, d1=zero, d2=zero)
     f_prev = np.zeros_like(th_grid)
     e_prev = np.zeros_like(th_grid)
     diffs = []
-    for it in range(max_iter):
+    for _ in range(max_iter):
         m1, m2 = m_interior(f_sol, e_sol) if m_interior is not None else (zero, zero)
         gams = tuple(-g for g in (m_boundary(f_sol, e_sol) if m_boundary is not None else (0.0, 0.0, 0.0, 0.0)))
 
@@ -552,7 +497,7 @@ def reduced_fixed_point(
             )
 
         f_sol, e_sol, _ = solve_coupled(
-            problem, g1, g2, eps, gammas=gams, e_operator=e_op, b5t=b5t, b6t=b6t, hbar5=hbar5, ledger=ledger
+            problem, g1, g2, eps, gammas=gams, b5t=b5t, b6t=b6t, hbar5=hbar5, ledger=ledger
         )
         fv, ev = f_sol(th_grid), e_sol(th_grid)
         diff = float(np.max(np.abs(fv - f_prev)) + np.max(np.abs(ev - e_prev)))

@@ -200,7 +200,7 @@ def test_criterion_6_reduced_solvers(flat_problem):
         vals.append(np.max(np.abs(sol.values)) * abs(3.0 - eps**2 * 25 * np.pi**2))
     scaling_ok = abs(vals[0] - vals[1]) <= 0.2 * vals[0]
 
-    basis = reduced.build_basis(0.0, 0.0, 0.0, 1.0, j_max=60, n_cheb=220)
+    basis = reduced.SpectralBasis(0.0, 0.0, 0.0, 1.0, j_max=60, n_cheb=220)
     defect = np.abs(basis.asymptotic_defect(np.arange(10, 61)))
     d_slope = loglog_slope(np.arange(10, 61).astype(float), defect)[0]
 
@@ -267,7 +267,7 @@ def test_criterion_8_pde_validation(ctx3, flat_chart, flat_field, bent_chart, be
     met = pde.concentration_metrics(trace, flat_field, 3.0, eps)
 
     # strict seed ladder on the curved channel, where the layers are active
-    prob = reduced.ReducedProblem(bent_chart, bent_field, 3.0, j_max=max(60, int(np.ceil(4 / eps))))
+    prob = reduced.ReducedProblem(bent_chart, bent_field, 3.0, j_max=reduced.default_j_max(eps))
     t_bent = pde.graded_nodes(eps, 0.999 * bent_chart.delta0, fine_per_layer=10, h_max=0.02)
     bent_mesh = pde.chart_mesh(bent_chart, t_bent, np.linspace(0.0, 1.0, 65), bent_field)
     ladder = {}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelayers import ansatz, cli, harness, profiles, scenarios
+from curvelayers import ansatz, cli, harness, profiles, reduced, scenarios
 
 
 def test_expression_parser():
@@ -115,6 +116,23 @@ def test_order_study_projection_quantity(tmp_path):
     # the projection defect against the reduced forms shrinks beyond eps^2
     assert res["slope"] > 2.0
     assert len(res["eps"]) == 4
+
+
+def test_order_study_builds_one_reduced_problem(monkeypatch):
+    # every eps shares the basis sized for the smallest one
+    builds = []
+
+    class Counting(reduced.ReducedProblem):
+        def __init__(self, *args, **kwargs):
+            builds.append(kwargs.get("j_max"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(reduced, "ReducedProblem", Counting)
+    scn = dataclasses.replace(scenarios.builtin_scenario("bent-channel"), epsilons=(0.1, 0.08, 0.06))
+    res = harness.order_study(scn, "interior_sup", tier=3)
+    assert len(res["eps"]) == 3
+    assert len(builds) == 1
+    assert builds == [reduced.default_j_max(0.06)]
 
 
 def test_gap_sweep_table(tmp_path):

@@ -168,7 +168,7 @@ def test_bent_channel_tier_ladder(ctx3, bent_chart, bent_field, bent_problem):
     # with curvature and boundary layers active the seed quality improves
     # strictly with the tier in both residual norms
     eps = 0.03
-    prob = rd.ReducedProblem(bent_chart, bent_field, 3.0, j_max=max(60, int(np.ceil(4 / eps))))
+    prob = rd.ReducedProblem(bent_chart, bent_field, 3.0, j_max=rd.default_j_max(eps))
     t_nodes = pde.graded_nodes(eps, bent_chart.delta0 * 0.999, fine_per_layer=10, h_max=0.02)
     th_nodes = np.linspace(0.0, 1.0, 65)
     mesh = pde.chart_mesh(bent_chart, t_nodes, th_nodes, bent_field)

@@ -8,7 +8,7 @@ from curvelayers.util import loglog_slope
 
 
 def test_basis_neumann_exact():
-    b = rd.build_basis(0.0, 0.0, 0.0, 0.0, j_max=60, n_cheb=220)
+    b = rd.SpectralBasis(0.0, 0.0, 0.0, 0.0, j_max=60, n_cheb=220)
     j = np.arange(61)
     assert np.max(np.abs(b.lam - (j * np.pi) ** 2)) < 1e-7 * (1 + b.lam[-1])
     assert b.gram_deviation() < 1e-8
@@ -16,7 +16,7 @@ def test_basis_neumann_exact():
 
 
 def test_basis_asymptotic_defect_slope():
-    b = rd.build_basis(0.0, 0.0, 0.0, 1.0, j_max=60, n_cheb=220)
+    b = rd.SpectralBasis(0.0, 0.0, 0.0, 1.0, j_max=60, n_cheb=220)
     j = np.arange(10, 61)
     defect = np.abs(b.asymptotic_defect(j))
     slope, _ = loglog_slope(j.astype(float), defect)
@@ -27,28 +27,39 @@ def test_basis_asymptotic_defect_slope():
 
 
 def test_basis_eigenvalues_simple_increasing():
-    b = rd.build_basis(lambda v: 0.3 * np.sin(2 * np.pi * v), lambda v: -2.0 + 0.5 * v, 0.5, -0.7, j_max=40)
+    b = rd.SpectralBasis(lambda v: 0.3 * np.sin(2 * np.pi * v), lambda v: -2.0 + 0.5 * v, 0.5, -0.7, j_max=40)
     assert np.all(np.diff(b.lam) > 0)
     assert b.gram_deviation() < 1e-8
     with pytest.raises(ValueError):
-        rd.build_basis(0.0, 0.0, 0.0, 0.0, j_max=60, n_cheb=100)
+        rd.SpectralBasis(0.0, 0.0, 0.0, 0.0, j_max=60, n_cheb=100)
 
 
 def test_basis_robin_roots():
     # -y'' = lam y, y'(0) = 0, y'(1) + y(1) = 0: sqrt(lam) tan(sqrt(lam)) = 1,
     # one root s_j in (j pi, j pi + pi/2) for each j
-    b = rd.build_basis(0.0, 0.0, 0.0, 1.0, j_max=60)
+    b = rd.SpectralBasis(0.0, 0.0, 0.0, 1.0, j_max=60)
     s = np.array([brentq(lambda s: s * np.sin(s) - np.cos(s), j * np.pi + 1e-12, (j + 0.5) * np.pi) for j in range(51)])
     assert abs(b.lam[0] - 0.74017388) < 1e-8
     assert np.max(np.abs(b.lam[:51] - s**2) / s**2) < 1e-12
 
 
-def test_bent_channel_basis_at_j_max_400():
+def test_bent_channel_basis_at_j_max_400(monkeypatch):
     # the eps-ladder output check reads the collocation nodes but not the
     # eigenpairs, so the basis of its eps = 0.01 rung is pinned here
     scn = scenarios.builtin_scenario("bent-channel")
     chart = scenarios.build_domain(scn)
-    b = rd.ReducedProblem(chart, scenarios.build_field(scn, chart), 3.0, j_max=400).basis
+    field = scenarios.build_field(scn, chart)
+
+    def dense_eig(*args, **kwargs):
+        raise AssertionError("dense eigensolve while constructing the problem")
+
+    # the degeneracy check needs only the eigenvalues nearest 0
+    with monkeypatch.context() as m:
+        m.setattr(rd.sla, "eig", dense_eig)
+        problem = rd.ReducedProblem(chart, field, 3.0, j_max=400)
+    b = problem.basis
+    assert "_eigenpairs" not in vars(b) and "rho_half" not in vars(b)
+    assert np.max(np.abs(problem.lam_near_zero - b.lam[:4]) / np.abs(b.lam[:4])) <= 1e-8
     assert b.gram_deviation() <= 1e-8
     ref = {
         0: -2.455343739362692,
@@ -63,13 +74,6 @@ def test_bent_channel_basis_at_j_max_400():
         assert abs(b.lam[j] - lam) <= 1e-9 * abs(lam), j
 
 
-def test_e_operator_neumann_eigenvalues():
-    op = rd.EOperator(1.0, 0.0, 0.0, 0.0)
-    ref = (np.arange(op.mu.size) * np.pi) ** 2
-    assert op.mu.size == int(0.4 * 192)
-    assert np.max(np.abs(op.mu - ref) / np.maximum(ref, 1.0)) <= 1e-9
-
-
 def test_singular_robin_block_is_refused():
     # this k_left zeroes the determinant of the 2 x 2 Robin block exactly;
     # in floating point the block has condition number ~1e17
@@ -77,7 +81,7 @@ def test_singular_robin_block_is_refused():
     _, D1, _ = rd.cheb_nodes_matrices(n)
     k_left = -D1[0, 0] + D1[0, n] * D1[n, 0] / D1[n, n]
     with pytest.raises(rd.DegenerateOperatorError, match=r"k_left = 24576\.33.*k_right = 0\b"):
-        rd.build_basis(0.0, 0.0, k_left, 0.0, j_max=20, n_cheb=n)
+        rd.SpectralBasis(0.0, 0.0, k_left, 0.0, j_max=20, n_cheb=n)
 
 
 def test_gap_ledger_examples():
@@ -166,6 +170,24 @@ def test_e_problem_analytic():
     assert np.max(np.abs(sol(th) - expect)) < 1e-8
     z = rd.solve_e_problem(lambda t: 0.0 * np.asarray(t), 0.1, 0.0, 0.0, 1.0, 0.0, 3.0)
     assert np.max(np.abs(z(th))) < 1e-14
+
+
+def test_e_problem_manufactured_bent_robin(bent_chart, bent_field):
+    # bent-channel coefficients and inhomogeneous Robin data at both ends
+    from curvelayers.ansatz import LayerCoeffs
+
+    co = LayerCoeffs(bent_chart, bent_field)
+    beta, h5, b5t, b6t = bent_field.beta, co.hbar5, co.b5_tilde, co.b6_tilde
+    ee = lambda t: np.cos(2.0 * t) + 0.3 * t**2
+    eep = lambda t: -2.0 * np.sin(2.0 * t) + 0.6 * t
+    eepp = lambda t: -4.0 * np.cos(2.0 * t) + 0.6
+    for eps in (0.3, 0.1):
+        gt = lambda t: eps**2 * (eepp(t) / beta(t) ** 2 + h5(t) * eep(t)) + 3.0 * ee(t)
+        robin = (eep(0.0) + b5t * ee(0.0), eep(1.0) + b6t * ee(1.0))
+        sol = rd.solve_e_problem(gt, eps, b5t, b6t, beta, h5, 3.0, robin=robin)
+        th = sol.theta_nodes
+        assert np.max(np.abs(sol.values - ee(th))) <= 1e-9, eps
+        assert np.max(np.abs(sol.d1 - eep(th))) <= 1e-7, eps
 
 
 def test_e_problem_near_resonance_scaling():
