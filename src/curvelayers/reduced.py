@@ -11,7 +11,7 @@ non-degeneracy; the full eigenbasis is computed only where it is read.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -396,9 +396,11 @@ class ESolution(_NodalSolution):
     norm_dstar: float
 
 
-# the amplitude equation has smooth coefficients in theta: one fixed CGL grid
-_E_NODES, _E_D1, _E_D2 = cheb_nodes_matrices(192)
-_E_WQ = clenshaw_curtis_weights(192)
+@cache
+def _e_grid():
+    """The one CGL grid of the amplitude solve (its coefficients are smooth in
+    theta): nodes, D1, D2 and quadrature weights."""
+    return (*cheb_nodes_matrices(192), clenshaw_curtis_weights(192))
 
 
 def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, robin=(0.0, 0.0)):
@@ -412,14 +414,13 @@ def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, r
     """
     if ledger is not None and not ledger.passes:
         raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
-    th = _E_NODES
+    th, D1, D2, wq = _e_grid()
     e = _robin_collocation(
-        _E_D1, _E_D2, eps**2 * _on(beta, th) ** -2, eps**2 * _on(hbar5, th), lambda0, _on(g_tilde, th),
-        (b5t, b6t), robin,
+        D1, D2, eps**2 * _on(beta, th) ** -2, eps**2 * _on(hbar5, th), lambda0, _on(g_tilde, th), (b5t, b6t), robin
     )
-    ep = _E_D1 @ e
-    epp = _E_D2 @ e
-    norm = float(np.max(np.abs(e)) + eps * np.sqrt(np.sum(_E_WQ * ep**2)) + eps**2 * np.sqrt(np.sum(_E_WQ * epp**2)))
+    ep = D1 @ e
+    epp = D2 @ e
+    norm = float(np.max(np.abs(e)) + eps * np.sqrt(np.sum(wq * ep**2)) + eps**2 * np.sqrt(np.sum(wq * epp**2)))
     return ESolution(theta_nodes=th, values=e, d1=ep, d2=epp, norm_dstar=norm)
 
 
