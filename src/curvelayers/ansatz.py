@@ -14,10 +14,10 @@ import numpy as np
 from scipy.interpolate import CubicSpline, make_interp_spline
 
 from . import geodesic, reduced
-from .geometry import ScalarFn
+from .geometry import ZERO_FN, ScalarFn
 from .profiles import build_profiles
 from .strip import build_strip_basis, solve_strip_layer
-from .util import bridge_cutoff, fd_derivative, fd_first_axis, simpson_weights, smoothstep
+from .util import bridge_cutoff, fd_first_axis, simpson_weights, smoothstep
 
 __all__ = [
     "ReducedState",
@@ -46,19 +46,9 @@ __all__ = [
 # parameters (f, e, h)
 
 
-def _zero(th):
-    return np.zeros_like(np.asarray(th, dtype=float))
-
-
 def _theta_fn(f, fp=None, fpp=None):
-    """f with its first two theta-derivatives: zero when f is None, differenced where not given."""
-    if f is None:
-        return ScalarFn(_zero, d1=_zero, d2=_zero)
-    if fp is None:
-        fp = lambda th: fd_derivative(f, th, order=1, h=1e-5)
-    if fpp is None:
-        fpp = lambda th: fd_derivative(f, th, order=2, h=2e-3)
-    return ScalarFn(f, d1=fp, d2=fpp)
+    """f with its first two theta-derivatives, analytic where given; zero when f is None."""
+    return ZERO_FN if f is None else ScalarFn(f, d1=fp, d2=fpp)
 
 
 @dataclass
@@ -117,7 +107,6 @@ class Amplitude:
     ell: float
     lambda0: float
     eps: float
-    sin_margin: float
     flagged: bool
 
     @property
@@ -131,13 +120,12 @@ class Amplitude:
         a = np.asarray(a, dtype=float)
         return self.K * np.cos(r * a / self.eps) + self.c0 / r * np.sin(r * a / self.eps)
 
-    def deriv(self, a):
+    def deriv(self, a, order=1):
+        if order == 2:
+            return -(self.lambda0 / self.eps**2) * self(a)
         r = np.sqrt(self.lambda0)
         a = np.asarray(a, dtype=float)
         return (-self.K * np.sin(r * a / self.eps) + self.c0 / r * np.cos(r * a / self.eps)) * (r / self.eps)
-
-    def deriv2(self, a):
-        return -(self.lambda0 / self.eps**2) * self(a)
 
     @property
     def sup(self):
@@ -157,7 +145,6 @@ def resonance_amplitude(eps, c0, c1, ell, lambda0, margin_threshold=0.05):
         ell=float(ell),
         lambda0=float(lambda0),
         eps=float(eps),
-        sin_margin=float(margin),
         flagged=bool(margin < margin_threshold),
     )
 
@@ -182,7 +169,6 @@ class StripContext:
     fine_tables: dict
     basis_t: object
     basis_m: object
-    k_tilde: float
 
     def integrate(self, values, axis=0):
         shape = [1] * np.ndim(values)
@@ -190,11 +176,14 @@ class StripContext:
         return np.sum(values * self.wq.reshape(shape), axis=axis)
 
 
-def build_strip_context(p, x_max=20.0, n_fine=4001, stride=5, k_tilde=25.0):
-    ps = build_profiles(p, x_max=x_max, n=n_fine)
-    sub = np.arange(0, n_fine, stride)
-    if sub[-1] != n_fine - 1:
-        raise ValueError("stride must divide the fine grid")
+# the strip grid: profiles on 4001 points of [-20, 20], every fifth kept for
+# the layers; the massive cross-section operator has mass 25
+_X_MAX, _N_FINE, _STRIDE, _K_TILDE = 20.0, 4001, 5, 25.0
+
+
+def build_strip_context(p):
+    ps = build_profiles(p, x_max=_X_MAX, n=_N_FINE)
+    sub = np.arange(0, _N_FINE, _STRIDE)
     x = ps.x[sub]
 
     def pack(ps, idx):
@@ -214,7 +203,7 @@ def build_strip_context(p, x_max=20.0, n_fine=4001, stride=5, k_tilde=25.0):
             "x": ps.x[idx],
         }
 
-    every = np.arange(n_fine)
+    every = np.arange(_N_FINE)
     return StripContext(
         p=ps.p,
         sigma=ps.sigma,
@@ -227,8 +216,7 @@ def build_strip_context(p, x_max=20.0, n_fine=4001, stride=5, k_tilde=25.0):
         tables=pack(ps, sub),
         fine_tables=pack(ps, every),
         basis_t=build_strip_basis(p, x, "translated"),
-        basis_m=build_strip_basis(p, x, "massive", k_tilde),
-        k_tilde=float(k_tilde),
+        basis_m=build_strip_basis(p, x, "massive", _K_TILDE),
     )
 
 
@@ -237,40 +225,31 @@ def build_strip_context(p, x_max=20.0, n_fine=4001, stride=5, k_tilde=25.0):
 
 
 class LayerCoeffs:
-    """Bundled curve-side coefficient functions and endpoint constants."""
+    """Curve-side coefficients, each a ScalarFn of theta, and endpoint constants."""
 
     def __init__(self, chart, potential):
-        self.chart = chart
         self.field = potential
         self.sigma = potential.sigma
-        self.ell = potential.ell
-        f = potential
-        self.beta = f.beta
-        self.dbeta = f.dbeta
-        self.d2beta = f.d2beta
-        self.alpha = f.alpha
-        self.dalpha = f.dalpha
-        self.d2alpha = f.d2alpha
-        self.k = chart.k
+        alpha = self.alpha = potential.alpha
+        beta = self.beta = potential.beta
+        k = self.k = chart.k
         self.varpi = chart.varpi
-        self.a11 = lambda th: -chart.k(th) / f.beta(th)
-        self.a12 = lambda th: -chart.k(th) / self.sigma
-        self.da11 = lambda th: fd_derivative(self.a11, np.asarray(th, dtype=float), order=1, h=1e-4)
-        self.da12 = lambda th: fd_derivative(self.a12, np.asarray(th, dtype=float), order=1, h=1e-4)
-        self.d2a11 = lambda th: fd_derivative(self.a11, np.asarray(th, dtype=float), order=2, h=2e-3)
-        self.d2a12 = lambda th: fd_derivative(self.a12, np.asarray(th, dtype=float), order=2, h=2e-3)
-        self.b5 = chart.k1 - float(f.dbeta(0.0) / f.beta(0.0))
-        self.b6 = chart.k2 - float(f.dbeta(1.0) / f.beta(1.0))
-        self.b5_tilde = 0.5 * self.b5 + float(f.dalpha(0.0) / f.alpha(0.0))
-        self.b6_tilde = 0.5 * self.b6 + float(f.dalpha(1.0) / f.alpha(1.0))
-        self.hbar5 = lambda th: 2.0 * f.dalpha(th) / (f.alpha(th) * f.beta(th) ** 2) - f.dbeta(th) / f.beta(th) ** 3
+        self.a11 = ScalarFn(lambda th: -k(th) / beta(th))
+        self.a12 = ScalarFn(lambda th: -k(th) / self.sigma)
+        self.b5 = chart.k1 - float(beta.deriv(0.0, 1) / beta(0.0))
+        self.b6 = chart.k2 - float(beta.deriv(1.0, 1) / beta(1.0))
+        self.b5_tilde = 0.5 * self.b5 + float(alpha.deriv(0.0, 1) / alpha(0.0))
+        self.b6_tilde = 0.5 * self.b6 + float(alpha.deriv(1.0, 1) / alpha(1.0))
+        self.hbar5 = lambda th: 2.0 * alpha.deriv(th, 1) / (alpha(th) * beta(th) ** 2) - beta.deriv(th, 1) / beta(th) ** 3
 
-        beta0 = float(f.beta(0.0))
-        beta1 = float(f.beta(1.0))
-        self._chi0 = lambda th: 1.0 - smoothstep((np.abs(np.asarray(th, dtype=float)) - 0.5) * 4.0)
-        self.xi = lambda th: self._chi0(th) / beta0 + (1.0 - self._chi0(th)) / beta1
-        self.dxi = lambda th: fd_derivative(self.xi, np.asarray(th, dtype=float), order=1, h=1e-4)
-        self.d2xi = lambda th: fd_derivative(self.xi, np.asarray(th, dtype=float), order=2, h=2e-3)
+        beta0 = float(beta(0.0))
+        beta1 = float(beta(1.0))
+
+        def xi(th):
+            chi0 = 1.0 - smoothstep((np.abs(np.asarray(th, dtype=float)) - 0.5) * 4.0)
+            return chi0 / beta0 + (1.0 - chi0) / beta1
+
+        self.xi = ScalarFn(xi)
 
     def V_tt0(self, th):
         th = np.asarray(th, dtype=float)
@@ -280,9 +259,9 @@ class LayerCoeffs:
 def boundary_ring_constants(coeffs, ctx):
     """(c0, c1): resonance-mode content of the two end boundary errors."""
     t = ctx.tables
-    f = coeffs.field
-    raw0 = coeffs.b5 * t["x"] * t["w_x"] - float(f.dalpha(0.0) / f.alpha(0.0)) * t["w"]
-    raw1 = coeffs.b6 * t["x"] * t["w_x"] - float(f.dalpha(1.0) / f.alpha(1.0)) * t["w"]
+    alpha = coeffs.alpha
+    raw0 = coeffs.b5 * t["x"] * t["w_x"] - float(alpha.deriv(0.0, 1) / alpha(0.0)) * t["w"]
+    raw1 = coeffs.b6 * t["x"] * t["w_x"] - float(alpha.deriv(1.0, 1) / alpha(1.0)) * t["w"]
     c0 = float(ctx.integrate(raw0 * t["Z"]))
     c1 = float(ctx.integrate(raw1 * t["Z"]))
     return c0, c1, raw0, raw1
@@ -357,28 +336,26 @@ def solve_h_bvp(problem, coeffs, ctx, amplitude, phi22, eps, ledger=None):
 
 _FIELDS = ("v", "vx", "vxx", "vz", "vzz", "vxz")
 
-# rows read from the state: f, e and h with their first two theta-derivatives
-_STATE_ROWS = {name + "p" * order: (name, order) for name in "feh" for order in range(3)}
-
 # rows derived from other rows; d/dtheta of A(a(theta)) carries a' = beta
 _DERIVED_ROWS = {
     "one": lambda r: np.ones_like(r.th),
-    "zero": lambda r: np.zeros_like(r.th),
+    "onep": lambda r: np.zeros_like(r.th),
+    "onepp": lambda r: np.zeros_like(r.th),
     "fh": lambda r: r["f"] + r["h"],
     "fhp": lambda r: r["fp"] + r["hp"],
     "fhpp": lambda r: r["fpp"] + r["hpp"],
     "c2": lambda r: r["a12"] * r["fh"],
-    "c2p": lambda r: r["da12"] * r["fh"] + r["a12"] * r["fhp"],
-    "c2pp": lambda r: r["d2a12"] * r["fh"] + 2.0 * r["da12"] * r["fhp"] + r["a12"] * r["fhpp"],
+    "c2p": lambda r: r["a12p"] * r["fh"] + r["a12"] * r["fhp"],
+    "c2pp": lambda r: r["a12pp"] * r["fh"] + 2.0 * r["a12p"] * r["fhp"] + r["a12"] * r["fhpp"],
     "arc": lambda r: r.bundle.field.arc(r.th),
     "A": lambda r: r.bundle.amplitude(r["arc"]),
-    "Ap": lambda r: r.bundle.amplitude.deriv(r["arc"]),
-    "App": lambda r: r.bundle.amplitude.deriv2(r["arc"]),
+    "Ap": lambda r: r.bundle.amplitude.deriv(r["arc"], 1),
+    "App": lambda r: r.bundle.amplitude.deriv(r["arc"], 2),
     "xiA": lambda r: r["xi"] * r["A"],
-    "xiAp": lambda r: r["dxi"] * r["A"] + r["xi"] * r["Ap"] * r["beta"],
-    "xiApp": lambda r: r["d2xi"] * r["A"]
-    + 2.0 * r["dxi"] * r["Ap"] * r["beta"]
-    + r["xi"] * (r["App"] * r["beta"] ** 2 + r["Ap"] * r["dbeta"]),
+    "xiAp": lambda r: r["xip"] * r["A"] + r["xi"] * r["Ap"] * r["beta"],
+    "xiApp": lambda r: r["xipp"] * r["A"]
+    + 2.0 * r["xip"] * r["Ap"] * r["beta"]
+    + r["xi"] * (r["App"] * r["beta"] ** 2 + r["Ap"] * r["betap"]),
     "zt": lambda r: r.bundle.field.upsilon(r.z, r.bundle.eps),
 }
 
@@ -387,9 +364,11 @@ class _Rows(dict):
     """Theta-only rows at the sections z[cols], each evaluated once on first use.
 
     One instance serves every layer of a strip_fields call and the chain rule
-    of the interior residual. A row is a state function (_STATE_ROWS), a
-    derived row (_DERIVED_ROWS) or a LayerCoeffs function of that name; "zt"
-    holds the strip points of all of z, where the strip layers synthesize.
+    of the interior residual. A row is a derived row (_DERIVED_ROWS) or the
+    name of a theta-function followed by one "p" per derivative ("betapp" is
+    beta'', "ep" is e'): f, e and h are read from the state, every other name
+    from LayerCoeffs. "zt" holds the strip points of all of z, where the
+    strip layers synthesize.
     """
 
     def __init__(self, bundle, z, cols=slice(None)):
@@ -399,12 +378,11 @@ class _Rows(dict):
     def __missing__(self, name):
         if name in _DERIVED_ROWS:
             value = _DERIVED_ROWS[name](self)
-        elif name in _STATE_ROWS:
-            part, order = _STATE_ROWS[name]
-            fn = getattr(self.bundle.state, part)
-            value = fn.deriv(self.th, order) if order else fn(self.th)
         else:
-            value = getattr(self.bundle.coeffs, name)(self.th)
+            base = name.rstrip("p")
+            order = len(name) - len(base)
+            fn = getattr(self.bundle.state if base in ("f", "e", "h") else self.bundle.coeffs, base)
+            value = fn.deriv(self.th, order) if order else fn(self.th)
         self[name] = value
         return value
 
@@ -412,8 +390,8 @@ class _Rows(dict):
 class _ProfileLayer:
     """eps^k g(x) c(theta): a profile table times a theta coefficient.
 
-    coef names the rows of c and of its first two theta-derivatives; a z
-    derivative is eps times a theta derivative.
+    coef names the row of c, whose theta-derivatives are the rows coef + "p"
+    and coef + "pp"; a z derivative is eps times a theta derivative.
     """
 
     def __init__(self, tables, key, k, coef):
@@ -423,11 +401,11 @@ class _ProfileLayer:
     def fields(self, rows, derivs):
         g, gx, gxx = self.g
         s0, s1, s2 = (rows.bundle.eps ** (self.k + j) for j in range(3))
-        c = rows[self.coef[0]][None, :]
+        c = rows[self.coef][None, :]
         v = s0 * g * c
         if not derivs:
             return (v,)
-        cp, cpp = (rows[name][None, :] for name in self.coef[1:])
+        cp, cpp = (rows[self.coef + suffix][None, :] for suffix in ("p", "pp"))
         return v, s0 * gx * c, s0 * gxx * c, s1 * g * cp, s2 * g * cpp, s1 * gx * cp
 
 
@@ -448,7 +426,7 @@ class _StripTerm:
         v = s0 * xi * m
         if not derivs:
             return (v,)
-        dxi, d2xi, beta, dbeta = (rows[name][None, :] for name in ("dxi", "d2xi", "beta", "dbeta"))
+        dxi, d2xi, beta, dbeta = (rows[name][None, :] for name in ("xip", "xipp", "beta", "betap"))
         m_x, m_z = L.dx(zt, cols), L.dz(zt, cols)
         return (
             v,
@@ -531,7 +509,7 @@ class AnsatzBundle:
     # -- physical evaluation -------------------------------------------------
     def window(self, t):
         cut = bridge_cutoff(3.0 * self.delta, 6.0 * self.delta)
-        return cut(t), cut.deriv(t), cut.deriv2(t)
+        return cut(t), cut.deriv(t), cut.deriv(t, 2)
 
     def W_eval(self, t_pts, theta_val):
         """Global approximation at physical chart points (t_pts, theta_val)."""
@@ -577,27 +555,16 @@ def default_z_grid(eps, spacing=0.25):
 # 4001 x 16 doubles is about 0.5 MiB, so no right-side temporary spans the
 # whole theta grid (8 columns measured slower, 32-64 about equal)
 _PHI4_BLOCK = 16
-_PHI4_ROWS = ("k", "varpi", "beta", "dbeta", "d2beta", "alpha", "dalpha", "d2alpha", "xi", "dxi", "a11", "a12")
-
-
-def _phi4_sources(bundle):
-    """Theta-only rows on the theta grid, shared by every block of the phi4 right sides.
-
-    Their "zt" holds the strip points of the theta grid. Each block reads
-    its columns of the phi22 and phi3 fields at all of zt: the layers
-    synthesize them once at full width (E @ c on a column subset differs
-    from the full product at roundoff), and strip_fields later reads the
-    same syntheses.
-    """
-    return _Rows(bundle, bundle.z_grid)
+_PHI4_ROWS = ("k", "varpi", "beta", "betap", "betapp", "alpha", "alphap", "alphapp", "xi", "xip", "a11", "a12")
 
 
 def _phi4_rhs(bundle, src, cols):
     """Right sides of the two per-section problems at theta columns cols.
 
-    src comes from _phi4_sources and cols is a slice of the theta grid.
-    Returns (rhs_even, rhs_odd_scaled) on the fine x grid; the odd problem is
-    already multiplied by eps^2 so both solve directly for their layer.
+    src holds the rows on the theta grid (see _phi4_tables) and cols is a
+    slice of it. Returns (rhs_even, rhs_odd_scaled) on the fine x grid; the
+    odd problem is already multiplied by eps^2 so both solve directly for
+    their layer.
     """
     ctx = bundle.ctx
     eps = bundle.eps
@@ -650,7 +617,7 @@ def _phi4_rhs(bundle, src, cols):
     m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
 
     if bundle.phi3 is not None:
-        m21 = eps**2 * (ctx.k_tilde - 1.0) * xi * _to_fine(ctx, bundle.phi3.value(src["zt"], cols))
+        m21 = eps**2 * (ctx.basis_m.k_tilde - 1.0) * xi * _to_fine(ctx, bundle.phi3.value(src["zt"], cols))
     else:
         m21 = 0.0
 
@@ -714,10 +681,16 @@ def _phi4_tables(bundle):
     block's right sides are formed and solved on the fine x grid, and only
     the strip-grid rows are kept, so no fine-grid array spans the whole theta
     grid. Every column is computed as in a single full-width pass, bit for bit.
+
+    One set of theta-only rows on the theta grid serves every block; its "zt"
+    holds the strip points of the theta grid. Each block reads its columns of
+    the phi22 and phi3 fields at all of zt: the layers synthesize them once
+    at full width (E @ c on a column subset differs from the full product at
+    roundoff), and strip_fields later reads the same syntheses.
     """
     ctx = bundle.ctx
     th_grid = bundle.theta_grid()
-    src = _phi4_sources(bundle)
+    src = _Rows(bundle, bundle.z_grid)
     sub = ctx.sub
     # the defining equation gives the exact second derivative:
     # sol_xx = sol - p |w|^(p-1) sol - rhs
@@ -837,7 +810,7 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
     if 6.0 * delta > chart.delta0:
         raise ValueError("cutoff support exceeds the chart half-width")
     if tier < 4:
-        state = ReducedState(f=state.f, e=_theta_fn(None), h=state.h)
+        state = ReducedState(f=state.f, e=ZERO_FN, h=state.h)
     t = ctx.tables
     coeffs = LayerCoeffs(chart, potential)
     bundle = AnsatzBundle(
@@ -850,16 +823,16 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
         state=state,
         delta=float(delta),
         z_grid=z_grid if z_grid is not None else default_z_grid(eps),
-        layers=[_ProfileLayer(t, "w", 0, ("one", "zero", "zero"))],
+        layers=[_ProfileLayer(t, "w", 0, "one")],
     )
     if tier >= 2:
-        bundle.layers += [_ProfileLayer(t, "w1", 1, ("a11", "da11", "d2a11")), _ProfileLayer(t, "w2", 1, ("c2", "c2p", "c2pp"))]
+        bundle.layers += [_ProfileLayer(t, "w1", 1, "a11"), _ProfileLayer(t, "w2", 1, "c2")]
 
     if tier >= 3:
         c0, c1, raw0, raw1 = boundary_ring_constants(coeffs, ctx)
         amplitude = resonance_amplitude(eps, c0, c1, potential.ell, ctx.lambda0)
         bundle.c0, bundle.c1, bundle.amplitude = c0, c1, amplitude
-        bundle.layers.append(_ProfileLayer(t, "Z", 1, ("xiA", "xiAp", "xiApp")))
+        bundle.layers.append(_ProfileLayer(t, "Z", 1, "xiA"))
         data0 = raw0 - c0 * t["Z"]
         data1 = raw1 - c1 * t["Z"]
         if max(np.max(np.abs(data0)), np.max(np.abs(data1))) > 1e-13:
@@ -878,7 +851,7 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
                 bundle.state = ReducedState(f=state.f, e=state.e, h=h_sol)
 
     if tier >= 4:
-        bundle.layers.append(_ProfileLayer(t, "Z", 1, ("e", "ep", "epp")))
+        bundle.layers.append(_ProfileLayer(t, "Z", 1, "e"))
         h1x, h2x = _phi3_data(bundle)
         if np.max(np.abs(h1x)) + np.max(np.abs(h2x)) > 1e-13:
             bundle.phi3 = solve_strip_layer(ctx.basis_m, h1x, h2x, potential.ell / eps)
@@ -900,15 +873,14 @@ def _phi3_data(bundle):
     x = t["x"]
     out = []
     for end in (0.0, 1.0):
-        k_end = bundle.chart.k1 if end == 0.0 else bundle.chart.k2
-        b_t = co.chart.b1 if end == 0.0 else co.chart.b3
+        k_end, b_t, _ = bundle.chart.end_constants(end)
         bix = co.b5 if end == 0.0 else co.b6
         beta = float(co.beta(end))
-        dbeta = float(co.dbeta(end))
-        alpha_rat = float(co.dalpha(end) / co.alpha(end))
+        dbeta = float(co.beta.deriv(end, 1))
+        alpha_rat = float(co.alpha.deriv(end, 1) / co.alpha(end))
         a11 = float(co.a11(end))
         a12 = float(co.a12(end))
-        da12 = float(co.da12(end))
+        da12 = float(co.a12.deriv(end, 1))
         k = float(co.k(end))
         f0 = float(st.f(end))
         h0 = float(st.h(end))
@@ -917,9 +889,8 @@ def _phi3_data(bundle):
         arc_end = 0.0 if end == 0.0 else bundle.field.ell
         A_end = float(bundle.amplitude(arc_end))
         Ap_end = float(bundle.amplitude.deriv(arc_end))
-        z_end = 0.0 if end == 0.0 else 1.0 / eps
         if bundle.phi22 is not None:
-            zt_end = 0.0 if end == 0.0 else bundle.field.ell / eps
+            zt_end = arc_end / eps
             q = bundle.phi22.value(zt_end)[:, 0]
             q_x = bundle.phi22.dx(zt_end)[:, 0]
             q_z = beta * bundle.phi22.dz(zt_end)[:, 0]
@@ -997,7 +968,7 @@ def _interior_block(bundle, z, cols):
     rows = _Rows(bundle, z, cols)
     th = rows.th
     F = bundle.strip_fields(z, cols, rows=rows)
-    names = ("beta", "dbeta", "d2beta", "alpha", "dalpha", "d2alpha", "fh", "fhp", "fhpp")
+    names = ("beta", "betap", "betapp", "alpha", "alphap", "alphapp", "fh", "fhp", "fhpp")
     beta, dbeta, d2beta, alpha, dalpha, d2alpha, fh, fhp, fhpp = (rows[name][None, :] for name in names)
 
     t = eps * (x / beta + fh)
@@ -1123,15 +1094,13 @@ def residual_crosscheck(bundle, n_probe=5, h=None):
                 + bundle.W_eval(np.array([t0 - h]), th - h)[0]
             ) / (4 * h**2)
             c = bundle.chart.laplacian_coeffs(np.array([t0]), np.array([th]))
-            V0 = float(bundle.field.V(np.array([t0]), np.array([th]))[0] if np.ndim(bundle.field.V(t0, th)) else bundle.field.V(t0, th))
+            V0 = float(bundle.field.V(t0, th))
             E_fd = (
                 eps**2 * (c[0][0] * Wtt + c[1][0] * Wtth + c[2][0] * Wthth + c[3][0] * Wt + c[4][0] * Wth_)
                 - V0 * W0
                 + _sign_power(W0, bundle.p)
             )
-            alpha = float(bundle.coeffs.alpha(th))
-            beta_v = float(bundle.coeffs.beta(th))
-            E_fd /= alpha * beta_v**2
+            E_fd /= float(bundle.coeffs.alpha(th)) * beta**2
             ref = max(np.max(np.abs(rep.E[:, j])), 1e-300)
             dev = max(dev, abs(E_fd - rep.E[i, j]) / ref)
     return dev
@@ -1189,17 +1158,14 @@ def boundary_residual(bundle):
         vz = F["vz"][:, 0]
         beta = float(co.beta(th))
         alpha = float(co.alpha(th))
-        dalpha = float(co.dalpha(th))
-        dbeta = float(co.dbeta(th))
+        dalpha = float(co.alpha.deriv(th, 1))
+        dbeta = float(co.beta.deriv(th, 1))
         fv = float(st.f(th))
         hv = float(st.h(th))
         fpv = float(st.f.deriv(th, 1))
         hpv = float(st.h.deriv(th, 1))
         k_of = float(co.k(th))
-        if end == 0:
-            k_end, b_t, b_th = bundle.chart.k1, bundle.chart.b1, bundle.chart.b2
-        else:
-            k_end, b_t, b_th = bundle.chart.k2, bundle.chart.b3, bundle.chart.b4
+        k_end, b_t, b_th = bundle.chart.end_constants(end)
 
         s = x / beta + fv + hv
         t = eps * s

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.interpolate import CubicSpline
 
+from .geometry import _FD_STEPS, ScalarFn
 from .util import cumulative_integral, fd_derivative, simpson_weights
 
 __all__ = [
@@ -46,17 +47,22 @@ class StationarityError(RuntimeError):
         self.sup = sup
 
 
+def _on_curve(f):
+    """f as a ScalarFn whose second derivative keeps the 1e-4 step, not _FD_STEPS[2]
+    (see the FOUND on this step in CHANGES.md)."""
+    return ScalarFn(f, d2=lambda th: fd_derivative(f, th, order=2, h=_FD_STEPS[1]))
+
+
 class PotentialField:
     """Potential in chart coordinates with on-curve derived weights."""
 
-    def __init__(self, p, V, V_t=None, V_tt=None, V_theta=None, fd_step=1e-4, span=(-0.1, 1.1)):
+    def __init__(self, p, V, V_t=None, V_tt=None, V_theta=None, span=(-0.1, 1.1)):
         self.p = float(p)
         self.sigma = (p + 1.0) / (p - 1.0) - 0.5
         self._V = V
         self._V_t = V_t
         self._V_tt = V_tt
         self._V_theta = V_theta
-        self.h = fd_step
         grid = np.linspace(span[0], span[1], 4097)
         beta_vals = np.sqrt(self.V(np.zeros_like(grid), grid))
         if np.any(beta_vals <= 0) or np.any(~np.isfinite(beta_vals)):
@@ -67,6 +73,10 @@ class PotentialField:
         self.ell = float(self._arc(1.0) - self._arc(0.0))
         self._arc0 = float(self._arc(0.0))
 
+        # on-curve weights alpha = V^(1/(p-1)) and beta = V^(1/2)
+        self.alpha = _on_curve(lambda th: self.V0(th) ** (1.0 / (self.p - 1.0)))
+        self.beta = _on_curve(lambda th: np.sqrt(self.V0(th)))
+
     # -- raw potential -----------------------------------------------------
     def V(self, t, theta):
         return np.asarray(self._V(np.asarray(t, dtype=float), np.asarray(theta, dtype=float)), dtype=float)
@@ -74,41 +84,21 @@ class PotentialField:
     def V_t(self, t, theta):
         if self._V_t is not None:
             return np.asarray(self._V_t(t, theta), dtype=float)
-        return fd_derivative(lambda s: self.V(s, theta), np.asarray(t, dtype=float), order=1, h=self.h)
+        return fd_derivative(lambda s: self.V(s, theta), np.asarray(t, dtype=float), order=1, h=_FD_STEPS[1])
 
     def V_tt(self, t, theta):
         if self._V_tt is not None:
             return np.asarray(self._V_tt(t, theta), dtype=float)
-        # larger step keeps the eps/h^2 roundoff below 1e-10
-        return fd_derivative(lambda s: self.V(s, theta), np.asarray(t, dtype=float), order=2, h=2e-3)
+        return fd_derivative(lambda s: self.V(s, theta), np.asarray(t, dtype=float), order=2, h=_FD_STEPS[2])
 
     def V_theta(self, t, theta):
         if self._V_theta is not None:
             return np.asarray(self._V_theta(t, theta), dtype=float)
-        return fd_derivative(lambda s: self.V(t, s), np.asarray(theta, dtype=float), order=1, h=self.h)
+        return fd_derivative(lambda s: self.V(t, s), np.asarray(theta, dtype=float), order=1, h=_FD_STEPS[1])
 
-    # -- on-curve weights ----------------------------------------------------
     def V0(self, theta):
         theta = np.asarray(theta, dtype=float)
         return self.V(np.zeros_like(theta), theta)
-
-    def alpha(self, theta):
-        return self.V0(theta) ** (1.0 / (self.p - 1.0))
-
-    def beta(self, theta):
-        return np.sqrt(self.V0(theta))
-
-    def dalpha(self, theta):
-        return fd_derivative(self.alpha, np.asarray(theta, dtype=float), order=1, h=self.h)
-
-    def dbeta(self, theta):
-        return fd_derivative(self.beta, np.asarray(theta, dtype=float), order=1, h=self.h)
-
-    def d2beta(self, theta):
-        return fd_derivative(self.beta, np.asarray(theta, dtype=float), order=2, h=self.h)
-
-    def d2alpha(self, theta):
-        return fd_derivative(self.alpha, np.asarray(theta, dtype=float), order=2, h=self.h)
 
     # -- arc map -------------------------------------------------------------
     def arc(self, theta):
@@ -342,7 +332,7 @@ def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stati
     # potential carries analytic derivatives); a singular value below what
     # the coefficients resolve cannot support a non-degeneracy claim
     if field._V_tt is None or field._V_theta is None:
-        fd_noise = 50.0 * np.finfo(float).eps * scale * field.sigma / (2e-3) ** 2
+        fd_noise = 50.0 * np.finfo(float).eps * scale * field.sigma / _FD_STEPS[2] ** 2
         fd_noise /= float(np.min(field.V0(np.linspace(0, 1, 101))))
     else:
         fd_noise = 0.0

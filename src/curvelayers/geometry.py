@@ -17,6 +17,7 @@ from .util import fd_derivative
 __all__ = [
     "ChartDomainError",
     "ScalarFn",
+    "ZERO_FN",
     "CurveSpec",
     "DomainChart",
     "build_chart",
@@ -59,6 +60,14 @@ class ScalarFn:
         return fd_derivative(self.f, x, order=order, h=_FD_STEPS[order])
 
 
+def _zeros(x):
+    return np.zeros_like(np.asarray(x, dtype=float))
+
+
+# the zero function, with its derivatives
+ZERO_FN = ScalarFn(_zeros, d1=_zeros, d2=_zeros, d3=_zeros)
+
+
 def _rot90(v):
     """Counterclockwise quarter turn; (gamma', n) positively oriented."""
     out = np.empty_like(v)
@@ -86,9 +95,6 @@ class CurveSpec:
     def curvature(self, s):
         # gamma'' = k n with the positively oriented normal
         return np.sum(self.gamma.deriv(s, 2) * self.normal(s), axis=-1)
-
-    def curvature_deriv(self, s):
-        return fd_derivative(self.curvature, s, order=1, h=1e-4)
 
     def validate(self, tol=1e-8):
         s = np.linspace(-self.sigma0 / 2, 1 + self.sigma0 / 2, 41)
@@ -123,9 +129,11 @@ class DomainChart:
     b2: float = field(init=False)
     b3: float = field(init=False)
     b4: float = field(init=False)
+    k: ScalarFn = field(init=False, repr=False)
     jacobian_min: float = field(init=False, default=np.nan)
 
     def __post_init__(self):
+        self.k = ScalarFn(self.curve.curvature)
         self.k1 = float(self.curve.phi1.deriv(0.0, 2))
         self.k2 = float(self.curve.phi2.deriv(0.0, 2))
         p1_3 = float(self.curve.phi1.deriv(0.0, 3))
@@ -139,8 +147,11 @@ class DomainChart:
         self.b4 = 0.5 * dk - kl**2 - 0.5 * self.k2**2
 
     # -- curve-side quantities ------------------------------------------
-    def k(self, theta):
-        return self.curve.curvature(theta)
+    def end_constants(self, end):
+        """(k_end, b_t, b_theta) of the end fiber: (k1, b1, b2) at 0, (k2, b3, b4) at 1."""
+        if end not in (0, 1):
+            raise ValueError("end must be 0 or 1")
+        return (self.k1, self.b1, self.b2) if end == 0 else (self.k2, self.b3, self.b4)
 
     def varpi(self, theta):
         """Theta_tt(0, theta) = (k2 - k1) theta + k1."""
@@ -223,7 +234,7 @@ class DomainChart:
         t, theta = self._check_domain(t, theta)
         th, th_t, th_th, th_tt, th_tth = self.Theta_partials(t, theta)
         k = self.curve.curvature(th)
-        kp = self.curve.curvature_deriv(th)
+        kp = self.k.deriv(th, 1)
         a = 1.0 - t * k
         a_t = -k - t * kp * th_t
         a_th = -t * kp * th_th
@@ -283,12 +294,7 @@ class DomainChart:
         samples tabulates its deviation from the exact normal derivative of a
         test field (remainder is cubic in t).
         """
-        if end not in (0, 1):
-            raise ValueError("end must be 0 or 1")
-        if end == 0:
-            k_end, bt, bth = self.k1, self.b1, self.b2
-        else:
-            k_end, bt, bth = self.k2, self.b3, self.b4
+        k_end, bt, bth = self.end_constants(end)
         if ts is None:
             ts = np.linspace(0.02, 0.25, 9) * self.delta0
         if test_field is None:
@@ -364,10 +370,8 @@ def flat_channel_curve(sigma0=0.1):
         d2=lambda s: np.zeros(np.shape(np.asarray(s, dtype=float)) + (2,)),
         d3=lambda s: np.zeros(np.shape(np.asarray(s, dtype=float)) + (2,)),
     )
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    phi1 = ScalarFn(zero, d1=zero, d2=zero, d3=zero)
-    phi2 = ScalarFn(lambda t: np.ones_like(np.asarray(t, dtype=float)), d1=zero, d2=zero, d3=zero)
-    return CurveSpec(gamma=gamma, phi1=phi1, phi2=phi2, sigma0=sigma0, name="flat-channel")
+    phi2 = ScalarFn(lambda t: np.ones_like(np.asarray(t, dtype=float)), d1=_zeros, d2=_zeros, d3=_zeros)
+    return CurveSpec(gamma=gamma, phi1=ZERO_FN, phi2=phi2, sigma0=sigma0, name="flat-channel")
 
 
 def disk_diameter_curve(sigma0=0.05):
@@ -396,6 +400,7 @@ def disk_diameter_curve(sigma0=0.05):
 
 def bent_channel_curve(kappa=0.5 * np.pi, sigma0=0.1):
     """Unit circular arc of curvature kappa; straight radial channel walls."""
+    walls = flat_channel_curve(sigma0)
     r0 = 1.0 / kappa
 
     def gamma(s):
@@ -414,13 +419,10 @@ def bent_channel_curve(kappa=0.5 * np.pi, sigma0=0.1):
         s = np.asarray(s, dtype=float)
         return np.stack([-np.cos(s / r0), -np.sin(s / r0)], axis=-1) / r0**2
 
-    zero = lambda t: np.zeros_like(np.asarray(t, dtype=float))
-    phi1 = ScalarFn(zero, d1=zero, d2=zero, d3=zero)
-    phi2 = ScalarFn(lambda t: np.ones_like(np.asarray(t, dtype=float)), d1=zero, d2=zero, d3=zero)
     return CurveSpec(
         gamma=ScalarFn(gamma, d1=dgamma, d2=d2gamma, d3=d3gamma),
-        phi1=phi1,
-        phi2=phi2,
+        phi1=walls.phi1,
+        phi2=walls.phi2,
         sigma0=sigma0,
         name="bent-channel",
     )

@@ -86,7 +86,7 @@ class _Pipeline:
 
     def ensure_ctx(self):
         if self.ctx is None:
-            self.ctx = ansatz.build_strip_context(self.scn.p, **self.scn.grid.get("strip", {}))
+            self.ctx = ansatz.build_strip_context(self.scn.p)
         return self.ctx
 
     def ensure_problem(self):
@@ -265,17 +265,24 @@ def _stage_reduced(pipe, tables_dir):
         "lambda_min": float(np.min(np.abs(basis.lam))),
     }
     # resonance sweep for the plotting table
-    sweep_eps = np.linspace(0.08, 0.32, 121)
-    norms = []
     co = ansatz.LayerCoeffs(chart, field)
-    for e in sweep_eps:
-        led = reduced.gap_check(e, scn.gap_constant, ctx.lambda0, field.ell)
-        sol = reduced.solve_e_problem(lambda th: np.exp(th), e, co.b5_tilde, co.b6_tilde, field.beta, co.hbar5, ctx.lambda0)
-        norms.append([e, led.margin, float(np.max(np.abs(sol.values)))])
-    np.savetxt(os.path.join(tables_dir, "resonance_sweep.txt"), np.asarray(norms), header="eps margin e_sup", fmt="%.12e")
+    norms = _resonance_sweep(
+        np.linspace(0.08, 0.32, 121), scn.gap_constant, ctx.lambda0, field.ell, co.b5_tilde, co.b6_tilde, field.beta, co.hbar5
+    )
+    np.savetxt(os.path.join(tables_dir, "resonance_sweep.txt"), norms, header="eps margin e_sup", fmt="%.12e")
     ok = info["lambda_min"] > 1e-8
     info["passed"] = ok
     return ok, info
+
+
+def _resonance_sweep(eps_values, c, lambda0, ell, b5t, b6t, beta, hbar5):
+    """Rows [eps, gap margin, sup of e] of the amplitude problem forced by exp(theta)."""
+    rows = []
+    for eps in eps_values:
+        led = reduced.gap_check(eps, c, lambda0, ell)
+        sol = reduced.solve_e_problem(lambda th: np.exp(th), eps, b5t, b6t, beta, hbar5, lambda0)
+        rows.append([eps, led.margin, float(np.max(np.abs(sol.values)))])
+    return np.asarray(rows)
 
 
 def _stage_pde(pipe, tables_dir):
@@ -437,13 +444,7 @@ def order_study(scn, quantity, outdir=None, tier=None):
 
 def gap_sweep(p, eps_min, eps_max, n=200, c=0.5, outdir=None):
     """Tabulated (eps, margin, e-sup) over an epsilon range for unit weight."""
-    lam0 = profiles.lambda0_closed_form(p)
-    rows = []
-    for eps in np.linspace(eps_max, eps_min, n):
-        led = reduced.gap_check(eps, c, lam0, 1.0)
-        sol = reduced.solve_e_problem(lambda th: np.exp(th), eps, 0.0, 0.0, 1.0, 0.0, lam0)
-        rows.append([eps, led.margin, float(np.max(np.abs(sol.values)))])
-    rows = np.asarray(rows)
+    rows = _resonance_sweep(np.linspace(eps_max, eps_min, n), c, profiles.lambda0_closed_form(p), 1.0, 0.0, 0.0, 1.0, 0.0)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
         np.savetxt(os.path.join(outdir, "gap_sweep.txt"), rows, header="eps margin e_sup", fmt="%.12e")

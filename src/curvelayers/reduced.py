@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from scipy.interpolate import CubicSpline
 
 from . import geodesic
-from .geometry import ScalarFn
+from .geometry import ZERO_FN
 from .util import cumulative_integral
 
 __all__ = [
@@ -313,7 +313,7 @@ class ReducedProblem:
         def q1(v):
             th = self.theta_of(v)
             beta = potential.beta(th)
-            return self.ell * potential.dbeta(th) / beta**2 + self.ell * geodesic.hbar1(potential, th) / beta
+            return self.ell * potential.beta.deriv(th, 1) / beta**2 + self.ell * geodesic.hbar1(potential, th) / beta
 
         def q2(v):
             th = self.theta_of(v)
@@ -386,7 +386,7 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     # second derivative through the equation (interior identity)
     eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
     fp = eta_p * beta / ell
-    fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.dbeta(th) / ell
+    fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.beta.deriv(th, 1) / ell
     norm = float(np.max(np.abs(eta)) + np.max(np.abs(fp)) + np.sqrt(np.sum(basis.wq * fpp**2)))
     return FSolution(theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=norm)
 
@@ -469,19 +469,18 @@ def reduced_fixed_point(
     """
     if ledger is not None and not ledger.passes:
         raise GapError("fixed point refused: gap condition fails")
-    zero = lambda th: np.zeros_like(np.asarray(th, dtype=float))
-    h3 = h3 or zero
-    h4 = h4 or zero
-    h6 = h6 or zero
-    hp = h_state or (zero, zero)
+    h3 = h3 or ZERO_FN
+    h4 = h4 or ZERO_FN
+    h6 = h6 or ZERO_FN
+    hp = h_state or (ZERO_FN, ZERO_FN)
 
     th_grid = np.linspace(0.0, 1.0, 513)
-    f_sol = e_sol = ScalarFn(zero, d1=zero, d2=zero)
+    f_sol = e_sol = ZERO_FN
     f_prev = np.zeros_like(th_grid)
     e_prev = np.zeros_like(th_grid)
     diffs = []
     for _ in range(max_iter):
-        m1, m2 = m_interior(f_sol, e_sol) if m_interior is not None else (zero, zero)
+        m1, m2 = m_interior(f_sol, e_sol) if m_interior is not None else (ZERO_FN, ZERO_FN)
         gams = tuple(-g for g in (m_boundary(f_sol, e_sol) if m_boundary is not None else (0.0, 0.0, 0.0, 0.0)))
 
         def g1(th, m1=m1, e=e_sol):

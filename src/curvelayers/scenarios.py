@@ -90,6 +90,10 @@ class Scenario:
         if bad:
             raise ValueError(f"unknown stages {bad}")
         self.stages = tuple(self.stages)
+        bad = [f"grid.{k}" for k in self.grid if k != "pde"]
+        bad += [f"grid.pde.{k}" for k in self.grid.get("pde", {}) if k not in ("fine_per_layer", "n_theta")]
+        if bad:
+            raise ValueError(f"unknown grid keys {bad}; a scenario sets only grid.pde.fine_per_layer and grid.pde.n_theta")
 
     def to_json(self):
         return json.dumps(asdict(self), indent=2, sort_keys=True)

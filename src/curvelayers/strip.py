@@ -48,9 +48,6 @@ class StripBasis:
     def project(self, data):
         return self.hx * (self.E.T @ np.asarray(data, dtype=float))
 
-    def synthesize(self, coef):
-        return self.E @ coef
-
 
 def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
     x = np.asarray(x, dtype=float)
@@ -108,7 +105,6 @@ class StripLayer:
     d0: np.ndarray
     d1: np.ndarray
     active: np.ndarray
-    dropped: dict = field(default_factory=dict)
 
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -245,7 +241,6 @@ def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6, tail_tol=1e-4):
     d1 = basis.project(data1)
     scale = max(np.sqrt(basis.hx) * max(np.linalg.norm(data0), np.linalg.norm(data1)), 1e-300)
 
-    dropped = {}
     active = np.ones(basis.mu.size, dtype=bool)
     bad = list(basis.idx_zero)
     if basis.idx_resonant is not None:
@@ -258,9 +253,8 @@ def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6, tail_tol=1e-4):
                 f"data excites the {label} cross-section mode: |projection| = {proj:.3e} "
                 f"(tolerance {drop_tol * scale:.3e})"
             )
-        dropped[label] = float(proj)
         active[idx] = False
     tail = max(np.max(np.abs(data0[[0, -1]])), np.max(np.abs(data1[[0, -1]])))
     if tail > tail_tol * scale:
         raise StripDataError(f"boundary data not decayed at |x| = {basis.x[-1]}: {tail:.3e}")
-    return StripLayer(basis=basis, L=float(L), d0=d0, d1=d1, active=active, dropped=dropped)
+    return StripLayer(basis=basis, L=float(L), d0=d0, d1=d1, active=active)

@@ -46,7 +46,8 @@ def _smoothstep_d2(s):
 class bridge_cutoff:
     """Cutoff equal to 1 on [0, r0], 0 beyond r1, with a C^2 quintic bridge.
 
-    Evaluates on |r|; derivative helpers return d/dr of the cutoff (odd in r).
+    Evaluates on |r|; deriv(r, order) returns the first (odd in r) or second
+    d/dr of the cutoff.
     """
 
     def __init__(self, r0, r1):
@@ -62,13 +63,11 @@ class bridge_cutoff:
     def __call__(self, r):
         return 1.0 - smoothstep(self._s(r))
 
-    def deriv(self, r):
+    def deriv(self, r, order=1):
         r = np.asarray(r, dtype=float)
+        if order == 2:
+            return -_smoothstep_d2(self._s(r)) * self._inv**2
         return -_smoothstep_d1(self._s(r)) * self._inv * np.sign(r)
-
-    def deriv2(self, r):
-        r = np.asarray(r, dtype=float)
-        return -_smoothstep_d2(self._s(r)) * self._inv**2
 
 
 # 6th-order central stencil for first/second/third derivatives.

@@ -12,6 +12,32 @@ from curvelayers.strip import StripLayer
 from curvelayers.util import fd_first_axis, simpson_weights
 
 
+def test_rows_read_theta_functions(ctx3, bent_chart, bent_field, bent_problem):
+    """Every theta-function the rows read answers fn(th) and fn.deriv(th, 1 | 2).
+
+    On bent-channel, V(0, theta) = 1 + 0.3 theta sin(pi theta), so beta = V^(1/2)
+    and, at p = 3, alpha = V^(1/2) too.
+    """
+    b4 = az.assemble_ansatz(4, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    co, st = b4.coeffs, b4.state
+    th = np.linspace(0.0, 1.0, 41)
+    for fn in (co.alpha, co.beta, co.k, co.a11, co.a12, co.xi, st.f, st.e, st.h):
+        for values in (fn(th), fn.deriv(th, 1), fn.deriv(th, 2)):
+            assert values.shape == th.shape and np.all(np.isfinite(values))
+    s, c = np.sin(np.pi * th), np.cos(np.pi * th)
+    v = 1.0 + 0.3 * th * s
+    v1 = 0.3 * (s + np.pi * th * c)
+    v2 = 0.3 * (2.0 * np.pi * c - np.pi**2 * th * s)
+    root = np.sqrt(v)
+    for fn in (bent_field.beta, bent_field.alpha):
+        assert np.max(np.abs(fn(th) - root)) < 1e-14
+        assert np.max(np.abs(fn.deriv(th, 1) - 0.5 * v1 / root)) < 1e-10
+        # the second derivative keeps the 1e-4 step (FOUND in CHANGES.md: 5.9e-8 off)
+        assert np.max(np.abs(fn.deriv(th, 2) - (0.5 * v2 / root - 0.25 * v1**2 / root**3))) < 1e-6
+    rows = az._Rows(b4, b4.z_grid)
+    assert rows["betapp"].tobytes() == co.beta.deriv(rows.th, 2).tobytes()
+
+
 def test_amplitude_closed_form_and_oracle():
     eps, ell, lam0 = 0.1, 1.0, 3.0
     amp = az.resonance_amplitude(eps, 1.0, 0.0, ell, lam0)
@@ -20,7 +46,7 @@ def test_amplitude_closed_form_and_oracle():
     assert abs(eps * amp.deriv(ell)) < 1e-12
     # b = eps A solves the equation: second derivative identity
     a = np.linspace(0, ell, 11)
-    assert np.max(np.abs(eps**2 * amp.deriv2(a) + lam0 * amp(a))) < 1e-10
+    assert np.max(np.abs(eps**2 * amp.deriv(a, 2) + lam0 * amp(a))) < 1e-10
     # independent integration oracle from the left end
     sol = solve_ivp(
         lambda s, y: [y[1], -lam0 / eps**2 * y[0]],
@@ -107,7 +133,7 @@ def test_leading_error_structure_on_bent(ctx3, bent_chart, bent_field, bent_prob
 def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_problem):
     eps = 0.05
     b5 = az.assemble_ansatz(5, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
-    rhs_even, rhs_odd = az._phi4_rhs(b5, az._phi4_sources(b5), slice(None))
+    rhs_even, rhs_odd = az._phi4_rhs(b5, az._Rows(b5, b5.z_grid), slice(None))
     wq = simpson_weights(ctx3.fine.n, ctx3.fine.hx)
     proj = (wq[:, None] * rhs_odd * ctx3.fine_tables["w_x"][:, None]).sum(axis=0)
     scale = np.max(np.abs(rhs_odd))
@@ -120,7 +146,7 @@ def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_p
 def _phi4_one_shot(bundle):
     """Reference: the phi4 tables from one full-width right side and solve."""
     ctx = bundle.ctx
-    rhs_pair = az._phi4_rhs(bundle, az._phi4_sources(bundle), slice(None))
+    rhs_pair = az._phi4_rhs(bundle, az._Rows(bundle, bundle.z_grid), slice(None))
     lin = ctx.p * np.abs(ctx.fine_tables["w"][:, None]) ** (ctx.p - 1.0)
     tables = []
     for rhs in rhs_pair:
@@ -399,11 +425,11 @@ def test_boundary_z_projection_with_active_ring(ctx3, bent_chart, bent_field, be
     co = b4.coeffs
     e0 = float(st_e.e(0.0))
     ep0 = float(st_e.e.deriv(0.0, 1))
-    pred = eps**2 * (0.5 * co.b5 * e0 + float(co.dalpha(0.0) / co.alpha(0.0)) * e0 + ep0)
+    pred = eps**2 * (0.5 * co.b5 * e0 + float(co.alpha.deriv(0.0, 1) / co.alpha(0.0)) * e0 + ep0)
     assert abs(bnd.proj_Z[0] - pred) < 0.35 * max(abs(pred), eps**2)
     e1 = float(st_e.e(1.0))
     ep1 = float(st_e.e.deriv(1.0, 1))
-    pred1 = eps**2 * (0.5 * co.b6 * e1 + float(co.dalpha(1.0) / co.alpha(1.0)) * e1 + ep1)
+    pred1 = eps**2 * (0.5 * co.b6 * e1 + float(co.alpha.deriv(1.0, 1) / co.alpha(1.0)) * e1 + ep1)
     assert abs(bnd.proj_Z[1] - pred1) < 0.35 * max(abs(pred1), eps**2)
 
 

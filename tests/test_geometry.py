@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvelayers import geometry as ge
 from curvelayers.util import fd_derivative, loglog_slope
@@ -179,3 +181,25 @@ def test_curve_validation_rejects_bad_graphs():
     )
     with pytest.raises(ValueError):
         bad.validate()
+
+
+_coef = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=25)
+@given(kappa=st.floats(0.2, 1.2), c1=st.tuples(_coef, _coef), c2=st.tuples(_coef, _coef))
+def test_metric_matches_the_jacobian_of_the_chart_map(kappa, c1, c2):
+    """The closed-form metric is J^T J for the finite-difference Jacobian J of F."""
+    chart = ge.build_chart(ge.generic_chart_curve(kappa, c1, c2), delta0=0.2)
+    tt, hh = np.meshgrid(np.linspace(-0.15, 0.15, 5), np.linspace(-0.05, 1.05, 7), indexing="ij")
+    f_t = fd_derivative(lambda s: chart.F(s, hh), tt, order=1, h=1e-4)
+    f_th = fd_derivative(lambda s: chart.F(tt, s), hh, order=1, h=1e-4)
+    met = chart.metric(tt, hh)
+    jac = {
+        "g11": np.sum(f_t * f_t, axis=-1),
+        "g12": np.sum(f_t * f_th, axis=-1),
+        "g22": np.sum(f_th * f_th, axis=-1),
+        "sqrtg": np.abs(f_t[..., 0] * f_th[..., 1] - f_t[..., 1] * f_th[..., 0]),
+    }
+    for key, value in jac.items():
+        assert np.max(np.abs(met[key] - value)) < 1e-9, key

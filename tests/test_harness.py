@@ -103,6 +103,20 @@ def test_resonant_epsilon_skips_pde(tmp_path):
     assert res.summary["stages"]["pde"].get("skipped") is True
 
 
+@pytest.mark.parametrize(
+    "grid, key",
+    [({"strip": {"stride": 4}}, "grid.strip"), ({"pde": {"n_thetas": 97}}, "grid.pde.n_thetas")],
+)
+def test_scenario_rejects_unknown_grid_keys(tmp_path, grid, key):
+    with pytest.raises(ValueError, match=key):
+        scenarios.Scenario(name="x", grid=grid)
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({"name": "x", "grid": grid}))
+    with pytest.raises(ValueError, match=key):
+        scenarios.load_scenario(path)
+    assert scenarios.Scenario(name="x", grid={"pde": {"fine_per_layer": 12, "n_theta": 97}}).grid["pde"]["n_theta"] == 97
+
+
 def test_order_study_needs_three(tmp_path):
     scn = scenarios.Scenario(name="short", epsilons=(0.1, 0.05), f_expr="", e_expr="")
     with pytest.raises(ValueError):
