@@ -223,27 +223,30 @@ def build_strip_context(p):
 # ---------------------------------------------------------------------------
 # theta-side coefficients
 
+# the two end sections, theta = 0 and 1: end data are (nx, 2) arrays, one
+# column per end, and an end pair of constants is a row that scales them
+_ENDS = np.array([0.0, 1.0])
+
 
 class LayerCoeffs:
-    """Curve-side coefficients, each a ScalarFn of theta, and endpoint constants."""
+    """Curve-side coefficients, each a function of theta, and endpoint constants."""
 
     def __init__(self, chart, potential):
-        self.field = potential
-        self.sigma = potential.sigma
         alpha = self.alpha = potential.alpha
         beta = self.beta = potential.beta
         k = self.k = chart.k
         self.varpi = chart.varpi
+        self.hbar1 = lambda th: geodesic.hbar1(potential, th)
+        self.hbar2 = lambda th: geodesic.hbar2(chart, potential, th)
+        self.V_tt0 = lambda th: potential.V_tt(np.zeros_like(th), th)
         self.a11 = ScalarFn(lambda th: -k(th) / beta(th))
-        self.a12 = ScalarFn(lambda th: -k(th) / self.sigma)
-        self.b5 = chart.k1 - float(beta.deriv(0.0, 1) / beta(0.0))
-        self.b6 = chart.k2 - float(beta.deriv(1.0, 1) / beta(1.0))
-        self.b5_tilde = 0.5 * self.b5 + float(alpha.deriv(0.0, 1) / alpha(0.0))
-        self.b6_tilde = 0.5 * self.b6 + float(alpha.deriv(1.0, 1) / alpha(1.0))
+        self.a12 = ScalarFn(lambda th: -k(th) / potential.sigma)
+        beta_rat, alpha_rat = (fn.deriv(_ENDS, 1) / fn(_ENDS) for fn in (beta, alpha))
+        self.b5, self.b6 = np.array((chart.k1, chart.k2)) - beta_rat
+        self.b5_tilde, self.b6_tilde = 0.5 * np.array((self.b5, self.b6)) + alpha_rat
         self.hbar5 = lambda th: 2.0 * alpha.deriv(th, 1) / (alpha(th) * beta(th) ** 2) - beta.deriv(th, 1) / beta(th) ** 3
 
-        beta0 = float(beta(0.0))
-        beta1 = float(beta(1.0))
+        beta0, beta1 = beta(_ENDS)
 
         def xi(th):
             chi0 = 1.0 - smoothstep((np.abs(np.asarray(th, dtype=float)) - 0.5) * 4.0)
@@ -251,84 +254,75 @@ class LayerCoeffs:
 
         self.xi = ScalarFn(xi)
 
-    def V_tt0(self, th):
-        th = np.asarray(th, dtype=float)
-        return self.field.V_tt(np.zeros_like(th), th)
 
-
-def boundary_ring_constants(coeffs, ctx):
-    """(c0, c1): resonance-mode content of the two end boundary errors."""
-    t = ctx.tables
-    alpha = coeffs.alpha
-    raw0 = coeffs.b5 * t["x"] * t["w_x"] - float(alpha.deriv(0.0, 1) / alpha(0.0)) * t["w"]
-    raw1 = coeffs.b6 * t["x"] * t["w_x"] - float(alpha.deriv(1.0, 1) / alpha(1.0)) * t["w"]
-    c0 = float(ctx.integrate(raw0 * t["Z"]))
-    c1 = float(ctx.integrate(raw1 * t["Z"]))
-    return c0, c1, raw0, raw1
+def boundary_ring_constants(bundle):
+    """(c0, c1) and the raw end data (nx, 2): resonance-mode content of the two end boundary errors."""
+    co, ctx, t = bundle.coeffs, bundle.ctx, bundle.ctx.tables
+    rows = _Rows(bundle, _ENDS)
+    raw = np.array((co.b5, co.b6)) * t["x"][:, None] * t["w_x"][:, None] - rows["alphap"] / rows["alpha"] * t["w"][:, None]
+    return tuple(float(ctx.integrate(end * t["Z"])) for end in raw.T), raw
 
 
 # ---------------------------------------------------------------------------
 # ring (h) problem
 
 
-def _h_sources(coeffs, ctx, amplitude, phi22, eps):
-    """alpha1, alpha2, G1+G2+G3 as callables of theta (all vanish with the data)."""
+def _h_weights(ctx, phi22):
+    """The x-integrals the ring sources read: rho1, three Z moments and, with phi22, its three projection vectors."""
     t = ctx.tables
-    rho1 = float(ctx.integrate(t["w_x"] ** 2))
-    I_Zx_wx = float(ctx.integrate(t["Z_x"] * t["w_x"]))
-    I_Z_xwx = float(ctx.integrate(t["Z"] * t["x"] * t["w_x"]))
     wgt3 = ctx.p * (ctx.p - 1.0) * t["w"] ** (ctx.p - 2.0) * t["w1"] * t["w_x"]
-    I_Z_3 = float(ctx.integrate(t["Z"] * wgt3))
+    weights = {
+        "rho1": float(ctx.integrate(t["w_x"] ** 2)),
+        "I_Zx_wx": float(ctx.integrate(t["Z_x"] * t["w_x"])),
+        "I_Z_xwx": float(ctx.integrate(t["Z"] * t["x"] * t["w_x"])),
+        "I_Z_3": float(ctx.integrate(t["Z"] * wgt3)),
+    }
+    if phi22 is not None:
+        E, E_x, act = phi22.basis.E, phi22.basis.E_x, phi22.active
+        weights["v_x_wx"] = ctx.integrate(E_x[:, act] * t["w_x"][:, None], axis=0)
+        weights["v_val_x"] = ctx.integrate(E[:, act] * (t["x"] * t["w_x"])[:, None], axis=0)
+        weights["v_3"] = ctx.integrate(E[:, act] * wgt3[:, None], axis=0)
+    return weights
 
+
+def _h_sources(bundle, rows, weights):
+    """alpha1, alpha2, G1+G2+G3 at the sections of rows (all vanish with the data).
+
+    weights are the x-integrals of _h_weights for bundle.phi22.
+    """
+    eps, phi22 = bundle.eps, bundle.phi22
+    xi, beta, k, Aa, Apa = (rows[name] for name in ("xi", "beta", "k", "A", "Ap"))
+    rho1, I_Zx_wx, I_Z_xwx, I_Z_3 = (weights[key] for key in ("rho1", "I_Zx_wx", "I_Z_xwx", "I_Z_3"))
     if phi22 is None:
-        v_x_wx = v_val_x = v_3 = None
+        p_xz = p_x_wx = p_xwx = p_3 = np.zeros_like(rows.th)
     else:
-        act = phi22.active
-        v_x_wx = ctx.integrate(phi22.basis.E_x[:, act] * t["w_x"][:, None], axis=0)
-        v_val_x = ctx.integrate(phi22.basis.E[:, act] * (t["x"] * t["w_x"])[:, None], axis=0)
-        v_3 = ctx.integrate(phi22.basis.E[:, act] * wgt3[:, None], axis=0)
-
-    def parts(th):
-        th = np.atleast_1d(np.asarray(th, dtype=float))
-        a = coeffs.field.arc(th)
-        xi = coeffs.xi(th)
-        beta = coeffs.beta(th)
-        k = coeffs.k(th)
-        Aa = amplitude(a)
-        Apa = amplitude.deriv(a)
-        if phi22 is None:
-            p_xz = p_x_wx = p_xwx = p_3 = np.zeros_like(th)
-        else:
-            zt = a / eps
-            c = phi22._coef(zt)
-            cp = phi22._coef(zt, order=1)
-            p_xz = v_x_wx @ cp  # int phi*_{x ztilde} w_x dx
-            p_x_wx = v_x_wx @ c  # int phi*_x w_x dx
-            p_xwx = v_val_x @ c  # int phi* x w_x dx
-            p_3 = v_3 @ c
-        alpha1 = 2.0 / rho1 * xi * beta * (eps * Apa * I_Zx_wx + p_xz)
-        alpha2 = coeffs.varpi(th) * alpha1
-        g1 = -(k / rho1) * xi * (Aa * I_Zx_wx + p_x_wx)
-        g2 = -(k / (ctx.sigma * rho1)) * xi * (Aa * I_Z_xwx + p_xwx)
-        g3 = coeffs.a11(th) * beta / rho1 * xi * (Aa * I_Z_3 + p_3)
-        return alpha1, alpha2, g1 + g2 + g3
-
-    return parts
+        c = phi22._coef(rows["zt"])
+        cp = phi22._coef(rows["zt"], order=1)
+        p_xz = weights["v_x_wx"] @ cp  # int phi*_{x ztilde} w_x dx
+        p_x_wx = weights["v_x_wx"] @ c  # int phi*_x w_x dx
+        p_xwx = weights["v_val_x"] @ c  # int phi* x w_x dx
+        p_3 = weights["v_3"] @ c
+    alpha1 = 2.0 / rho1 * xi * beta * (eps * Apa * I_Zx_wx + p_xz)
+    alpha2 = rows["varpi"] * alpha1
+    g1 = -(k / rho1) * xi * (Aa * I_Zx_wx + p_x_wx)
+    g2 = -(k / (bundle.ctx.sigma * rho1)) * xi * (Aa * I_Z_xwx + p_xwx)
+    g3 = rows["a11"] * beta / rho1 * xi * (Aa * I_Z_3 + p_3)
+    return alpha1, alpha2, g1 + g2 + g3
 
 
-def solve_h_bvp(problem, coeffs, ctx, amplitude, phi22, eps, ledger=None):
+def solve_h_bvp(bundle, problem, ledger=None):
     """Ring correction h from the Robin problem fed by the boundary layers.
 
     Refuses on a degenerate reduced operator (the ReducedProblem constructor
     raises) or a failed gap ledger; with identically vanishing sources the
     zero solution is returned directly.
     """
-    parts = _h_sources(coeffs, ctx, amplitude, phi22, eps)
-    a1p, _, gp = parts(np.linspace(0.0, 1.0, 37))
+    weights = _h_weights(bundle.ctx, bundle.phi22)
+    a1p, _, gp = _h_sources(bundle, _Rows(bundle, np.linspace(0.0, 1.0, 37)), weights)
     if np.max(np.abs(a1p)) + np.max(np.abs(gp)) < 1e-14:
         return None  # zero ring correction
-    alpha1, alpha2, g = parts(problem.theta_nodes)
-    return reduced.solve_f_problem(problem, g, eps, alpha1=alpha1, alpha2=alpha2, ledger=ledger)
+    alpha1, alpha2, g = _h_sources(bundle, _Rows(bundle, problem.theta_nodes), weights)
+    return reduced.solve_f_problem(problem, g, bundle.eps, alpha1=alpha1, alpha2=alpha2, ledger=ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +350,24 @@ _DERIVED_ROWS = {
     "xiApp": lambda r: r["xipp"] * r["A"]
     + 2.0 * r["xip"] * r["Ap"] * r["beta"]
     + r["xi"] * (r["App"] * r["beta"] ** 2 + r["Ap"] * r["betap"]),
-    "zt": lambda r: r.bundle.field.upsilon(r.z, r.bundle.eps),
+    "zt": lambda r: r.bundle.field.arc(r.all_th) / r.bundle.eps,
 }
 
 
 class _Rows(dict):
-    """Theta-only rows at the sections z[cols], each evaluated once on first use.
+    """Theta-only rows at the sections th[cols], each evaluated once on first use.
 
-    One instance serves every layer of a strip_fields call and the chain rule
-    of the interior residual. A row is a derived row (_DERIVED_ROWS) or the
-    name of a theta-function followed by one "p" per derivative ("betapp" is
-    beta'', "ep" is e'): f, e and h are read from the state, every other name
-    from LayerCoeffs. "zt" holds the strip points of all of z, where the
-    strip layers synthesize.
+    The one reader of theta-only quantities: one instance serves every layer
+    of a strip_fields call and the chain rule of a residual. A row is a
+    derived row (_DERIVED_ROWS) or the name of a theta-function followed by
+    one "p" per derivative ("betapp" is beta'', "ep" is e'): f, e and h are
+    read from the state, every other name from LayerCoeffs. "zt" holds the
+    strip points arc(th)/eps of all of th, where the strip layers synthesize.
     """
 
-    def __init__(self, bundle, z, cols=slice(None)):
+    def __init__(self, bundle, th, cols=slice(None)):
         super().__init__()
-        self.bundle, self.z, self.cols, self.th = bundle, z, cols, bundle.eps * z[cols]
+        self.bundle, self.all_th, self.cols, self.th = bundle, th, cols, th[cols]
 
     def __missing__(self, name):
         if name in _DERIVED_ROWS:
@@ -410,7 +404,7 @@ class _ProfileLayer:
 
 
 class _StripTerm:
-    """eps^k xi(theta) L(x, zt) for a strip layer L read at zt = upsilon(z).
+    """eps^k xi(theta) L(x, zt) for a strip layer L read at zt = arc(theta)/eps.
 
     dzt/dz = beta and d2zt/dz2 = eps beta'.
     """
@@ -491,14 +485,13 @@ class AnsatzBundle:
         Each field is the sum over the layers, in order, of their parts. The
         strip layers are read at all of z (each keeps its syntheses for the
         last z it saw), and cols selects the columns returned; the theta-only
-        rows are evaluated on those columns alone, once per call, or taken
-        from rows. Without derivs only v is formed, from the same terms in
-        the same order.
+        rows are evaluated on those columns alone, once per call. Given rows,
+        the sections are theirs and z and cols are not read. Without derivs
+        only v is formed, from the same terms in the same order.
         """
-        if z is None:
-            z = self.z_grid
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        rows = _Rows(self, z, cols) if rows is None else rows
+        if rows is None:
+            z = self.z_grid if z is None else np.atleast_1d(np.asarray(z, dtype=float))
+            rows = _Rows(self, self.eps * z, cols)
         names = _FIELDS if derivs else _FIELDS[:1]
         out = dict.fromkeys(names, 0.0)
         for layer in self.layers:
@@ -514,12 +507,9 @@ class AnsatzBundle:
     def W_eval(self, t_pts, theta_val):
         """Global approximation at physical chart points (t_pts, theta_val)."""
         t_pts = np.asarray(t_pts, dtype=float)
-        th = float(theta_val)
-        z = th / self.eps
-        col = self.strip_fields(np.array([z]), derivs=False)["v"][:, 0]
-        beta = float(self.coeffs.beta(th))
-        alpha = float(self.coeffs.alpha(th))
-        fh = float(self.state.f(th) + self.state.h(th))
+        rows = _Rows(self, np.array([float(theta_val)]))
+        col = self.strip_fields(derivs=False, rows=rows)["v"][:, 0]
+        beta, alpha, fh = (float(rows[name][0]) for name in ("beta", "alpha", "fh"))
         xq = beta * (t_pts / self.eps - fh)
         spl = make_interp_spline(self.ctx.x, col, k=5)
         vals = np.where(np.abs(xq) <= self.ctx.x[-1], spl(np.clip(xq, self.ctx.x[0], self.ctx.x[-1])), 0.0)
@@ -690,7 +680,7 @@ def _phi4_tables(bundle):
     """
     ctx = bundle.ctx
     th_grid = bundle.theta_grid()
-    src = _Rows(bundle, bundle.z_grid)
+    src = _Rows(bundle, th_grid)
     sub = ctx.sub
     # the defining equation gives the exact second derivative:
     # sol_xx = sol - p |w|^(p-1) sol - rhs
@@ -829,32 +819,30 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
         bundle.layers += [_ProfileLayer(t, "w1", 1, "a11"), _ProfileLayer(t, "w2", 1, "c2")]
 
     if tier >= 3:
-        c0, c1, raw0, raw1 = boundary_ring_constants(coeffs, ctx)
-        amplitude = resonance_amplitude(eps, c0, c1, potential.ell, ctx.lambda0)
-        bundle.c0, bundle.c1, bundle.amplitude = c0, c1, amplitude
+        (c0, c1), raw = boundary_ring_constants(bundle)
+        bundle.c0, bundle.c1 = c0, c1
+        bundle.amplitude = resonance_amplitude(eps, c0, c1, potential.ell, ctx.lambda0)
         bundle.layers.append(_ProfileLayer(t, "Z", 1, "xiA"))
-        data0 = raw0 - c0 * t["Z"]
-        data1 = raw1 - c1 * t["Z"]
-        if max(np.max(np.abs(data0)), np.max(np.abs(data1))) > 1e-13:
-            # remove the residual discrete resonant-mode content exactly
+        data = raw - np.array((c0, c1)) * t["Z"][:, None]
+        if np.max(np.abs(data)) > 1e-13:
+            # remove the residual discrete resonant-mode content exactly, end by end
             bt = ctx.basis_t
             er = bt.E[:, bt.idx_resonant]
-            data0 = data0 - (ctx.hx * er @ data0) * er
-            data1 = data1 - (ctx.hx * er @ data1) * er
+            data0, data1 = (end - (ctx.hx * er @ end) * er for end in _end_columns(data))
             bundle.phi22 = solve_strip_layer(bt, data0, data1, potential.ell / eps)
             bundle.layers.append(_StripTerm(bundle.phi22, 1))
         if not h_from_state:
             if reduced_problem is None:
                 reduced_problem = reduced.ReducedProblem(chart, potential, ctx.lambda0, j_max=reduced.default_j_max(eps))
-            h_sol = bundle.h_solution = solve_h_bvp(reduced_problem, coeffs, ctx, amplitude, bundle.phi22, eps, ledger=ledger)
+            h_sol = bundle.h_solution = solve_h_bvp(bundle, reduced_problem, ledger=ledger)
             if h_sol is not None:
                 bundle.state = ReducedState(f=state.f, e=state.e, h=h_sol)
 
     if tier >= 4:
         bundle.layers.append(_ProfileLayer(t, "Z", 1, "e"))
-        h1x, h2x = _phi3_data(bundle)
-        if np.max(np.abs(h1x)) + np.max(np.abs(h2x)) > 1e-13:
-            bundle.phi3 = solve_strip_layer(ctx.basis_m, h1x, h2x, potential.ell / eps)
+        data = _phi3_data(bundle)
+        if np.sum(np.max(np.abs(data), axis=0)) > 1e-13:
+            bundle.phi3 = solve_strip_layer(ctx.basis_m, *_end_columns(data), potential.ell / eps)
             bundle.layers.append(_StripTerm(bundle.phi3, 2))
 
     if tier >= 5:
@@ -863,52 +851,38 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
     return bundle
 
 
+def _end_columns(data):
+    """The two columns of (nx, 2) end data, each contiguous, for the 1D products of one end."""
+    return np.ascontiguousarray(data.T)
+
+
 def _phi3_data(bundle):
-    """Neumann data of the massive strip problem at the two ends."""
-    ctx = bundle.ctx
-    co = bundle.coeffs
-    st = bundle.state
-    eps = bundle.eps
-    t = ctx.tables
+    """Neumann data (nx, 2) of the massive strip problem, one column per end."""
+    co, eps = bundle.coeffs, bundle.eps
+    t = {key: value[:, None] for key, value in bundle.ctx.tables.items()}
     x = t["x"]
-    out = []
-    for end in (0.0, 1.0):
-        k_end, b_t, _ = bundle.chart.end_constants(end)
-        bix = co.b5 if end == 0.0 else co.b6
-        beta = float(co.beta(end))
-        dbeta = float(co.beta.deriv(end, 1))
-        alpha_rat = float(co.alpha.deriv(end, 1) / co.alpha(end))
-        a11 = float(co.a11(end))
-        a12 = float(co.a12(end))
-        da12 = float(co.a12.deriv(end, 1))
-        k = float(co.k(end))
-        f0 = float(st.f(end))
-        h0 = float(st.h(end))
-        fp0 = float(st.f.deriv(end, 1))
-        hp0 = float(st.h.deriv(end, 1))
-        arc_end = 0.0 if end == 0.0 else bundle.field.ell
-        A_end = float(bundle.amplitude(arc_end))
-        Ap_end = float(bundle.amplitude.deriv(arc_end))
-        if bundle.phi22 is not None:
-            zt_end = arc_end / eps
-            q = bundle.phi22.value(zt_end)[:, 0]
-            q_x = bundle.phi22.dx(zt_end)[:, 0]
-            q_z = beta * bundle.phi22.dz(zt_end)[:, 0]
-        else:
-            q = q_x = q_z = np.zeros_like(x)
-        data = (
-            2.0 * b_t * (f0 + h0) * x * t["w_x"]
-            - k * ((dbeta / beta) * (f0 + h0) - (fp0 + hp0)) * x * t["w_x"]
-            + bix * x * (a12 * (f0 + h0) * t["w2_x"] + (A_end * t["Z_x"] + q_x) / beta)
-            + (k_end * beta * f0 + beta * fp0) * a11 * t["w1_x"]
-            - k * (f0 + h0) * alpha_rat * t["w"]
-            - alpha_rat * (a12 * (f0 + h0) * t["w2"] + (A_end * t["Z"] + q) / beta)
-            - (fp0 + hp0) * a12 * t["w2"]
-            - (f0 + h0) * da12 * t["w2"]
-            - k / beta * (f0 + h0) * (eps * Ap_end * beta * t["Z"] + q_z)
-        )
-        out.append(data)
-    return out[0], out[1]
+    rows = _Rows(bundle, _ENDS)
+    names = ("beta", "betap", "alphap", "alpha", "a11", "a12", "a12p", "k", "f", "fp", "fh", "fhp", "A", "Ap")
+    beta, dbeta, dalpha, alpha, a11, a12, da12, k, f0, fp0, fh, fhp, A_end, Ap_end = (rows[name] for name in names)
+    k_end, b_t, _ = np.array(bundle.chart.end_constants())
+    bix = np.array((co.b5, co.b6))
+    alpha_rat = dalpha / alpha
+    if bundle.phi22 is not None:
+        zt = rows["zt"]
+        q, q_x, q_z = bundle.phi22.value(zt), bundle.phi22.dx(zt), beta * bundle.phi22.dz(zt)
+    else:
+        q = q_x = q_z = 0.0
+    return (
+        2.0 * b_t * fh * x * t["w_x"]
+        - k * ((dbeta / beta) * fh - fhp) * x * t["w_x"]
+        + bix * x * (a12 * fh * t["w2_x"] + (A_end * t["Z_x"] + q_x) / beta)
+        + (k_end * beta * f0 + beta * fp0) * a11 * t["w1_x"]
+        - k * fh * alpha_rat * t["w"]
+        - alpha_rat * (a12 * fh * t["w2"] + (A_end * t["Z"] + q) / beta)
+        - fhp * a12 * t["w2"]
+        - fh * da12 * t["w2"]
+        - k / beta * fh * (eps * Ap_end * beta * t["Z"] + q_z)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -961,13 +935,15 @@ def _chart_coeff_arrays(bundle, t, th, mask):
 _RESIDUAL_BLOCK = 32
 
 
-def _interior_block(bundle, z, cols):
-    """Interior residual E at the sections z[cols], from the chain-rule partials of W(t, theta)."""
+def _chain_rule(bundle, rows):
+    """t and the chain-rule partials of W(t, theta) at the strip points of the sections of rows.
+
+    Returns t, W, U_t, U_theta, U_tt, U_ttheta and U_thetatheta, each
+    (nx, ncols), from the strip fields at those sections.
+    """
     eps = bundle.eps
     x = bundle.ctx.x[:, None]
-    rows = _Rows(bundle, z, cols)
-    th = rows.th
-    F = bundle.strip_fields(z, cols, rows=rows)
+    F = bundle.strip_fields(rows=rows)
     names = ("beta", "betap", "betapp", "alpha", "alphap", "alphapp", "fh", "fhp", "fhpp")
     beta, dbeta, d2beta, alpha, dalpha, d2alpha, fh, fhp, fhpp = (rows[name][None, :] for name in names)
 
@@ -990,6 +966,16 @@ def _interior_block(bundle, z, cols):
         + 2.0 * dalpha * (vx * x_th + vz / eps)
         + alpha * (vxx * x_th**2 + 2.0 * vxz * x_th / eps + vzz / eps**2 + vx * x_thth)
     )
+    return t, W, U_t, U_th, U_tt, U_tth, U_thth
+
+
+def _interior_block(bundle, z, cols):
+    """Interior residual E at the sections z[cols], from the chain-rule partials of W(t, theta)."""
+    eps = bundle.eps
+    rows = _Rows(bundle, eps * z, cols)
+    th = rows.th
+    t, W, U_t, U_th, U_tt, U_tth, U_thth = _chain_rule(bundle, rows)
+    alpha, beta = rows["alpha"][None, :], rows["beta"][None, :]
 
     mask = np.abs(t) < min(6.0 * bundle.delta, bundle.chart.delta0 * 0.999)
     c_tt, c_tth, c_thth, c_t, c_th = _chart_coeff_arrays(bundle, t, th, mask)
@@ -1021,11 +1007,10 @@ def interior_residual(bundle, z=None):
         cols = slice(start, start + _RESIDUAL_BLOCK)
         E[:, cols] = _interior_block(bundle, z, cols)
 
-    th = eps * z
-    ev = bundle.state.e(th)[None, :]
-    evpp = bundle.state.e.deriv(th, 2)[None, :]
+    rows = _Rows(bundle, eps * z)
+    ev, evpp, beta = (rows[name][None, :] for name in ("e", "epp", "beta"))
     Z = bundle.ctx.tables["Z"][:, None]
-    E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / bundle.coeffs.beta(th)[None, :] ** 2 * evpp * Z
+    E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / beta**2 * evpp * Z
 
     wqx = bundle.ctx.wq
     hz = z[1] - z[0] if z.size > 1 else 1.0
@@ -1113,8 +1098,6 @@ class BoundaryReport:
     x: np.ndarray
     g0: np.ndarray
     g1: np.ndarray
-    g0_split: tuple
-    g1_split: tuple
     l2_g02: float
     l2_g12: float
     proj_wx: tuple
@@ -1138,79 +1121,45 @@ class BoundaryReport:
 def boundary_residual(bundle):
     """Boundary errors g0, g1 from the quadratic normal-derivative expansion.
 
+    Both end sections are the two columns of one chain-rule evaluation (that
+    of the interior residual) at theta = 0 and 1:
+    g = -(eps/alpha) [(k_end t + b_t t^2) U_t + (-1 - k t + b_theta t^2) U_theta].
     Sign convention matches the projection bookkeeping: the leading part is
     g01 = -eps [k1 beta(0) f + beta(0) f'] w_x + eps^2 e' Z at z = 0 (same
     shape with k2, beta(1) at the far end). The exact metric normal is also
     applied and the deviation (cubic in eps s) reported.
     """
-    eps = bundle.eps
-    ctx = bundle.ctx
-    co = bundle.coeffs
-    st = bundle.state
-    x = ctx.x
-    out = {}
-    exact_dev = 0.0
-    for end, z_end in ((0, 0.0), (1, 1.0 / eps)):
-        th = float(end)
-        F = bundle.strip_fields(np.array([z_end]))
-        v = F["v"][:, 0]
-        vx = F["vx"][:, 0]
-        vz = F["vz"][:, 0]
-        beta = float(co.beta(th))
-        alpha = float(co.alpha(th))
-        dalpha = float(co.alpha.deriv(th, 1))
-        dbeta = float(co.beta.deriv(th, 1))
-        fv = float(st.f(th))
-        hv = float(st.h(th))
-        fpv = float(st.f.deriv(th, 1))
-        hpv = float(st.h.deriv(th, 1))
-        k_of = float(co.k(th))
-        k_end, b_t, b_th = bundle.chart.end_constants(end)
+    eps, ctx, chart = bundle.eps, bundle.ctx, bundle.chart
+    rows = _Rows(bundle, _ENDS)
+    t, _, U_t, U_th, *_ = _chain_rule(bundle, rows)
+    k_end, b_t, b_th = np.array(chart.end_constants())
+    alpha, beta, k = (rows[name] for name in ("alpha", "beta", "k"))
+    g = -(eps / alpha) * ((k_end * t + b_t * t**2) * U_t + (-1.0 - k * t + b_th * t**2) * U_th)
 
-        s = x / beta + fv + hv
-        t = eps * s
-        eta, eta_p, _ = bundle.window(t)
-        chk_s = eps * eta_p * alpha * v + eta * alpha * beta * vx
-        x_z = eps * (dbeta / beta * x - beta * (fpv + hpv))
-        chk_z = eta * (eps * dalpha * v + alpha * (vx * x_z + vz))
-        D = (k_end * eps * s + b_t * eps**2 * s**2) * chk_s + (-1.0 - k_of * eps * s + b_th * eps**2 * s**2) * chk_z
-        g = -D / alpha
+    # exact-normal crosscheck where the chart is defined
+    inside = np.abs(t) < chart.delta0 * 0.999
+    s1, s2 = np.zeros_like(t), np.zeros_like(t)
+    s1[inside], s2[inside] = chart.normal_sigma(t[inside], np.broadcast_to(rows.th, t.shape)[inside])
+    g_exact = (eps / alpha) * (s1 * U_t + s2 * U_th)
+    core = (np.abs(ctx.x) < 10.0)[:, None]
+    exact_dev = float(np.max(np.abs(g - g_exact)[core & inside]))
 
-        # exact-normal crosscheck where the chart is defined
-        inside = np.abs(t) < bundle.chart.delta0 * 0.999
-        s1 = np.zeros_like(x)
-        s2 = np.zeros_like(x)
-        s1[inside], s2[inside] = bundle.chart.normal_sigma(t[inside], end)
-        g_exact = (s1 * chk_s + s2 * chk_z) / alpha
-        core = np.abs(x) < 10.0
-        exact_dev = max(exact_dev, float(np.max(np.abs((g - g_exact))[core & inside])))
-
-        e_in = float(st.e.deriv(th, 1))
-        g_lead = -eps * (k_end * beta * fv + beta * fpv) * ctx.tables["w_x"] + eps**2 * e_in * ctx.tables["Z"]
-        g_rest = g - g_lead
-        out[end] = (g, g_lead, g_rest)
-
+    w_x, Z = ctx.tables["w_x"][:, None], ctx.tables["Z"][:, None]
+    g_lead = -eps * (k_end * beta * rows["f"] + beta * rows["fp"]) * w_x + eps**2 * rows["ep"] * Z
+    # the reductions over x are 1D products of each end's column
+    g0, g1 = _end_columns(g)
+    rest0, rest1 = _end_columns(g - g_lead)
     wq = ctx.wq
-    reports = {}
-    for end in (0, 1):
-        g, g_lead, g_rest = out[end]
-        reports[end] = {
-            "l2_rest": float(np.sqrt(np.sum(wq * g_rest**2))),
-            "proj_wx": float(np.sum(wq * g * ctx.tables["w_x"])),
-            "proj_Z": float(np.sum(wq * g * ctx.tables["Z"])),
-        }
     return BoundaryReport(
         eps=eps,
         tier=bundle.tier,
-        x=x,
-        g0=out[0][0],
-        g1=out[1][0],
-        g0_split=(out[0][1], out[0][2]),
-        g1_split=(out[1][1], out[1][2]),
-        l2_g02=reports[0]["l2_rest"],
-        l2_g12=reports[1]["l2_rest"],
-        proj_wx=(reports[0]["proj_wx"], reports[1]["proj_wx"]),
-        proj_Z=(reports[0]["proj_Z"], reports[1]["proj_Z"]),
+        x=ctx.x,
+        g0=g0,
+        g1=g1,
+        l2_g02=float(np.sqrt(np.sum(wq * rest0**2))),
+        l2_g12=float(np.sqrt(np.sum(wq * rest1**2))),
+        proj_wx=tuple(float(np.sum(wq * g_end * ctx.tables["w_x"])) for g_end in (g0, g1)),
+        proj_Z=tuple(float(np.sum(wq * g_end * ctx.tables["Z"])) for g_end in (g0, g1)),
         exact_dev=exact_dev,
     )
 
@@ -1249,38 +1198,29 @@ def project_residual(bundle, report=None):
         report = interior_residual(bundle)
     eps = bundle.eps
     ctx = bundle.ctx
-    co = bundle.coeffs
-    st = bundle.state
     z = report.z
-    th = eps * z
+    rows = _Rows(bundle, eps * z)
     t = ctx.tables
+    weights = _h_weights(ctx, bundle.phi22)
 
-    rho1 = float(ctx.integrate(t["w_x"] ** 2))
+    rho1 = weights["rho1"]
     rho2 = float(2.0 * ctx.integrate(t["w_xx"] * t["Z"]))
     I1 = float(ctx.integrate((t["Z_x"] + t["x"] * t["Z"] / ctx.sigma) * t["w_x"]))
     I_xwxZ = float(ctx.integrate(t["x"] * t["w_x"] * t["Z"]))
     I_w3 = float(ctx.integrate(ctx.p * (ctx.p - 1.0) * t["w"] ** (ctx.p - 2.0) * t["w1"] * t["Z"] * t["w_x"]))
 
-    beta = co.beta(th)
-    k = co.k(th)
-    vp = co.varpi(th)
-    h1 = geodesic.hbar1(co.field, th)
-    h2 = geodesic.hbar2(bundle.chart, co.field, th)
+    beta, k, vp, h1, h2, h5 = (rows[name] for name in ("beta", "k", "varpi", "hbar1", "hbar2", "hbar5"))
     h31 = -k * I1 / rho1
-    h32 = co.a11(th) * beta * I_w3 / rho1  # the p(p-1) factor is inside I_w3
+    h32 = rows["a11"] * beta * I_w3 / rho1  # the p(p-1) factor is inside I_w3
     h3 = h31 + h32
     h4 = 2.0 * k / beta**2 * I_xwxZ / rho1
-    h5 = co.hbar5(th)
 
     if bundle.amplitude is not None:
-        parts = _h_sources(co, ctx, bundle.amplitude, bundle.phi22, eps)
-        a1v, a2v, _ = parts(th)
+        a1v, a2v, _ = _h_sources(bundle, rows, weights)
     else:
-        a1v = a2v = np.zeros_like(th)
+        a1v = a2v = np.zeros_like(rows.th)
 
-    fv, fpv, fppv = st.f(th), st.f.deriv(th, 1), st.f.deriv(th, 2)
-    hv, hpv = st.h(th), st.h.deriv(th, 1)
-    ev, epv, eppv = st.e(th), st.e.deriv(th, 1), st.e.deriv(th, 2)
+    fv, fpv, fppv, hv, hpv, ev, epv, eppv = (rows[name] for name in ("f", "fp", "fpp", "h", "hp", "e", "ep", "epp"))
 
     pred_wx = -(eps**2) * rho1 / beta * (fppv + (h1 + a1v) * fpv + (h2 + a2v) * fv)
     pred_wx += eps**2 * rho1 / beta * (h3 * ev + eps**2 * h4 * eppv)
@@ -1295,7 +1235,7 @@ def project_residual(bundle, report=None):
     # even second-order group; they are below eps^3 only under the
     # admissible-set scaling of f, not for O(1) test parameters
     IwZ = float(ctx.integrate(t["w"] * t["Z"]))
-    Vtt = co.V_tt0(th)
+    Vtt = rows["V_tt0"]
     pred_Z = pred_Z_displayed + eps**2 * (
         0.5 * rho2 * fpv**2 + rho2 * vp * fv * fpv - 0.5 * Vtt / beta**2 * IwZ * fv**2
     )

@@ -108,10 +108,6 @@ class PotentialField:
     def arc_inv(self, a):
         return np.asarray(self._arc_inv(np.asarray(a, dtype=float) + self._arc0), dtype=float)
 
-    def upsilon(self, z, eps):
-        """Diffeomorphism [0, 1/eps] -> [0, ell/eps]."""
-        return self.arc(eps * np.asarray(z, dtype=float)) / eps
-
 
 def build_potential(p, V, **kw):
     return PotentialField(p, V, **kw)

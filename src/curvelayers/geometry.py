@@ -147,11 +147,9 @@ class DomainChart:
         self.b4 = 0.5 * dk - kl**2 - 0.5 * self.k2**2
 
     # -- curve-side quantities ------------------------------------------
-    def end_constants(self, end):
-        """(k_end, b_t, b_theta) of the end fiber: (k1, b1, b2) at 0, (k2, b3, b4) at 1."""
-        if end not in (0, 1):
-            raise ValueError("end must be 0 or 1")
-        return (self.k1, self.b1, self.b2) if end == 0 else (self.k2, self.b3, self.b4)
+    def end_constants(self):
+        """(k_end, b_t, b_theta) as pairs over the end fibers 0 and 1: (k1, k2), (b1, b3), (b2, b4)."""
+        return (self.k1, self.k2), (self.b1, self.b3), (self.b2, self.b4)
 
     def varpi(self, theta):
         """Theta_tt(0, theta) = (k2 - k1) theta + k1."""
@@ -275,10 +273,9 @@ class DomainChart:
         return assembled - lap_u(self.F(t, theta))
 
     # -- boundary normal ---------------------------------------------------
-    def normal_sigma(self, t, end):
-        """Exact (sigma1, sigma2) with nu = -(sigma1 F_t + sigma2 F_theta)."""
-        theta = np.full_like(np.asarray(t, dtype=float), float(end))
-        th, th_t, th_th, _, _ = self.Theta_partials(np.asarray(t, dtype=float), theta)
+    def normal_sigma(self, t, theta):
+        """Exact (sigma1, sigma2) with nu = -(sigma1 F_t + sigma2 F_theta) at (t, theta) on an end fiber."""
+        th, th_t, th_th, _, _ = self.Theta_partials(np.asarray(t, dtype=float), np.asarray(theta, dtype=float))
         a = 1.0 - np.asarray(t) * self.curve.curvature(th)
         root = np.sqrt(1.0 + (a * th_t) ** 2)
         sigma1 = -a * th_t / root
@@ -294,7 +291,9 @@ class DomainChart:
         samples tabulates its deviation from the exact normal derivative of a
         test field (remainder is cubic in t).
         """
-        k_end, bt, bth = self.end_constants(end)
+        if end not in (0, 1):
+            raise ValueError("end must be 0 or 1")
+        k_end, bt, bth = (pair[end] for pair in self.end_constants())
         if ts is None:
             ts = np.linspace(0.02, 0.25, 9) * self.delta0
         if test_field is None:
@@ -312,7 +311,7 @@ class DomainChart:
         u_th = np.sum(grad * f_th, axis=-1)
         k_at_end = float(self.k(float(end)))
         expansion = (k_end * ts + bt * ts**2) * u_t - (1.0 + k_at_end * ts - bth * ts**2) * u_th
-        s1, s2 = self.normal_sigma(ts, end)
+        s1, s2 = self.normal_sigma(ts, theta)
         exact = -(s1 * u_t + s2 * u_th)
         samples = np.column_stack([ts, expansion - exact])
         return k_end, (bt, bth), samples

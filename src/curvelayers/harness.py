@@ -200,25 +200,33 @@ def _stage_geodesic(pipe, tables_dir):
     return rep.nondegenerate, info
 
 
-def _stage_ansatz(pipe, tables_dir):
-    ledgers = pipe.ledgers
+def _bundles(pipe):
+    """(eps, bundle) at the scenario's tier for each eps the gap ledgers (if any) pass.
+
+    The reduced operator is built on first need, from tier 3 on: tiers 1-2 read none.
+    """
     scn = pipe.scn
     chart, field = pipe.ensure_geometry()
     ctx = pipe.ensure_ctx()
     state = pipe.ensure_state()
-    usable = [e for e in scn.epsilons if ledgers is None or ledgers[e].passes]
+    for eps in scn.epsilons:
+        if pipe.ledgers is None or pipe.ledgers[eps].passes:
+            problem = pipe.ensure_problem() if scn.tier >= 3 else None
+            yield eps, ansatz.assemble_ansatz(scn.tier, state, eps, ctx, chart, field, reduced_problem=problem)
+
+
+def _stage_ansatz(pipe, tables_dir):
+    scn = pipe.scn
     rows = []
     reports = {}
     ok = True
-    for eps in usable:
-        bundle = ansatz.assemble_ansatz(
-            scn.tier, state, eps, ctx, chart, field, reduced_problem=pipe.ensure_problem()
-        )
+    for eps, bundle in _bundles(pipe):
         rep = ansatz.interior_residual(bundle)
         bnd = ansatz.boundary_residual(bundle)
         rows.append([eps, rep.sup, rep.l2, rep.l2_E12, bnd.l2_g02 + bnd.l2_g12])
         reports[eps] = (bundle, rep, bnd)
         ok = ok and not rep.quadrature_flag
+    usable = list(reports)
     rows = np.asarray(rows)
     np.savetxt(
         os.path.join(tables_dir, "residual_norms.txt"),
@@ -396,17 +404,11 @@ def order_study(scn, quantity, outdir=None, tier=None):
     if len(scn.epsilons) < 3:
         raise ValueError("order study needs at least 3 epsilon values")
     pipe = _Pipeline(scn)
-    chart, field = pipe.ensure_geometry()
+    _, field = pipe.ensure_geometry()
     ctx = pipe.ensure_ctx()
-    state = pipe.ensure_state()
-    # one basis sized for the smallest eps serves every eps; tiers 1-2 read none
-    problem = pipe.ensure_problem() if tier >= 3 else None
+    pipe.ledgers = {eps: reduced.gap_check(eps, scn.gap_constant, ctx.lambda0, field.ell) for eps in scn.epsilons}
     vals = []
-    for eps in scn.epsilons:
-        led = reduced.gap_check(eps, scn.gap_constant, ctx.lambda0, field.ell)
-        if not led.passes:
-            continue
-        bundle = ansatz.assemble_ansatz(tier, state, eps, ctx, chart, field, reduced_problem=problem)
+    for eps, bundle in _bundles(pipe):
         rep = ansatz.interior_residual(bundle)
         if quantity == "interior_sup":
             vals.append((eps, rep.sup))

@@ -182,33 +182,12 @@ def state_exprs(scn):
     return f, e
 
 
+# the builtin scenarios: one JSON file each, shipped as package data
+_FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
+
+
 def builtin_scenario(name):
-    if name == "flat-channel":
-        return Scenario(name="flat-channel")
-    if name == "disk-diameter":
-        return Scenario(
-            name="disk-diameter",
-            domain={"kind": "disk_diameter", "delta0": 0.35},
-            potential="1 + y1**2 + (y2 - 0.5)**2",
-            epsilons=(0.1, 0.05),
-            stages=("profiles", "chart", "gap", "geodesic"),
-        )
-    if name == "constant-V":
-        return Scenario(
-            name="constant-V",
-            potential="1 + 0*t",
-            epsilons=(0.1, 0.05),
-            stages=("profiles", "chart", "gap", "geodesic"),
-        )
-    if name == "bent-channel":
-        return Scenario(
-            name="bent-channel",
-            domain={"kind": "bent_channel", "kappa": 0.5 * np.pi, "delta0": 0.5},
-            potential="exp(pi*t/3) * (1 + 0.3*sin(pi*theta)*theta)",
-            epsilons=(0.02,),
-            f_expr="",
-            e_expr="",
-            pde_eps=0.02,
-            stages=("profiles", "chart", "gap", "geodesic", "ansatz"),
-        )
-    raise ValueError(f"no builtin scenario named {name!r}")
+    """The scenario of the shipped fixture fixtures/<name>.json."""
+    if f"{name}.json" not in os.listdir(_FIXTURES):
+        raise ValueError(f"no builtin scenario named {name!r}")
+    return load_scenario(os.path.join(_FIXTURES, f"{name}.json"))

@@ -34,7 +34,7 @@ def test_rows_read_theta_functions(ctx3, bent_chart, bent_field, bent_problem):
         assert np.max(np.abs(fn.deriv(th, 1) - 0.5 * v1 / root)) < 1e-10
         # the second derivative keeps the 1e-4 step (FOUND in CHANGES.md: 5.9e-8 off)
         assert np.max(np.abs(fn.deriv(th, 2) - (0.5 * v2 / root - 0.25 * v1**2 / root**3))) < 1e-6
-    rows = az._Rows(b4, b4.z_grid)
+    rows = az._Rows(b4, b4.theta_grid())
     assert rows["betapp"].tobytes() == co.beta.deriv(rows.th, 2).tobytes()
 
 
@@ -133,7 +133,7 @@ def test_leading_error_structure_on_bent(ctx3, bent_chart, bent_field, bent_prob
 def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_problem):
     eps = 0.05
     b5 = az.assemble_ansatz(5, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
-    rhs_even, rhs_odd = az._phi4_rhs(b5, az._Rows(b5, b5.z_grid), slice(None))
+    rhs_even, rhs_odd = az._phi4_rhs(b5, az._Rows(b5, b5.theta_grid()), slice(None))
     wq = simpson_weights(ctx3.fine.n, ctx3.fine.hx)
     proj = (wq[:, None] * rhs_odd * ctx3.fine_tables["w_x"][:, None]).sum(axis=0)
     scale = np.max(np.abs(rhs_odd))
@@ -146,7 +146,7 @@ def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_p
 def _phi4_one_shot(bundle):
     """Reference: the phi4 tables from one full-width right side and solve."""
     ctx = bundle.ctx
-    rhs_pair = az._phi4_rhs(bundle, az._Rows(bundle, bundle.z_grid), slice(None))
+    rhs_pair = az._phi4_rhs(bundle, az._Rows(bundle, bundle.theta_grid()), slice(None))
     lin = ctx.p * np.abs(ctx.fine_tables["w"][:, None]) ** (ctx.p - 1.0)
     tables = []
     for rhs in rhs_pair:
@@ -335,10 +335,10 @@ def test_parity_of_correction_layers(ctx3, bent_chart, bent_field, bent_problem)
     z = np.array([0.25 / eps])
     # phi22 and phi3 even in x; phi4 splits into even and odd solves
     if b5.phi22 is not None:
-        q = b5.phi22.value(b5.field.upsilon(z, eps))
+        q = b5.phi22.value(b5.field.arc(eps * z) / eps)
         assert np.max(np.abs(q - q[::-1])) < 1e-9 * max(np.max(np.abs(q)), 1e-300)
     if b5.phi3 is not None:
-        m = b5.phi3.value(b5.field.upsilon(z, eps))
+        m = b5.phi3.value(b5.field.arc(eps * z) / eps)
         assert np.max(np.abs(m - m[::-1])) < 1e-9 * max(np.max(np.abs(m)), 1e-300)
     th = b5.theta_grid()[5:6]
     even = b5.phi4_even["val"](th)[:, 0]
@@ -532,3 +532,28 @@ def test_layers_are_a_prefix_by_tier(ctx3, bent_chart, bent_field, bent_problem,
     assert [len(k) for k in kinds] == [1, 3, 5, 7, 9]
     for lower, upper in zip(kinds, kinds[1:]):
         assert upper[: len(lower)] == lower
+
+
+@pytest.mark.parametrize("tier", [1, 3, 5])
+def test_chain_rule_at_the_end_sections_matches_differences_of_W(ctx3, bent_chart, bent_field, bent_problem, tier):
+    # the boundary residual reads U_t and U_theta at theta = 0 and 1 from the
+    # interior's chain rule; W_eval is the independent oracle (the stencils in
+    # theta reach past the ends, where every theta-function is still defined)
+    eps = 0.05
+    b = az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    rows = az._Rows(b, np.array([0.0, 1.0]))
+    t, _, U_t, U_th, *_ = az._chain_rule(b, rows)
+    sel = np.flatnonzero(np.abs(ctx3.x) <= 4.0 + 1e-9)[::10]
+    assert sel.size == 17
+    # scales over both ends: U_theta vanishes at theta = 0, where V'(0) = 0
+    scale_t, scale_th = np.max(np.abs(U_t[sel])), np.max(np.abs(U_th[sel]))
+    h = eps * 1e-3
+    for j, th in enumerate((0.0, 1.0)):
+        ts = t[sel, j]
+        err_t = np.max(np.abs((b.W_eval(ts + h, th) - b.W_eval(ts - h, th)) / (2.0 * h) - U_t[sel, j]))
+        err_th = np.max(np.abs((b.W_eval(ts, th + h) - b.W_eval(ts, th - h)) / (2.0 * h) - U_th[sel, j]))
+        # second-order stencils: 5e-7 of the partials' scale at this step, 2e-6 at
+        # twice it; U_theta is 20-1000 times smaller than U_t and is also held to
+        # its own scale (1.6e-5 at tier 3, where the amplitude oscillates fastest)
+        assert max(err_t, err_th) <= 2e-6 * max(scale_t, scale_th)
+        assert err_th <= 5e-5 * scale_th

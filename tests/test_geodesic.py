@@ -22,8 +22,8 @@ def test_arc_map(flat_field):
     assert abs(flat_field.ell - 1.0) < 1e-12
     assert abs(flat_field.arc(0.5) - 0.5) < 1e-12
     assert abs(flat_field.arc_inv(0.25) - 0.25) < 1e-10
-    assert abs(flat_field.upsilon(7.0, 0.1) - 7.0) < 1e-10
-    assert abs(flat_field.upsilon(1.0 / 0.1, 0.1) - flat_field.ell / 0.1) < 1e-8
+    assert abs(flat_field.arc(0.1 * 7.0) / 0.1 - 7.0) < 1e-10
+    assert abs(flat_field.arc(0.1 * (1.0 / 0.1)) / 0.1 - flat_field.ell / 0.1) < 1e-8
 
 
 def test_alpha_beta_consistency(bent_field):

@@ -148,6 +148,16 @@ def test_order_study_builds_one_reduced_problem(monkeypatch):
     assert builds == [reduced.default_j_max(0.06)]
 
 
+@pytest.mark.parametrize("name", ["constant-V", "disk-diameter"])
+def test_tier_2_ansatz_runs_on_a_degenerate_reduced_operator(tmp_path, name):
+    # tiers 1 and 2 read no reduced operator, so its numerically zero eigenvalue
+    # on these two fixtures must not stop their ansatz stage
+    res = harness.run_scenario(name, str(tmp_path), tier=2, stages=("profiles", "ansatz"))
+    info = res.summary["stages"]["ansatz"]
+    assert "error" not in info and info["passed"] is True
+    assert res.exit_code == 0
+
+
 def test_gap_sweep_table(tmp_path):
     rows = harness.gap_sweep(3.0, 0.2, 0.3, n=11, outdir=str(tmp_path))
     assert rows.shape == (11, 3)
@@ -256,8 +266,17 @@ def test_timings_sidecar_lists_every_enabled_stage(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", ["flat-channel", "bent-channel", "disk-diameter", "constant-V"])
 def test_shipped_fixture_matches_the_builtin(name):
+    # the builtin scenario is its shipped fixture file, loaded under its name
     path = os.path.join(os.path.dirname(scenarios.__file__), "fixtures", f"{name}.json")
-    assert scenarios.load_scenario(path) == scenarios.builtin_scenario(name)
+    scn = scenarios.builtin_scenario(name)
+    assert scn.name == name
+    assert scn == scenarios.load_scenario(path)
+
+
+@pytest.mark.parametrize("name", ["no-such-fixture", "../fixtures/flat-channel", "flat-channel.json", ""])
+def test_unknown_builtin_name_is_refused(name):
+    with pytest.raises(ValueError, match="no builtin scenario named"):
+        scenarios.builtin_scenario(name)
 
 
 def test_tier_override_leaves_the_callers_scenario_alone(tmp_path):
