@@ -303,21 +303,23 @@ class ReducedProblem:
         self.chart = chart
         self.field = potential
         self.lambda0 = float(lambda0)
-        self.ell = potential.ell
+        ell = self.ell = potential.ell
         self.j_max = int(j_max)
 
-        # arclength substitution: vartheta = a(theta)/ell
-        self.theta_of = lambda v: potential.arc_inv(self.ell * np.asarray(v, dtype=float))
-        self.of_theta = lambda th: potential.arc(np.asarray(th, dtype=float)) / self.ell
+        # arclength substitution: vartheta = a(theta)/ell. The closures hold
+        # no reference to self, so a dropped problem (and its basis) is freed
+        # at once, not at the next cyclic garbage collection.
+        theta_of = self.theta_of = lambda v: potential.arc_inv(ell * np.asarray(v, dtype=float))
+        self.of_theta = lambda th: potential.arc(np.asarray(th, dtype=float)) / ell
 
         def q1(v):
-            th = self.theta_of(v)
+            th = theta_of(v)
             beta = potential.beta(th)
-            return self.ell * potential.beta.deriv(th, 1) / beta**2 + self.ell * geodesic.hbar1(potential, th) / beta
+            return ell * potential.beta.deriv(th, 1) / beta**2 + ell * geodesic.hbar1(potential, th) / beta
 
         def q2(v):
-            th = self.theta_of(v)
-            return self.ell**2 * geodesic.hbar2(chart, potential, th) / potential.beta(th) ** 2
+            th = theta_of(v)
+            return ell**2 * geodesic.hbar2(chart, potential, th) / potential.beta(th) ** 2
 
         self.kappa1 = chart.k1 * self.ell / potential.beta(0.0)
         self.kappa2 = chart.k2 * self.ell / potential.beta(1.0)

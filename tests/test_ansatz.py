@@ -534,26 +534,35 @@ def test_layers_are_a_prefix_by_tier(ctx3, bent_chart, bent_field, bent_problem,
         assert upper[: len(lower)] == lower
 
 
+@pytest.mark.parametrize("case", ["bent", "graded"])
 @pytest.mark.parametrize("tier", [1, 3, 5])
-def test_chain_rule_at_the_end_sections_matches_differences_of_W(ctx3, bent_chart, bent_field, bent_problem, tier):
+def test_chain_rule_at_the_end_sections_matches_differences_of_W(ctx3, bent_chart, bent_field, bent_problem, flat_chart, case, tier):
     # the boundary residual reads U_t and U_theta at theta = 0 and 1 from the
     # interior's chain rule; W_eval is the independent oracle (the stencils in
-    # theta reach past the ends, where every theta-function is still defined)
+    # theta reach past the ends, where every theta-function is still defined).
+    # bent-channel has beta(0) = beta(1) = 1; on "graded", a straight channel
+    # whose potential grows along the curve, beta(1) = 1.5^(1/2)
     eps = 0.05
-    b = az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    if case == "bent":
+        chart, field, kw = bent_chart, bent_field, {"reduced_problem": bent_problem}
+    else:
+        V = lambda t, th: (1.0 + np.asarray(t, dtype=float) ** 2) * (1.0 + 0.5 * np.asarray(th, dtype=float))
+        chart, field, kw = flat_chart, gd.build_potential(3.0, V), {"h_from_state": True}
+    b = az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, chart, field, **kw)
     rows = az._Rows(b, np.array([0.0, 1.0]))
     t, _, U_t, U_th, *_ = az._chain_rule(b, rows)
     sel = np.flatnonzero(np.abs(ctx3.x) <= 4.0 + 1e-9)[::10]
     assert sel.size == 17
-    # scales over both ends: U_theta vanishes at theta = 0, where V'(0) = 0
+    # scales over both ends: on bent-channel U_theta vanishes at theta = 0, where V'(0) = 0
     scale_t, scale_th = np.max(np.abs(U_t[sel])), np.max(np.abs(U_th[sel]))
     h = eps * 1e-3
     for j, th in enumerate((0.0, 1.0)):
         ts = t[sel, j]
         err_t = np.max(np.abs((b.W_eval(ts + h, th) - b.W_eval(ts - h, th)) / (2.0 * h) - U_t[sel, j]))
         err_th = np.max(np.abs((b.W_eval(ts, th + h) - b.W_eval(ts, th - h)) / (2.0 * h) - U_th[sel, j]))
-        # second-order stencils: 5e-7 of the partials' scale at this step, 2e-6 at
-        # twice it; U_theta is 20-1000 times smaller than U_t and is also held to
-        # its own scale (1.6e-5 at tier 3, where the amplitude oscillates fastest)
+        # second-order stencils: up to 7.7e-7 of the partials' scale at this
+        # step, 2.1e-6 on bent-channel at twice it; U_theta is 20-10000 times
+        # smaller than U_t and is also held to its own scale (up to 6.9e-5, at
+        # tier 3 where the boundary layer cancels most of it)
         assert max(err_t, err_th) <= 2e-6 * max(scale_t, scale_th)
-        assert err_th <= 5e-5 * scale_th
+        assert err_th <= 2e-4 * scale_th

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -72,6 +75,18 @@ def test_bent_channel_basis_at_j_max_400(monkeypatch):
     }
     for j, lam in ref.items():
         assert abs(b.lam[j] - lam) <= 1e-9 * abs(lam), j
+
+
+def test_dropped_problem_is_freed_without_the_cycle_collector(bent_chart, bent_field):
+    # a problem holds dense matrices of a few MiB each; a reference cycle kept
+    # every dropped one alive until a full collection, which raised the peak
+    # memory of repeated builds
+    gc.disable()
+    try:
+        ref = weakref.ref(rd.ReducedProblem(bent_chart, bent_field, 3.0, j_max=40))
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_singular_robin_block_is_refused():
