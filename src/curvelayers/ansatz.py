@@ -167,6 +167,7 @@ class StripContext:
     wq: np.ndarray
     tables: dict
     fine_tables: dict
+    phi4_profiles: dict  # the x-profiles of the phi4 right sides (_phi4_profiles)
     basis_t: object
     basis_m: object
 
@@ -203,7 +204,7 @@ def build_strip_context(p):
             "x": ps.x[idx],
         }
 
-    every = np.arange(_N_FINE)
+    fine_tables = pack(ps, np.arange(_N_FINE))
     return StripContext(
         p=ps.p,
         sigma=ps.sigma,
@@ -214,7 +215,8 @@ def build_strip_context(p):
         hx=float(x[1] - x[0]),
         wq=simpson_weights(x.size, float(x[1] - x[0])),
         tables=pack(ps, sub),
-        fine_tables=pack(ps, every),
+        fine_tables=fine_tables,
+        phi4_profiles=_phi4_profiles(fine_tables, ps.p),
         basis_t=build_strip_basis(p, x, "translated"),
         basis_m=build_strip_basis(p, x, "massive", _K_TILDE),
     )
@@ -545,108 +547,93 @@ def default_z_grid(eps, spacing=0.25):
 # 4001 x 16 doubles is about 0.5 MiB, so no right-side temporary spans the
 # whole theta grid (8 columns measured slower, 32-64 about equal)
 _PHI4_BLOCK = 16
-_PHI4_ROWS = ("k", "varpi", "beta", "betap", "betapp", "alpha", "alphap", "alphapp", "xi", "xip", "a11", "a12")
+
+
+def _phi4_profiles(t, p):
+    """The x-profiles (nx, 1) of the phi4 right sides on the tables t: "even" and
+    "odd" ones, in the order of their coefficients in _phi4_rhs, and wp2 = sgn(w) |w|^(p-2)."""
+    x, w, w_x, w_xx, w1, w2, Z, Z_x = (t[key] for key in ("x", "w", "w_x", "w_xx", "w1", "w2", "Z", "Z_x"))
+    wp2 = np.sign(w) * np.abs(w) ** (p - 2.0)
+    even = (x * w_x, x**2 * w_xx, w_xx, w, x**2 * w, t["w1_x"], x * w1, w2, Z, x * Z_x)
+    even += (wp2 * w1**2, wp2 * w2**2, wp2 * Z**2, wp2 * w2 * Z)
+    odd = (w_x, x * w_xx, x * w, t["w2_x"], x * w2, w1, Z_x, x * Z, wp2 * w1 * w2, wp2 * w1 * Z)
+    return {"even": np.array(even)[:, :, None], "odd": np.array(odd)[:, :, None], "wp2": wp2[:, None]}
+
+
+def _accumulate(terms):
+    """The sum of g c over the pairs (g, c) in order: g a profile (nx, 1) or a
+    field (nx, ncols), c a row (ncols,) of theta coefficients. Each column is
+    formed from its own entries alone, so a block of columns gets them bit for
+    bit as the full width does (a matrix product would not: BLAS picks its
+    kernel by the width)."""
+    (g, c), *rest = terms
+    out = g * c
+    tmp = np.empty_like(out)
+    for g, c in rest:
+        out += np.multiply(g, c, out=tmp)
+    return out
+
+
+_PHI4_ROWS = "k varpi beta betap betapp alpha alphap alphapp xi xip a11 a12 V_tt0 f h hp hpp e A Ap".split()
 
 
 def _phi4_rhs(bundle, src, cols):
     """Right sides of the two per-section problems at theta columns cols.
 
     src holds the rows on the theta grid (see _phi4_tables) and cols is a
-    slice of it. Returns (rhs_even, rhs_odd_scaled) on the fine x grid; the
-    odd problem is already multiplied by eps^2 so both solve directly for
-    their layer.
+    slice of it. Each side is the ordered sum of the profiles of
+    StripContext.phi4_profiles times their theta coefficients, then of the
+    terms that carry the phi22 and phi3 fields. Returns (rhs_even,
+    rhs_odd_scaled) on the fine x grid; the odd problem is already multiplied
+    by eps^2 so both solve directly for their layer.
     """
-    ctx = bundle.ctx
-    eps = bundle.eps
-    t = ctx.fine_tables
-    x = t["x"][:, None]
-    k, vp, beta, dbeta, d2beta, alpha, dalpha, d2alpha, xi, dxi, a11, a12 = (src[name][None, cols] for name in _PHI4_ROWS)
-    Vtt, f, h, hp, hpp, e, A, Ap = (src[name][None, cols] for name in ("V_tt0", "f", "h", "hp", "hpp", "e", "A", "Ap"))
-    sg = ctx.sigma
-    wv, wxv, wxxv, w1v, w2v, w1xv, w2xv, Zv, Zxv = (t[key][:, None] for key in ("w", "w_x", "w_xx", "w1", "w2", "w1_x", "w2_x", "Z", "Z_x"))
-
-    s6 = (1.0 / beta**2) * (
-        (-(k**2) + d2beta / beta + 2.0 * dalpha * dbeta / (alpha * beta)) * x * wxv
-        + (dbeta**2 / beta**2) * x**2 * wxxv
-        + beta**2 * hp**2 * wxxv
-        + (d2alpha / alpha) * wv
-        - Vtt / (2.0 * beta**2) * x**2 * wv
-        - 0.5 * Vtt * (2.0 * f * h + h**2) * wv
+    ctx, eps = bundle.ctx, bundle.eps
+    sg, pp, e2 = ctx.sigma, ctx.p * (ctx.p - 1.0), eps**2
+    k, vp, beta, dbeta, d2beta, alpha, dalpha, d2alpha, xi, dxi, a11, a12, Vtt, f, h, hp, hpp, e, A, Ap = (
+        src[name][cols] for name in _PHI4_ROWS
     )
-    s8 = -(2.0 * vp / (alpha * beta**2)) * (
-        dalpha * x * wxv
-        + 1.5 * alpha * dbeta / beta * x * wxv
-        + alpha * dbeta / beta * x**2 * wxxv
-        - alpha * beta**2 * (f * hp + h * hp) * wxxv
-        + 0.5 * dalpha * wv
+    ra, rb, b2, half = dalpha / alpha, dbeta / beta, e2 / beta**2, 0.5 * pp * e2
+    fh, xiA, eA, drift, h2f = f + h, xi * A, e + xi * A, hp + vp * h, h * (2.0 * f + h)
+    # d_z of the amplitude block A Z + phi22 is eps A' beta Z + beta phi22_zt;
+    # c_dz multiplies it, and c_dzx x times d_z of its x-slope
+    c_dz = b2 * (2.0 * dxi + xi * (rb + 2.0 * ra - vp))
+    c_dzx = 2.0 * b2 * xi * (rb - vp)
+    even = (
+        b2 * (d2beta / beta - k**2 + 2.0 * ra * rb - 2.0 * vp * (ra + 1.5 * rb)),  # x w_x
+        b2 * rb * (rb - 2.0 * vp),  # x^2 w_xx
+        e2 * hp * (hp + 2.0 * vp * fh),  # w_xx
+        b2 * (d2alpha / alpha - 0.5 * Vtt * h2f - vp * ra),  # w
+        -0.5 * b2 * Vtt / beta**2,  # x^2 w
+        *(b2 * k**2, b2 * k**2 / sg, e2 * k**2 * h2f / sg**2),  # w1_x, x w1, w2
+        eps * Ap * beta * c_dz - e2 * k * fh * eA / sg,  # Z
+        eps * Ap * beta * c_dzx,  # x Z_x
+        *(half * a11**2, half * a12**2 * h2f, half * eA**2, 2.0 * half * a12 * fh * eA),  # wp2 (w1^2, w2^2, Z^2, w2 Z)
     )
-    s7 = -(
-        (k**2 / beta) * h * wxv
-        + (hpp / beta) * wxv
-        + (2.0 * dbeta / beta**2) * hp * wxv
-        + (2.0 * dalpha / (alpha * beta)) * hp * wxv
-        + (2.0 * dbeta / beta**2) * hp * x * wxxv
-        + (Vtt / beta**3) * h * x * wv
-    )
-    s9 = -(2.0 * vp / (alpha * beta**2)) * (
-        -alpha * beta * hp * x * wxxv
-        + dalpha * beta * h * wxv
-        + alpha * dbeta * h * wxv
-        + alpha * dbeta * h * x * wxxv
-        - 0.5 * alpha * beta * hp * wxv
-    )
-
+    odd = e2 * np.array((
+        -(k**2 * h + hpp + 2.0 * (ra + rb) * drift - vp * hp) / beta,  # w_x
+        2.0 * (vp * hp - rb * drift) / beta,  # x w_xx
+        -Vtt * h / beta**3,  # x w
+        *(k**2 * h / (beta * sg), k**2 * h / (beta * sg**2), k**2 * h / (beta * sg)),  # w2_x, x w2, w1
+        -(k / beta * xiA + 2.0 * eps * xi * Ap * drift),  # Z_x
+        -k * xiA / (sg * beta),  # x Z
+        *(pp * a11 * a12 * h, pp * a11 * xiA),  # wp2 (w1 w2, w1 Z)
+    ))
+    profiles, t = ctx.phi4_profiles, ctx.fine_tables
+    terms_even, terms_odd = list(zip(profiles["even"], even)), list(zip(profiles["odd"], odd))
     if bundle.phi22 is not None:
-        q, q_x, q_zt, q_xzt = (_to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"], cols)) for fn in ("value", "dx", "dz", "dxz"))
-    else:
-        q = q_x = q_zt = q_xzt = 0.0
-    blockA = A * Zv + q
-    blockA_x = A * Zxv + q_x
-    dz_blockA = eps * Ap * beta * Zv + beta * q_zt
-    dz_blockA_x = eps * Ap * beta * Zxv + beta * q_xzt
-    m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
-
+        synth = np.stack([getattr(bundle.phi22, fn)(src["zt"], cols) for fn in ("value", "dx", "dz", "dxz")], axis=1)
+        q, q_x, q_zt, q_xzt = _to_fine(ctx, synth).transpose(1, 0, 2)
+        x, w1, w2, Z = (t[key][:, None] for key in ("x", "w1", "w2", "Z"))
+        wq = profiles["wp2"] * q
+        fields = (q_zt, x * q_xzt, q, wq * q, wq * Z, wq * w2)
+        coefs = (beta * c_dz, beta * c_dzx, -e2 * k * fh * xi / sg, half * xi**2, 2.0 * half * xi * eA, 2.0 * half * a12 * fh * xi)
+        terms_even += zip(fields, coefs)
+        coefs = e2 * np.array((-k / beta * xi, -2.0 * xi * drift, -k * xi / (sg * beta), pp * a11 * xi))
+        terms_odd += zip((q_x, q_xzt, x * q, wq * w1), coefs)
     if bundle.phi3 is not None:
-        m21 = eps**2 * (ctx.basis_m.k_tilde - 1.0) * xi * _to_fine(ctx, bundle.phi3.value(src["zt"], cols))
-    else:
-        m21 = 0.0
-
-    m51 = -(eps**2) * (k / sg) * (f + h) * e * Zv
-
-    pp = ctx.p * (ctx.p - 1.0)
-    wp2 = np.sign(wv) * np.abs(wv) ** (ctx.p - 2.0)
-
-    rhs_even = (
-        eps**2 * s6
-        + eps**2 * s8
-        + m11
-        + m21
-        + m51
-        + (eps**2 * k**2 / (beta * sg)) * ((sg / beta) * w1xv + (1.0 / beta) * x * w1v + (beta / sg) * h**2 * w2v + (2.0 * beta / sg) * f * h * w2v)
-        + (2.0 * eps**2 / beta**2) * xi * (dbeta / beta - vp) * x * dz_blockA_x
-        - eps**2 / sg * k * (f + h) * xi * blockA
-        + (eps**2 / beta**2) * xi * (2.0 * dalpha / alpha - vp) * dz_blockA
-        + eps**2 * 0.5 * pp * wp2 * (
-            a11**2 * w1v**2
-            + a12**2 * (2.0 * f * h + h**2) * w2v**2
-            + e**2 * Zv**2
-            + xi**2 * blockA**2
-            + 2.0 * a12 * (f + h) * w2v * xi * blockA
-            + 2.0 * a12 * (f + h) * w2v * e * Zv
-            + 2.0 * xi * blockA * e * Zv
-        )
-    )
-    rhs_odd = eps**2 * (
-        s7
-        + s9
-        + (k**2 / (beta * sg)) * (h * w2xv + h * x * w2v / sg + h * w1v)
-        - (k / beta) * xi * blockA_x
-        - (2.0 / beta) * hp * xi * dz_blockA_x
-        - (2.0 * vp / beta) * h * xi * dz_blockA_x
-        - (k / (sg * beta)) * x * xi * blockA
-        + pp * wp2 * (a11 * a12 * h * w1v * w2v + a11 * w1v * xi * blockA)
-    )
-    return rhs_even, rhs_odd
+        phi3 = _to_fine(ctx, bundle.phi3.value(src["zt"], cols))
+        terms_even.append((phi3, e2 * (ctx.basis_m.k_tilde - 1.0) * xi))
+    return _accumulate(terms_even), _accumulate(terms_odd)
 
 
 def _to_fine(ctx, arr):

@@ -53,6 +53,11 @@ def _on_curve(f):
     return ScalarFn(f, d2=lambda th: fd_derivative(f, th, order=2, h=_FD_STEPS[1]))
 
 
+def _on_curve_values(V, theta):
+    theta = np.asarray(theta, dtype=float)
+    return np.asarray(V(np.zeros_like(theta), theta), dtype=float)
+
+
 class PotentialField:
     """Potential in chart coordinates with on-curve derived weights."""
 
@@ -73,9 +78,11 @@ class PotentialField:
         self.ell = float(self._arc(1.0) - self._arc(0.0))
         self._arc0 = float(self._arc(0.0))
 
-        # on-curve weights alpha = V^(1/(p-1)) and beta = V^(1/2)
-        self.alpha = _on_curve(lambda th: self.V0(th) ** (1.0 / (self.p - 1.0)))
-        self.beta = _on_curve(lambda th: np.sqrt(self.V0(th)))
+        # on-curve weights alpha = V^(1/(p-1)) and beta = V^(1/2); the closures
+        # hold the raw V, not self, so a dropped field is freed at once
+        power = 1.0 / (self.p - 1.0)
+        self.alpha = _on_curve(lambda th: _on_curve_values(V, th) ** power)
+        self.beta = _on_curve(lambda th: np.sqrt(_on_curve_values(V, th)))
 
     # -- raw potential -----------------------------------------------------
     def V(self, t, theta):
@@ -97,8 +104,7 @@ class PotentialField:
         return fd_derivative(lambda s: self.V(t, s), np.asarray(theta, dtype=float), order=1, h=_FD_STEPS[1])
 
     def V0(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        return self.V(np.zeros_like(theta), theta)
+        return _on_curve_values(self._V, theta)
 
     # -- arc map -------------------------------------------------------------
     def arc(self, theta):

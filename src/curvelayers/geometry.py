@@ -96,6 +96,10 @@ class CurveSpec:
         # gamma'' = k n with the positively oriented normal
         return np.sum(self.gamma.deriv(s, 2) * self.normal(s), axis=-1)
 
+    def curvature_slope(self, s):
+        # k' = gamma''' . n + gamma'' . n', and gamma'' . n' = -k gamma'' . gamma' = 0
+        return np.sum(self.gamma.deriv(s, 3) * self.normal(s), axis=-1)
+
     def validate(self, tol=1e-8):
         s = np.linspace(-self.sigma0 / 2, 1 + self.sigma0 / 2, 41)
         tang = self.tangent(s)
@@ -133,7 +137,7 @@ class DomainChart:
     jacobian_min: float = field(init=False, default=np.nan)
 
     def __post_init__(self):
-        self.k = ScalarFn(self.curve.curvature)
+        self.k = ScalarFn(self.curve.curvature, d1=self.curve.curvature_slope)
         self.k1 = float(self.curve.phi1.deriv(0.0, 2))
         self.k2 = float(self.curve.phi2.deriv(0.0, 2))
         p1_3 = float(self.curve.phi1.deriv(0.0, 3))

@@ -166,9 +166,14 @@ class SpectralBasis:
 
     def eigenvalues_near_zero(self):
         """The four eigenvalues nearest 0, ascending: shift-invert ARPACK on an
-        LU of the eliminated matrix, from a fixed start vector."""
+        LU of the eliminated matrix, from a fixed start vector. An exactly
+        singular matrix (a zero pivot) raises DegenerateOperatorError."""
         M = self._eliminated()
-        vals = spla.eigs(M, k=4, sigma=0.0, v0=np.ones(M.shape[0]), return_eigenvectors=False)
+        *lu, info = sla.lapack.dgetrf(M)
+        if info > 0:
+            raise DegenerateOperatorError(f"reduced location operator is exactly singular (zero pivot {info})")
+        inv = spla.LinearOperator(M.shape, matvec=lambda v: sla.lu_solve(lu, v), dtype=M.dtype)
+        vals = spla.eigs(M, k=4, sigma=0.0, v0=np.ones(M.shape[0]), OPinv=inv, return_eigenvectors=False)
         return np.sort(vals.real)
 
     @cached_property

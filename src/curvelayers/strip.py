@@ -126,28 +126,26 @@ class StripLayer:
 
         Every active mode has mu < 0: solve_strip_layer drops or refuses the
         resonant and zero modes of the translated basis, and the massive basis
-        is negative definite. With nu = sqrt(-mu) each mode is a combination of
-        cosh(nu z) and cosh(nu (L - z)), written as exp(-nu (L - s)) +-
-        exp(-nu (L + s)) over 1 - exp(-2 nu L) so that nothing overflows.
+        is negative definite. With nu = sqrt(-mu) and q = exp(-nu L) each mode
+        is c = [d1 cosh(nu z) - d0 cosh(nu (L - z))] / (nu sinh(nu L)), that is
+        c = P exp(-nu (L - z)) + Q exp(-nu z) and c' = nu (P exp(-nu (L - z)) -
+        Q exp(-nu z)) with P, Q = (d1 - d0 q, d1 q - d0) / (nu (1 - q^2)): two
+        exponentials per entry, neither argument positive on [0, L].
         """
         z, entry = self._entry(z)
         if "c" in entry:
             return entry["c"], entry["cp"]
-        mu = self.basis.mu[self.active]
-        d0 = self.d0[self.active][:, None]
-        d1 = self.d1[self.active][:, None]
-        nu = np.sqrt(np.abs(mu))[:, None]
-        L = self.L
-        zz = z[None, :]
-        zr = L - zz
-        den = -np.expm1(-2.0 * nu * L)
-        a, b = np.exp(-nu * (L - zz)), np.exp(-nu * (L + zz))
-        ar, br = np.exp(-nu * (L - zr)), np.exp(-nu * (L + zr))
-        c = (d1 * ((a + b) / den) - d0 * ((ar + br) / den)) / nu
-        cp = d1 * ((a - b) / den) + d0 * ((ar - br) / den)
+        d0, d1 = (d[self.active][:, None] for d in (self.d0, self.d1))
+        nu = np.sqrt(np.abs(self.basis.mu[self.active]))[:, None]
+        q = np.exp(-nu * self.L)
+        scale = 1.0 / (-np.expm1(-2.0 * nu * self.L) * nu)
         # far from the data-carrying end the modes underflow; subnormal
-        # entries make the synthesis products several times slower
+        # entries make exp and the synthesis products many times slower
         tiny = np.finfo(float).tiny
+        arg = -nu * np.stack((self.L - z, z))[:, None, :]
+        far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= np.log(tiny))
+        far, near = (d1 - d0 * q) * scale * far, (d1 * q - d0) * scale * near
+        c, cp = far + near, nu * (far - near)
         c[np.abs(c) < tiny] = 0.0
         cp[np.abs(cp) < tiny] = 0.0
         c.flags.writeable = cp.flags.writeable = False

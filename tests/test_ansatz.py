@@ -7,6 +7,7 @@ from scipy.interpolate import CubicSpline
 
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
+from curvelayers import geometry
 from curvelayers import reduced as rd
 from curvelayers.strip import StripLayer
 from curvelayers.util import fd_first_axis, simpson_weights
@@ -169,6 +170,125 @@ def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps):
     # the straight channel has no odd sources
     assert np.max(np.abs(one_shot[0]["val"])) > 0.0
     assert (np.max(np.abs(one_shot[1]["val"])) > 0.0) == (case == "bent")
+
+
+def _phi4_rhs_by_terms(bundle, src, cols):
+    """Reference: the phi4 right sides written term by term, as the layer equations read."""
+    ctx, eps = bundle.ctx, bundle.eps
+    t = ctx.fine_tables
+    x = t["x"][:, None]
+    names = ("k", "varpi", "beta", "betap", "betapp", "alpha", "alphap", "alphapp", "xi", "xip", "a11", "a12")
+    k, vp, beta, dbeta, d2beta, alpha, dalpha, d2alpha, xi, dxi, a11, a12 = (src[name][None, cols] for name in names)
+    Vtt, f, h, hp, hpp, e, A, Ap = (src[name][None, cols] for name in ("V_tt0", "f", "h", "hp", "hpp", "e", "A", "Ap"))
+    sg = ctx.sigma
+    wv, wxv, wxxv, w1v, w2v, w1xv, w2xv, Zv, Zxv = (t[key][:, None] for key in ("w", "w_x", "w_xx", "w1", "w2", "w1_x", "w2_x", "Z", "Z_x"))
+
+    s6 = (1.0 / beta**2) * (
+        (-(k**2) + d2beta / beta + 2.0 * dalpha * dbeta / (alpha * beta)) * x * wxv
+        + (dbeta**2 / beta**2) * x**2 * wxxv
+        + beta**2 * hp**2 * wxxv
+        + (d2alpha / alpha) * wv
+        - Vtt / (2.0 * beta**2) * x**2 * wv
+        - 0.5 * Vtt * (2.0 * f * h + h**2) * wv
+    )
+    s8 = -(2.0 * vp / (alpha * beta**2)) * (
+        dalpha * x * wxv
+        + 1.5 * alpha * dbeta / beta * x * wxv
+        + alpha * dbeta / beta * x**2 * wxxv
+        - alpha * beta**2 * (f * hp + h * hp) * wxxv
+        + 0.5 * dalpha * wv
+    )
+    s7 = -(
+        (k**2 / beta) * h * wxv
+        + (hpp / beta) * wxv
+        + (2.0 * dbeta / beta**2) * hp * wxv
+        + (2.0 * dalpha / (alpha * beta)) * hp * wxv
+        + (2.0 * dbeta / beta**2) * hp * x * wxxv
+        + (Vtt / beta**3) * h * x * wv
+    )
+    s9 = -(2.0 * vp / (alpha * beta**2)) * (
+        -alpha * beta * hp * x * wxxv
+        + dalpha * beta * h * wxv
+        + alpha * dbeta * h * wxv
+        + alpha * dbeta * h * x * wxxv
+        - 0.5 * alpha * beta * hp * wxv
+    )
+
+    if bundle.phi22 is not None:
+        q, q_x, q_zt, q_xzt = (az._to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"], cols)) for fn in ("value", "dx", "dz", "dxz"))
+    else:
+        q = q_x = q_zt = q_xzt = 0.0
+    blockA = A * Zv + q
+    blockA_x = A * Zxv + q_x
+    dz_blockA = eps * Ap * beta * Zv + beta * q_zt
+    dz_blockA_x = eps * Ap * beta * Zxv + beta * q_xzt
+    m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
+    if bundle.phi3 is not None:
+        m21 = eps**2 * (ctx.basis_m.k_tilde - 1.0) * xi * az._to_fine(ctx, bundle.phi3.value(src["zt"], cols))
+    else:
+        m21 = 0.0
+    m51 = -(eps**2) * (k / sg) * (f + h) * e * Zv
+    pp = ctx.p * (ctx.p - 1.0)
+    wp2 = np.sign(wv) * np.abs(wv) ** (ctx.p - 2.0)
+
+    rhs_even = (
+        eps**2 * s6
+        + eps**2 * s8
+        + m11
+        + m21
+        + m51
+        + (eps**2 * k**2 / (beta * sg)) * ((sg / beta) * w1xv + (1.0 / beta) * x * w1v + (beta / sg) * h**2 * w2v + (2.0 * beta / sg) * f * h * w2v)
+        + (2.0 * eps**2 / beta**2) * xi * (dbeta / beta - vp) * x * dz_blockA_x
+        - eps**2 / sg * k * (f + h) * xi * blockA
+        + (eps**2 / beta**2) * xi * (2.0 * dalpha / alpha - vp) * dz_blockA
+        + eps**2 * 0.5 * pp * wp2 * (
+            a11**2 * w1v**2
+            + a12**2 * (2.0 * f * h + h**2) * w2v**2
+            + e**2 * Zv**2
+            + xi**2 * blockA**2
+            + 2.0 * a12 * (f + h) * w2v * xi * blockA
+            + 2.0 * a12 * (f + h) * w2v * e * Zv
+            + 2.0 * xi * blockA * e * Zv
+        )
+    )
+    rhs_odd = eps**2 * (
+        s7
+        + s9
+        + (k**2 / (beta * sg)) * (h * w2xv + h * x * w2v / sg + h * w1v)
+        - (k / beta) * xi * blockA_x
+        - (2.0 / beta) * hp * xi * dz_blockA_x
+        - (2.0 * vp / beta) * h * xi * dz_blockA_x
+        - (k / (sg * beta)) * x * xi * blockA
+        + pp * wp2 * (a11 * a12 * h * w1v * w2v + a11 * w1v * xi * blockA)
+    )
+    return rhs_even, rhs_odd
+
+
+@pytest.mark.parametrize("case, eps", [("bent", 0.05), ("flat", 0.2), ("generic", 0.05)])
+def test_phi4_rhs_by_profiles_matches_the_term_by_term_formula(request, ctx3, sincos_state, case, eps):
+    # bent and flat: nonzero (f, e) and the solved ring correction h. The
+    # channel walls make varpi = 0 there, so "generic" (a generic chart,
+    # varpi != 0, with a potential graded along the curve) takes h from the
+    # state. On bent and generic the bundle also carries phi22 and phi3.
+    if case == "generic":
+        chart = geometry.build_chart(geometry.generic_chart_curve(), delta0=0.3)
+        V = lambda t, th: (1.0 + np.asarray(t, dtype=float) ** 2) * (1.0 + 0.5 * np.asarray(th, dtype=float))
+        h = geometry.ScalarFn(lambda th: 0.1 * th**2, d1=lambda th: 0.2 * th, d2=lambda th: 0.2 + 0.0 * th)
+        state = az.ReducedState(f=sincos_state.f, e=sincos_state.e, h=h)
+        b5 = az.assemble_ansatz(5, state, eps, ctx3, chart, gd.build_potential(3.0, V), h_from_state=True)
+        assert np.all(b5.coeffs.varpi(np.array([0.0, 1.0])) != 0.0)
+    else:
+        chart, field, problem = (request.getfixturevalue(f"{case}_{name}") for name in ("chart", "field", "problem"))
+        b5 = az.assemble_ansatz(5, sincos_state, eps, ctx3, chart, field, reduced_problem=problem)
+    if case != "flat":
+        assert b5.phi22 is not None and b5.phi3 is not None and np.any(b5.state.h(np.array([0.5])))
+    src = az._Rows(b5, b5.theta_grid())
+    for parity, rhs, ref in zip(("even", "odd"), az._phi4_rhs(b5, src, slice(None)), _phi4_rhs_by_terms(b5, src, slice(None))):
+        # relative to each column's size; the straight channel has no odd
+        # sources, and there both sides must be exact zeros
+        scale = np.max(np.abs(ref), axis=0)
+        assert np.all(scale > 0.0) == (case != "flat" or parity == "even")
+        assert np.all(np.abs(rhs - ref) <= 1e-13 * scale), np.max(np.abs(rhs - ref) / np.maximum(scale, 1e-300))
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -32,6 +35,20 @@ def test_alpha_beta_consistency(bent_field):
     assert np.max(np.abs(bent_field.beta(th) ** 2 - V0)) < 1e-10
     assert np.max(np.abs(bent_field.alpha(th) ** (bent_field.p - 1.0) - V0)) < 1e-10
     assert np.all(V0 > 0)
+
+
+def test_dropped_potential_is_freed_without_the_cycle_collector():
+    # alpha and beta are closures; one that held the field kept every dropped
+    # field (and its arc splines) alive until a full collection
+    gc.disable()
+    try:
+        field = gd.build_potential(3.0, lambda t, th: 1.0 + 0.2 * np.asarray(th, dtype=float) + 0.0 * np.asarray(t))
+        beta, ref = field.beta, weakref.ref(field)
+        del field
+        assert ref() is None
+        assert abs(float(beta(0.5)) - np.sqrt(1.1)) < 1e-15
+    finally:
+        gc.enable()
 
 
 def test_stationarity_examples(flat_chart, flat_field):

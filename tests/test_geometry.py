@@ -163,6 +163,59 @@ def test_jacobian_degeneracy_detection():
         chart.F(np.array([0.5]), np.array([0.5]))
 
 
+def _catenary_curve(analytic):
+    """The catenary y = cosh x by arclength, gamma(s) = (asinh s, sqrt(1 + s^2)), between straight walls.
+
+    Its curvature k = 1/(1 + s^2) is not constant, so k' = -2 s/(1 + s^2)^2
+    enters the Laplace-Beltrami coefficients.
+    """
+
+    def gamma(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([np.arcsinh(s), np.sqrt(1.0 + s**2)], axis=-1)
+
+    def d1(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([np.ones_like(s), s], axis=-1) / np.sqrt(1.0 + s**2)[..., None]
+
+    def d2(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([-s, np.ones_like(s)], axis=-1) / ((1.0 + s**2) ** 1.5)[..., None]
+
+    def d3(s):
+        s = np.asarray(s, dtype=float)
+        return np.stack([2.0 * s**2 - 1.0, -3.0 * s], axis=-1) / ((1.0 + s**2) ** 2.5)[..., None]
+
+    walls = ge.flat_channel_curve()
+    fn = ge.ScalarFn(gamma, d1=d1, d2=d2, d3=d3) if analytic else ge.ScalarFn(gamma)
+    return ge.CurveSpec(gamma=fn, phi1=walls.phi1, phi2=walls.phi2, name="catenary")
+
+
+@pytest.mark.parametrize("analytic, tol", [(True, 1e-12), (False, 1e-7)])
+def test_curvature_slope_on_the_catenary(analytic, tol):
+    # every builtin curve has constant curvature, so only here is k' seen;
+    # without derivatives gamma''' is a fourth-order difference
+    chart = ge.build_chart(_catenary_curve(analytic), delta0=0.3)
+    s = np.linspace(-0.1, 1.1, 49)
+    assert np.max(np.abs(chart.k(s) - 1.0 / (1.0 + s**2))) < tol
+    assert np.max(np.abs(chart.k.deriv(s, 1) + 2.0 * s / (1.0 + s**2) ** 2)) < tol
+
+
+def test_laplacian_oracle_on_the_catenary():
+    # the oracle differences u o F twice, so it needs the analytic curve: on
+    # the derivative-free one it differences the roundoff of the normal
+    chart = ge.build_chart(_catenary_curve(True), delta0=0.3)
+
+    def u(y):
+        return np.sin(1.3 * y[..., 0]) * np.cos(0.7 * y[..., 1]) + y[..., 0] ** 2 * y[..., 1]
+
+    def lap(y):
+        return -(1.3**2 + 0.7**2) * np.sin(1.3 * y[..., 0]) * np.cos(0.7 * y[..., 1]) + 2.0 * y[..., 1]
+
+    tt, hh = np.meshgrid(np.linspace(-0.25, 0.25, 6), np.linspace(0.0, 1.0, 6), indexing="ij")
+    assert np.max(np.abs(chart.laplacian_check(tt, hh, u, lap))) < 5e-7
+
+
 def test_curve_derivative_order_is_checked():
     gamma = ge.bent_channel_curve().gamma
     assert gamma.deriv(0.3, 3).shape == (2,)

@@ -89,6 +89,18 @@ def test_dropped_problem_is_freed_without_the_cycle_collector(bent_chart, bent_f
         gc.enable()
 
 
+def test_exactly_singular_eliminated_matrix_is_refused(monkeypatch):
+    # a zero pivot in the LU of the eliminated matrix is a clear verdict, not
+    # the ValueError that ARPACK's shift-invert raises on the infs it makes
+    basis = rd.SpectralBasis(0.0, 0.0, 0.0, 0.0, j_max=20)
+    n = basis.nodes.size - 2
+    diag = np.arange(1.0, n + 1.0)
+    diag[5] = 0.0
+    monkeypatch.setattr(basis, "_eliminated", lambda: np.diag(diag))
+    with pytest.raises(rd.DegenerateOperatorError, match="exactly singular"):
+        basis.eigenvalues_near_zero()
+
+
 def test_singular_robin_block_is_refused():
     # this k_left zeroes the determinant of the 2 x 2 Robin block exactly;
     # in floating point the block has condition number ~1e17

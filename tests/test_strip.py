@@ -100,12 +100,12 @@ def test_evaluators_match_a_fresh_layer(bases):
 EVALUATORS = ("value", "dx", "dxx", "dz", "dxz", "dzz")
 
 
-def _layer(basis):
+def _layer(basis, L=9.0):
     w_x = ground_state(3.0, basis.x)[1]
     data = basis.x * w_x
     if basis.idx_resonant is not None:
         data = data - basis.project(data)[basis.idx_resonant] * basis.E[:, basis.idx_resonant]
-    return st.solve_strip_layer(basis, data, -0.4 * data, 9.0)
+    return st.solve_strip_layer(basis, data, -0.4 * data, L)
 
 
 @pytest.mark.parametrize("variant", [0, 1], ids=["translated", "massive"])
@@ -167,6 +167,37 @@ def test_long_strip_stability(bases):
     for order in (0, 1):
         c = np.abs(lay._coef(z, order))
         assert not np.any((c > 0.0) & (c < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("variant", [0, 1], ids=["translated", "massive"])
+def test_mode_tables_match_the_cosh_form(bases, variant):
+    b = bases[variant]
+    lay = _layer(b)
+    L, act = lay.L, lay.active
+    nu = np.sqrt(-b.mu[act])[:, None]
+    d0, d1 = lay.d0[act][:, None], lay.d1[act][:, None]
+    # moderate L: nu L is at most about 360, so cosh and sinh stay finite
+    z = np.linspace(0.0, L, 37)[None, :]
+    c_ref = (d1 * np.cosh(nu * z) - d0 * np.cosh(nu * (L - z))) / (nu * np.sinh(nu * L))
+    cp_ref = (d1 * np.sinh(nu * z) + d0 * np.sinh(nu * (L - z))) / np.sinh(nu * L)
+    for order, ref in enumerate((c_ref, cp_ref)):
+        scale = np.max(np.abs(ref), axis=1, keepdims=True)
+        assert np.all(np.abs(lay._coef(z[0], order) - ref) <= 1e-13 * scale), order
+    # large L: an entry whose cosh-form size is below the smallest normal
+    # number (a log-space bound of its two exponentials) is an exact zero,
+    # and every other entry is normal
+    L = 400.0
+    far = _layer(b, L)
+    z = np.linspace(0.0, L, 81)[None, :]
+    with np.errstate(divide="ignore"):
+        log_d0, log_d1 = np.log(np.abs(far.d0[act]))[:, None], np.log(np.abs(far.d1[act]))[:, None]
+    log_size = np.logaddexp(log_d1 - nu * (L - z), log_d0 - nu * z)
+    log_tiny = np.log(np.finfo(float).tiny)
+    for order, log_bound in enumerate((log_size - np.log(nu), log_size)):
+        c = np.abs(far._coef(z[0], order))
+        below = log_bound < log_tiny - 1.0
+        assert np.any(below) and np.all(c[below] == 0.0), order
+        assert np.all((c == 0.0) | (c >= np.finfo(float).tiny)), order
 
 
 @pytest.mark.parametrize("variant", [0, 1], ids=["translated", "massive"])
