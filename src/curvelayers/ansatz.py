@@ -9,9 +9,10 @@ the smallest epsilon.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline, make_interp_spline
+from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
 from . import geodesic, reduced
 from .geometry import ZERO_FN, ScalarFn
@@ -155,7 +156,12 @@ def resonance_amplitude(eps, c0, c1, ell, lambda0, margin_threshold=0.05):
 
 @dataclass
 class StripContext:
-    """Fine-grid profiles with a coarser strip grid and the two x-bases."""
+    """Fine-grid profiles with a coarser strip grid and the two x-bases.
+
+    The bases, the phi4 profiles and the ring-source mode vectors are built
+    on first read: the profiles stage, tiers 1-2 and the Newton seeds read
+    none of them.
+    """
 
     p: float
     sigma: float
@@ -167,14 +173,35 @@ class StripContext:
     wq: np.ndarray
     tables: dict
     fine_tables: dict
-    phi4_profiles: dict  # the x-profiles of the phi4 right sides (_phi4_profiles)
-    basis_t: object
-    basis_m: object
 
     def integrate(self, values, axis=0):
         shape = [1] * np.ndim(values)
         shape[axis] = self.x.size
         return np.sum(values * self.wq.reshape(shape), axis=axis)
+
+    @cached_property
+    def basis_t(self):
+        return build_strip_basis(self.p, self.x, "translated")
+
+    @cached_property
+    def basis_m(self):
+        """The massive basis: basis_t's eigenvectors, its eigenvalues shifted by 1 - _K_TILDE."""
+        return self.basis_t.massive(_K_TILDE)
+
+    @cached_property
+    def phi4_profiles(self):
+        """The x-profiles of the phi4 right sides (_phi4_profiles)."""
+        return _phi4_profiles(self.fine_tables, self.p)
+
+    @cached_property
+    def ring_modes(self):
+        """x-integrals against the ring-source weights of the basis_t modes a layer carries (see _h_weights)."""
+        t, E, act = self.tables, self.basis_t.E, self.basis_t.layer_modes
+        return {
+            "v_x_wx": self.integrate(fd_first_axis(E, self.hx)[:, act] * t["w_x"][:, None], axis=0),
+            "v_val_x": self.integrate(E[:, act] * (t["x"] * t["w_x"])[:, None], axis=0),
+            "v_3": self.integrate(E[:, act] * _ring_weight3(self)[:, None], axis=0),
+        }
 
 
 # the strip grid: profiles on 4001 points of [-20, 20], every fifth kept for
@@ -204,7 +231,6 @@ def build_strip_context(p):
             "x": ps.x[idx],
         }
 
-    fine_tables = pack(ps, np.arange(_N_FINE))
     return StripContext(
         p=ps.p,
         sigma=ps.sigma,
@@ -215,10 +241,7 @@ def build_strip_context(p):
         hx=float(x[1] - x[0]),
         wq=simpson_weights(x.size, float(x[1] - x[0])),
         tables=pack(ps, sub),
-        fine_tables=fine_tables,
-        phi4_profiles=_phi4_profiles(fine_tables, ps.p),
-        basis_t=build_strip_basis(p, x, "translated"),
-        basis_m=build_strip_basis(p, x, "massive", _K_TILDE),
+        fine_tables=pack(ps, np.arange(_N_FINE)),
     )
 
 
@@ -269,21 +292,24 @@ def boundary_ring_constants(bundle):
 # ring (h) problem
 
 
-def _h_weights(ctx, phi22):
-    """The x-integrals the ring sources read: rho1, three Z moments and, with phi22, its three projection vectors."""
+def _ring_weight3(ctx):
+    """p (p - 1) w^(p-2) w1 w_x on the strip grid: the weight of the third ring source."""
     t = ctx.tables
-    wgt3 = ctx.p * (ctx.p - 1.0) * t["w"] ** (ctx.p - 2.0) * t["w1"] * t["w_x"]
+    return ctx.p * (ctx.p - 1.0) * t["w"] ** (ctx.p - 2.0) * t["w1"] * t["w_x"]
+
+
+def _h_weights(ctx, phi22):
+    """The x-integrals the ring sources read: rho1, three Z moments and, with
+    phi22 (a layer on ctx.basis_t, so carrying its layer_modes), ctx.ring_modes."""
+    t = ctx.tables
     weights = {
         "rho1": float(ctx.integrate(t["w_x"] ** 2)),
         "I_Zx_wx": float(ctx.integrate(t["Z_x"] * t["w_x"])),
         "I_Z_xwx": float(ctx.integrate(t["Z"] * t["x"] * t["w_x"])),
-        "I_Z_3": float(ctx.integrate(t["Z"] * wgt3)),
+        "I_Z_3": float(ctx.integrate(t["Z"] * _ring_weight3(ctx))),
     }
     if phi22 is not None:
-        E, E_x, act = phi22.basis.E, phi22.basis.E_x, phi22.active
-        weights["v_x_wx"] = ctx.integrate(E_x[:, act] * t["w_x"][:, None], axis=0)
-        weights["v_val_x"] = ctx.integrate(E[:, act] * (t["x"] * t["w_x"])[:, None], axis=0)
-        weights["v_3"] = ctx.integrate(E[:, act] * wgt3[:, None], axis=0)
+        weights.update(ctx.ring_modes)
     return weights
 
 
@@ -509,21 +535,27 @@ class AnsatzBundle:
     def W_eval(self, t_pts, theta_val):
         """Global approximation at physical chart points (t_pts, theta_val)."""
         t_pts = np.asarray(t_pts, dtype=float)
-        rows = _Rows(self, np.array([float(theta_val)]))
-        col = self.strip_fields(derivs=False, rows=rows)["v"][:, 0]
-        beta, alpha, fh = (float(rows[name][0]) for name in ("beta", "alpha", "fh"))
-        xq = beta * (t_pts / self.eps - fh)
-        spl = make_interp_spline(self.ctx.x, col, k=5)
-        vals = np.where(np.abs(xq) <= self.ctx.x[-1], spl(np.clip(xq, self.ctx.x[0], self.ctx.x[-1])), 0.0)
-        eta = self.window(t_pts)[0]
-        return eta * alpha * vals
+        return self._W_columns(t_pts.ravel(), np.array([float(theta_val)]))[:, 0].reshape(t_pts.shape)
 
     def W_on_mesh(self, mesh):
-        """Newton seed: W at the mesh nodes, one theta column at a time, flattened t-major."""
-        u0 = np.zeros(mesh.shape)
-        for j, thv in enumerate(mesh.th_nodes):
-            u0[:, j] = self.W_eval(mesh.t_nodes, thv)
-        return u0.ravel()
+        """Newton seed: W at the mesh nodes, flattened t-major."""
+        return self._W_columns(mesh.t_nodes, mesh.th_nodes).ravel()
+
+    def _W_columns(self, t_pts, th):
+        """W at the points (t_pts, th[j]) as column j.
+
+        One strip synthesis and one quintic spline in x through all the
+        sections; each column's spline is then read at its own points.
+        """
+        rows = _Rows(self, th)
+        x = self.ctx.x
+        spl = make_interp_spline(x, self.strip_fields(derivs=False, rows=rows)["v"], k=5)
+        xq = rows["beta"] * (t_pts[:, None] / self.eps - rows["fh"])
+        vals = np.zeros(xq.shape)
+        for j, col in enumerate(xq.T):
+            inside = np.abs(col) <= x[-1]
+            vals[inside, j] = BSpline.construct_fast(spl.t, spl.c[:, j], spl.k)(col[inside])
+        return self.window(t_pts)[0][:, None] * rows["alpha"] * vals
 
 
 def export_strip_table(report, path, stride=(4, 1)):
@@ -1159,18 +1191,20 @@ class ProjectionReport:
     predicted_wx: np.ndarray
     measured_Z: np.ndarray
     predicted_Z: np.ndarray
+    abs_dev_wx: float
+    abs_dev_Z: float
     rel_dev_wx: float
     rel_dev_Z: float
     rel_dev_Z_displayed: float
-    family_hint: str
 
     def to_dict(self):
         return {
             "eps": self.eps,
+            "abs_dev_wx": self.abs_dev_wx,
+            "abs_dev_Z": self.abs_dev_Z,
             "rel_dev_wx": self.rel_dev_wx,
             "rel_dev_Z": self.rel_dev_Z,
             "rel_dev_Z_displayed": self.rel_dev_Z_displayed,
-            "family_hint": self.family_hint,
         }
 
 
@@ -1179,7 +1213,9 @@ def project_residual(bundle, report=None):
 
     The w_x projection is matched against the location-equation row (drift,
     Jacobi and resonance-coupling terms) and the Z projection against the
-    amplitude-equation row. Relative deviations are L2 over theta.
+    amplitude-equation row. A deviation is the root mean square over the z
+    grid of measured - predicted: absolute, and relative to the root mean
+    square of the prediction (unbounded where the prediction vanishes).
     """
     if report is None:
         report = interior_residual(bundle)
@@ -1227,32 +1263,12 @@ def project_residual(bundle, report=None):
         0.5 * rho2 * fpv**2 + rho2 * vp * fv * fpv - 0.5 * Vtt / beta**2 * IwZ * fv**2
     )
 
-    def rel(meas, pred):
-        err = np.sqrt(np.mean((meas - pred) ** 2))
-        ref = np.sqrt(np.mean(pred**2))
-        return float(err / max(ref, 1e-300))
+    def rms(values):
+        return float(np.sqrt(np.mean(values**2)))
 
-    dev_w = rel(report.proj_wx, pred_wx)
-    dev_Z = rel(report.proj_Z, pred_Z)
-    dev_Z_displayed = rel(report.proj_Z, pred_Z_displayed)
-
-    # crude attribution for debugging: which family correlates with the gap
-    families = {
-        "drift": -(eps**2) * rho1 / beta * fppv,
-        "potential": -(eps**2) * rho1 / beta * h2 * fv,
-        "resonance": eps * ctx.lambda0 * ev,
-    }
-    gap_w = report.proj_wx - pred_wx
-    gap_Z = report.proj_Z - pred_Z
-    hint = "none"
-    best = 0.0
-    for name, shape in families.items():
-        den = np.sqrt(np.mean(shape**2))
-        if den < 1e-300:
-            continue
-        score = abs(np.mean((gap_w + gap_Z) * shape)) / den
-        if score > best:
-            best, hint = score, name
+    abs_w, abs_Z, abs_Z_displayed = (
+        rms(report.proj_wx - pred_wx), rms(report.proj_Z - pred_Z), rms(report.proj_Z - pred_Z_displayed)
+    )
     return ProjectionReport(
         eps=eps,
         z=z,
@@ -1260,8 +1276,9 @@ def project_residual(bundle, report=None):
         predicted_wx=pred_wx,
         measured_Z=report.proj_Z,
         predicted_Z=pred_Z,
-        rel_dev_wx=dev_w,
-        rel_dev_Z=dev_Z,
-        rel_dev_Z_displayed=dev_Z_displayed,
-        family_hint=hint,
+        abs_dev_wx=abs_w,
+        abs_dev_Z=abs_Z,
+        rel_dev_wx=abs_w / max(rms(pred_wx), 1e-300),
+        rel_dev_Z=abs_Z / max(rms(pred_Z), 1e-300),
+        rel_dev_Z_displayed=abs_Z_displayed / max(rms(pred_Z_displayed), 1e-300),
     )

@@ -354,12 +354,18 @@ _STAGES = {
 }
 
 
+def _maxrss_mib():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_scenario(scn, outdir, tier=None, stages=None):
     """Run the enabled stages; nonzero exit when any enabled check fails.
 
     summary.json holds the deterministic results. timings.json beside it
     holds, per stage in run order, the wall seconds, the peak resident set
-    (ru_maxrss, MiB) after the stage, and the traceback of a stage that raised.
+    (ru_maxrss, MiB) after the stage, its rise over the stage (what the stage
+    itself raised the peak by, lazily built strip bases included), and the
+    traceback of a stage that raised.
     """
     scn = scenarios.resolve_scenario(scn, tier)
     enabled = tuple(stages) if stages is not None else scn.stages
@@ -373,15 +379,15 @@ def run_scenario(scn, outdir, tier=None, stages=None):
     for stage, run_stage in _STAGES.items():
         if stage not in enabled:
             continue
-        start = time.perf_counter()
+        start, rss_before = time.perf_counter(), _maxrss_mib()
         trace = None
         try:
             ok, info = run_stage(pipe, tables_dir)
         except Exception as exc:  # stage isolation: record, continue
             ok, info = False, {"error": f"{type(exc).__name__}: {exc}", "passed": False}
             trace = traceback.format_exc()
-        entry = {"stage": stage, "wall_s": time.perf_counter() - start}
-        entry["maxrss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        entry = {"stage": stage, "wall_s": time.perf_counter() - start, "maxrss_mib": _maxrss_mib()}
+        entry["maxrss_rise_mib"] = entry["maxrss_mib"] - rss_before
         if trace is not None:
             entry["traceback"] = trace
         timings.append(entry)
@@ -418,9 +424,7 @@ def order_study(scn, quantity, outdir=None, tier=None):
             bnd = ansatz.boundary_residual(bundle)
             vals.append((eps, bnd.l2_g02 + bnd.l2_g12))
         elif quantity == "projection":
-            proj = ansatz.project_residual(bundle, rep)
-            dev = np.sqrt(np.mean((proj.measured_wx - proj.predicted_wx) ** 2))
-            vals.append((eps, float(dev)))
+            vals.append((eps, ansatz.project_residual(bundle, rep).abs_dev_wx))
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
     vals = np.asarray(vals)

@@ -3,12 +3,13 @@
 The cross-section operator is either d_xx - 1 + p w^(p-1) (translated
 variant, carrying the positive resonance mode and the translation zero mode)
 or d_xx - Ktilde + p w^(p-1) (massive variant, negative definite for large
-Ktilde). For Neumann data on the two ends, every mode reduces to a two-point
+Ktilde). The two differ by a constant, so one eigendecomposition serves
+both. For Neumann data on the two ends, every mode reduces to a two-point
 ODE c'' + mu c = 0 with c'(0), c'(L) prescribed, solved in closed form with
 overflow-safe cosh/sinh ratios.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,7 +26,12 @@ class StripDataError(RuntimeError):
 
 @dataclass
 class StripBasis:
-    """Discrete eigenbasis of the cross-section operator on [-X, X]."""
+    """Discrete eigenbasis of the cross-section operator on [-X, X].
+
+    The two variants differ by a constant mass, so they share the
+    eigenvectors E: the massive basis is the translated one with every
+    eigenvalue shifted by 1 - k_tilde (see massive).
+    """
 
     p: float
     variant: str
@@ -35,8 +41,6 @@ class StripBasis:
     w: np.ndarray
     mu: np.ndarray
     E: np.ndarray  # (nx, nmodes), discrete-L2 orthonormal, zero at the ends
-    E_x: np.ndarray
-    E_xx: np.ndarray
     idx_resonant: int | None
     idx_zero: np.ndarray
 
@@ -48,52 +52,60 @@ class StripBasis:
     def project(self, data):
         return self.hx * (self.E.T @ np.asarray(data, dtype=float))
 
+    @property
+    def layer_modes(self):
+        """Mask of the modes a layer carries: all but the resonant and zero modes."""
+        mask = np.ones(self.mu.size, dtype=bool)
+        mask[self.idx_zero] = False
+        if self.idx_resonant is not None:
+            mask[self.idx_resonant] = False
+        return mask
+
+    def massive(self, k_tilde):
+        """The massive basis of mass k_tilde on the same eigenvectors E (not a copy)."""
+        mu = self.mu - (float(k_tilde) - self.shift)
+        if np.any(mu > -1e-8):
+            raise RuntimeError("massive variant is not negative definite; raise k_tilde")
+        return replace(self, variant="massive", k_tilde=float(k_tilde), mu=mu, idx_resonant=None,
+                       idx_zero=np.array([], dtype=int))
+
 
 def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
+    """The translated basis, or for variant "massive" its shift StripBasis.massive(k_tilde)."""
+    if variant not in ("translated", "massive"):
+        raise ValueError("variant must be 'translated' or 'massive'")
     x = np.asarray(x, dtype=float)
     hx = x[1] - x[0]
     w = ground_state(p, x)[0]
-    shift = 1.0 if variant == "translated" else float(k_tilde)
-    if variant not in ("translated", "massive"):
-        raise ValueError("variant must be 'translated' or 'massive'")
-    diag = -2.0 / hx**2 - shift + p * w[1:-1] ** (p - 1.0)
+    diag = -2.0 / hx**2 - 1.0 + p * w[1:-1] ** (p - 1.0)
     off = np.full(x.size - 3, 1.0 / hx**2)
     mu, u = sla.eigh_tridiagonal(diag, off)
     e = np.zeros((x.size, mu.size))
     e[1:-1] = u / np.sqrt(hx)
-    e_x = fd_first_axis(e, hx)
-    e_xx = (shift + mu)[None, :] * e - p * w[:, None] ** (p - 1.0) * e
 
-    idx_res = None
-    if variant == "translated":
-        # spectrum: single positive mode near lambda0, the translation mode at
-        # zero up to O(hx^2), then a gap down to the continuum band below -1
-        lam0 = 0.25 * (p - 1.0) * (p + 3.0)
-        idx_res = int(np.argmax(mu))
-        if abs(mu[idx_res] - lam0) > 0.05 * max(lam0, 1.0):
-            raise RuntimeError(f"resonant mode eigenvalue {mu[idx_res]:.4f} far from {lam0:.4f}")
-        idx_zero = np.where(np.abs(mu) <= 0.1)[0]
-        others = np.setdiff1d(np.arange(mu.size), np.append(idx_zero, idx_res))
-        if np.any(mu[others] > -0.5):
-            raise RuntimeError("unexpected cross-section mode in the spectral gap")
-    else:
-        if np.any(mu > -1e-8):
-            raise RuntimeError("massive variant is not negative definite; raise k_tilde")
-        idx_zero = np.array([], dtype=int)
-    return StripBasis(
+    # spectrum: single positive mode near lambda0, the translation mode at
+    # zero up to O(hx^2), then a gap down to the continuum band below -1
+    lam0 = 0.25 * (p - 1.0) * (p + 3.0)
+    idx_res = int(np.argmax(mu))
+    if abs(mu[idx_res] - lam0) > 0.05 * max(lam0, 1.0):
+        raise RuntimeError(f"resonant mode eigenvalue {mu[idx_res]:.4f} far from {lam0:.4f}")
+    idx_zero = np.where(np.abs(mu) <= 0.1)[0]
+    others = np.setdiff1d(np.arange(mu.size), np.append(idx_zero, idx_res))
+    if np.any(mu[others] > -0.5):
+        raise RuntimeError("unexpected cross-section mode in the spectral gap")
+    basis = StripBasis(
         p=float(p),
-        variant=variant,
+        variant="translated",
         k_tilde=float(k_tilde),
         x=x,
         hx=float(hx),
         w=w,
         mu=mu,
         E=e,
-        E_x=e_x,
-        E_xx=e_xx,
         idx_resonant=idx_res,
         idx_zero=idx_zero,
     )
+    return basis if variant == "translated" else basis.massive(k_tilde)
 
 
 @dataclass
@@ -166,7 +178,8 @@ class StripLayer:
         z, entry = self._entry(z)
         if "v" not in entry:
             c, cp = self._tables(z)
-            e = self.basis.E[:, self.active]
+            # all modes are active on the massive basis: E as it is, no copy
+            e = self.basis.E if self.active.all() else self.basis.E[:, self.active]
             entry["v"], entry["vz"], entry["m"] = e @ c, e @ cp, e @ (self.basis.mu[self.active][:, None] * c)
             for key in ("v", "vz", "m"):
                 entry[key].flags.writeable = False
@@ -239,11 +252,8 @@ def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6, tail_tol=1e-4):
     d1 = basis.project(data1)
     scale = max(np.sqrt(basis.hx) * max(np.linalg.norm(data0), np.linalg.norm(data1)), 1e-300)
 
-    active = np.ones(basis.mu.size, dtype=bool)
-    bad = list(basis.idx_zero)
-    if basis.idx_resonant is not None:
-        bad.append(basis.idx_resonant)
-    for idx in bad:
+    active = basis.layer_modes
+    for idx in np.flatnonzero(~active):
         proj = max(abs(d0[idx]), abs(d1[idx]))
         label = "resonant" if idx == basis.idx_resonant else "zero"
         if proj > drop_tol * scale:
@@ -251,7 +261,6 @@ def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6, tail_tol=1e-4):
                 f"data excites the {label} cross-section mode: |projection| = {proj:.3e} "
                 f"(tolerance {drop_tol * scale:.3e})"
             )
-        active[idx] = False
     tail = max(np.max(np.abs(data0[[0, -1]])), np.max(np.abs(data1[[0, -1]])))
     if tail > tail_tol * scale:
         raise StripDataError(f"boundary data not decayed at |x| = {basis.x[-1]}: {tail:.3e}")

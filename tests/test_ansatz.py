@@ -1,15 +1,17 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
-from curvelayers import geometry
+from curvelayers import geometry, pde
 from curvelayers import reduced as rd
-from curvelayers.strip import StripLayer
+from curvelayers.strip import StripLayer, solve_strip_layer
 from curvelayers.util import fd_first_axis, simpson_weights
 
 
@@ -686,3 +688,49 @@ def test_chain_rule_at_the_end_sections_matches_differences_of_W(ctx3, bent_char
         # tier 3 where the boundary layer cancels most of it)
         assert max(err_t, err_th) <= 2e-6 * max(scale_t, scale_th)
         assert err_th <= 2e-4 * scale_th
+
+
+def test_context_builds_its_bases_on_first_read(bent_chart, bent_field, bent_problem, monkeypatch):
+    ctx = az.build_strip_context(3.0)
+    calls = []  # eigendecompositions after the profiles, which use their own
+    eigh = sla.eigh_tridiagonal
+    monkeypatch.setattr(sla, "eigh_tridiagonal", lambda *a, **k: calls.append(1) or eigh(*a, **k))
+    lazy = {"basis_t", "basis_m", "phi4_profiles", "ring_modes"}
+    eps = 0.04
+    mesh = pde.chart_mesh(bent_chart, pde.graded_nodes(eps, bent_chart.delta0), np.linspace(0.0, 1.0, 9), bent_field)
+    az.assemble_ansatz(2, az.zero_state(), eps, ctx, bent_chart, bent_field, h_from_state=True).W_on_mesh(mesh)
+    assert not lazy & set(vars(ctx)) and not calls
+    az.assemble_ansatz(3, az.zero_state(), eps, ctx, bent_chart, bent_field, reduced_problem=bent_problem)
+    assert "basis_t" in vars(ctx) and not {"basis_m", "phi4_profiles"} & set(vars(ctx))
+    # one decomposition: the massive basis is the translated one shifted by 1 - k_tilde
+    assert ctx.basis_m.E is ctx.basis_t.E
+    assert np.array_equal(ctx.basis_m.mu, ctx.basis_t.mu - (ctx.basis_m.k_tilde - 1.0))
+    assert len(calls) == 1
+
+
+def test_phi3_on_the_shared_basis_matches_a_separate_decomposition(ctx3, bent_chart, bent_field, bent_problem):
+    # oracle: the massive cross-section operator decomposed on its own
+    b4 = az.assemble_ansatz(4, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    bm = ctx3.basis_m
+    x, hx = bm.x, bm.hx
+    diag = -2.0 / hx**2 - bm.k_tilde + bm.p * bm.w[1:-1] ** (bm.p - 1.0)
+    mu, u = sla.eigh_tridiagonal(diag, np.full(x.size - 3, 1.0 / hx**2))
+    E = np.zeros((x.size, mu.size))
+    E[1:-1] = u / np.sqrt(hx)
+    separate = dataclasses.replace(bm, mu=mu, E=E)
+    alone = solve_strip_layer(separate, *az._end_columns(az._phi3_data(b4)), b4.phi3.L)
+    z = np.linspace(0.0, b4.phi3.L, 13)
+    for name in ("value", "dz"):
+        ref = getattr(alone, name)(z)
+        assert np.max(np.abs(getattr(b4.phi3, name)(z) - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+
+
+def test_projection_deviations_at_the_zero_state(ctx3, bent_chart, bent_field, bent_problem):
+    # f = e = 0 makes both predictions vanish: only the absolute deviations stay finite
+    b3 = az.assemble_ansatz(3, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    proj = az.project_residual(b3)
+    assert not np.any(proj.predicted_wx) and not np.any(proj.predicted_Z)
+    assert proj.abs_dev_wx == float(np.sqrt(np.mean(proj.measured_wx**2))) > 0.0
+    assert proj.abs_dev_Z == float(np.sqrt(np.mean(proj.measured_Z**2))) > 0.0
+    assert proj.rel_dev_wx > 1e250
+    assert set(proj.to_dict()) == {"eps", "abs_dev_wx", "abs_dev_Z", "rel_dev_wx", "rel_dev_Z", "rel_dev_Z_displayed"}

@@ -253,9 +253,13 @@ def test_timings_sidecar_lists_every_enabled_stage(tmp_path, monkeypatch):
     res = harness.run_scenario("flat-channel", str(tmp_path), stages=enabled)
     timings = json.load(open(os.path.join(res.outdir, "timings.json")))
     assert [entry["stage"] for entry in timings["stages"]] == list(enabled)
+    peak = 0.0
     for entry in timings["stages"]:
         assert entry["wall_s"] >= 0.0 and entry["maxrss_mib"] > 0.0
         assert ("traceback" in entry) == (entry["stage"] == "chart")
+        # the rise is the stage's own share of the peak, which never falls
+        assert 0.0 <= entry["maxrss_rise_mib"] <= entry["maxrss_mib"] - peak
+        peak = entry["maxrss_mib"]
     assert "chart stage broken on purpose" in timings["stages"][1]["traceback"]
     assert "Traceback" in timings["stages"][1]["traceback"]
     # the summary keeps only the one-line error, no machine facts

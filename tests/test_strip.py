@@ -4,6 +4,7 @@ from scipy.integrate import solve_bvp
 
 from curvelayers import strip as st
 from curvelayers.profiles import ground_state, lambda0_closed_form
+from curvelayers.util import fd_first_axis
 
 
 @pytest.fixture(scope="module")
@@ -115,13 +116,17 @@ def test_evaluators_match_table_products(bases, variant):
     z = np.linspace(0.0, 9.0, 7)
     act = lay.active
     c, cp = lay._coef(z), lay._coef(z, order=1)
+    # the mode tables: E, its x-slope and, column by column, its exact x-curvature
+    E = b.E[:, act]
+    E_x = fd_first_axis(E, b.hx)
+    E_xx = (b.shift + b.mu[act])[None, :] * E - b.p * b.w[:, None] ** (b.p - 1.0) * E
     ref = {
-        "value": b.E[:, act] @ c,
-        "dx": b.E_x[:, act] @ c,
-        "dxx": b.E_xx[:, act] @ c,
-        "dz": b.E[:, act] @ cp,
-        "dxz": b.E_x[:, act] @ cp,
-        "dzz": b.E[:, act] @ (-b.mu[act][:, None] * c),
+        "value": E @ c,
+        "dx": E_x @ c,
+        "dxx": E_xx @ c,
+        "dz": E @ cp,
+        "dxz": E_x @ cp,
+        "dzz": E @ (-b.mu[act][:, None] * c),
     }
     for name in EVALUATORS:
         got = getattr(lay, name)(z)
@@ -213,3 +218,15 @@ def test_column_reads_match_full_width(bases, variant):
             assert np.array_equal(block, full[:, cols]), name
             block += 1.0
             assert np.array_equal(getattr(lay, name)(z, cols), full[:, cols]), name
+
+
+def test_massive_basis_shares_the_translated_eigenvectors(bases):
+    bt, built = bases
+    bm = bt.massive(25.0)
+    assert bm.E is bt.E
+    assert np.array_equal(bm.mu, bt.mu - (25.0 - 1.0))
+    # build_strip_basis(..., "massive") takes the same shift of its own decomposition
+    assert np.array_equal(built.mu, bm.mu) and np.array_equal(built.E, bm.E)
+    assert bm.idx_resonant is None and bm.idx_zero.size == 0 and bm.shift == 25.0
+    with pytest.raises(RuntimeError, match="not negative definite"):
+        bt.massive(1.0)
