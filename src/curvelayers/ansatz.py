@@ -12,13 +12,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
 from . import geodesic, reduced
 from .geometry import ZERO_FN, ScalarFn
 from .profiles import build_profiles
 from .strip import build_strip_basis, solve_strip_layer
-from .util import bridge_cutoff, fd_first_axis, simpson_weights, smoothstep
+from .util import bridge_cutoff, fd_first_axis, hermite, simpson_weights, smoothstep, spline_slopes
 
 __all__ = [
     "ReducedState",
@@ -547,6 +546,8 @@ class AnsatzBundle:
         One strip synthesis and one quintic spline in x through all the
         sections; each column's spline is then read at its own points.
         """
+        from scipy.interpolate import BSpline, make_interp_spline
+
         rows = _Rows(self, th)
         x = self.ctx.x
         spl = make_interp_spline(x, self.strip_fields(derivs=False, rows=rows)["v"], k=5)
@@ -668,9 +669,26 @@ def _phi4_rhs(bundle, src, cols):
     return _accumulate(terms_even), _accumulate(terms_odd)
 
 
+# weights of y0, y1, h m0, h m1 in the cubic of a strip interval at its fine
+# points s = r/_STRIDE, r = 1.._STRIDE-1 (r = 0 is the knot itself): the
+# cubics of the unit data on [0, 1]
+_FINE_WEIGHTS = hermite(np.array([0.0, 1.0]), np.eye(4)[:2], np.eye(4)[2:], np.arange(1, _STRIDE) / _STRIDE)
+
+
 def _to_fine(ctx, arr):
-    """Interpolate a strip-grid (nx_s, nz) table to the fine x grid."""
-    return CubicSpline(ctx.x, arr, axis=0)(ctx.fine.x)
+    """Interpolate a strip-grid (nx_s, ...) table to the fine x grid.
+
+    The not-a-knot cubic spline in x through the table, read at the fine
+    points by their fixed Hermite weights: the strip points are every
+    _STRIDE-th fine point, equally spaced by ctx.hx.
+    """
+    m = ctx.hx * spline_slopes(ctx.x, arr)
+    out = np.empty((ctx.fine.x.size, *arr.shape[1:]))
+    out[::_STRIDE] = arr
+    per_interval = out[:-1].reshape(ctx.x.size - 1, _STRIDE, *arr.shape[1:])
+    for r, (a0, a1, b0, b1) in enumerate(_FINE_WEIGHTS, start=1):
+        per_interval[:, r] = a0 * arr[:-1] + a1 * arr[1:] + b0 * m[:-1] + b1 * m[1:]
+    return out
 
 
 def _solve_phi4(bundle):
@@ -719,32 +737,20 @@ def _phi4_tables(bundle):
 _PHI4_SLOPE = {"val": "dth", "dx": "dxdth", "dxx": "dxxdth"}
 
 
-# x rows per spline when the phi4 knot tables are taken: the spline through
-# each row along theta does not depend on the other rows, and a spline over
-# all 801 rows builds about 20 tables' worth of temporaries
-_KNOT_ROWS = 128
-
-
 def _phi4_knots(th_grid, table):
     """Strip-grid (nx_strip, n_theta) knot tables of one phi4 layer.
 
-    The layer is the cubic spline in theta through each of the val, dx and
-    dxx tables. The tables hold what strip_fields reads at the theta grid
-    (val, dx, dxx, dth, d2th, dxdth), exactly as the splines give them at
-    their knots, the last knot included, and the knot slope dxxdth for
-    points between knots. The splines are built for _KNOT_ROWS rows at a
-    time and dropped once their tables are taken.
+    The layer is the not-a-knot cubic spline in theta through each of the
+    val, dx and dxx tables. The tables hold what strip_fields reads at the
+    theta grid: val, dx and dxx themselves, their knot slopes dth, dxdth and
+    dxxdth (the last for points between knots), and d2th from the cubics
+    of (val, dth), the last knot read on the last interval.
     """
-    names = (*_PHI4_SLOPE, *_PHI4_SLOPE.values(), "d2th")
-    knots = {name: np.empty(table["val"].shape) for name in names}
+    knots = {}
     for key, slope in _PHI4_SLOPE.items():
-        values = table.pop(key)
-        for start in range(0, values.shape[0], _KNOT_ROWS):
-            rows = slice(start, start + _KNOT_ROWS)
-            spl = CubicSpline(th_grid, values[rows], axis=1)
-            knots[key][rows], knots[slope][rows] = spl(th_grid), spl(th_grid, 1)
-            if key == "val":
-                knots["d2th"][rows] = spl(th_grid, 2)
+        values = knots[key] = table.pop(key)
+        knots[slope] = spline_slopes(th_grid, values.T).T
+    knots["d2th"] = hermite(th_grid, knots["val"].T, knots["dth"].T, th_grid, 2).T
     return knots
 
 
@@ -764,7 +770,7 @@ def _phi4_evaluators(th_grid, knots):
             out = knots[key][:, at]
             off = np.flatnonzero(th_grid[at] != th)
             if off.size:
-                out[:, off] = _hermite(th_grid, knots[cubic], knots[_PHI4_SLOPE[cubic]], th[off], order)
+                out[:, off] = hermite(th_grid, knots[cubic].T, knots[_PHI4_SLOPE[cubic]].T, th[off], order).T
             return out
 
         return evaluate
@@ -777,26 +783,6 @@ def _phi4_evaluators(th_grid, knots):
         "d2th": field("d2th", "val", 2),
         "dxdth": field("dxdth", "dx", 1),
     }
-
-
-def _hermite(grid, y, slope, th, order):
-    """Derivative of the given order of the piecewise cubic with values y and slopes at the grid.
-
-    Each interval's cubic is y0 + m0 s + c2 s^2 + c3 s^3 in s = (th - knot)/h;
-    points outside the grid use the end intervals.
-    """
-    i = np.clip(np.searchsorted(grid, th, side="right") - 1, 0, grid.size - 2)
-    h = grid[i + 1] - grid[i]
-    s = (th - grid[i]) / h
-    y0, y1 = y[:, i], y[:, i + 1]
-    m0, m1 = h * slope[:, i], h * slope[:, i + 1]
-    c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
-    c3 = 2.0 * (y0 - y1) + m0 + m1
-    if order == 0:
-        return y0 + s * (m0 + s * (c2 + s * c3))
-    if order == 1:
-        return (m0 + s * (2.0 * c2 + s * 3.0 * c3)) / h
-    return (2.0 * c2 + 6.0 * s * c3) / h**2
 
 
 def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, reduced_problem=None, h_from_state=False, ledger=None, z_grid=None):

@@ -17,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.interpolate import CubicSpline
 
 from .geometry import _FD_STEPS, ScalarFn
-from .util import cumulative_integral, fd_derivative, simpson_weights
+from .util import Spline, cumulative_integral, fd_derivative, simpson_weights
 
 __all__ = [
     "PotentialField",
@@ -73,8 +72,8 @@ class PotentialField:
         if np.any(beta_vals <= 0) or np.any(~np.isfinite(beta_vals)):
             raise ValueError("potential must be positive on the curve span")
         arc_vals = cumulative_integral(lambda s: np.sqrt(self.V(np.zeros_like(np.asarray(s)), s)), grid)
-        self._arc = CubicSpline(grid, arc_vals)
-        self._arc_inv = CubicSpline(arc_vals, grid)
+        self._arc = Spline(grid, arc_vals)
+        self._arc_inv = Spline(arc_vals, grid)
         self.ell = float(self._arc(1.0) - self._arc(0.0))
         self._arc0 = float(self._arc(0.0))
 

@@ -12,7 +12,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.integrate import solve_ivp
 
 from .util import fd_first_axis, simpson_weights
 
@@ -320,6 +319,7 @@ def ground_state_by_shooting(p, x_max=20.0, rtol=1e-12):
     Integrates from x = 0 with w'(0) = 0 and bisects the initial height so
     the solution decays instead of blowing up; returns the located w(0).
     """
+    from scipy.integrate import solve_ivp
 
     def crossed_zero(t, y):
         return y[0]

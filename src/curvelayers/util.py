@@ -1,6 +1,7 @@
-"""Shared numerical helpers: quadrature, smooth cutoffs, stencils, slope fits."""
+"""Shared numerical helpers: quadrature, smooth cutoffs, stencils, slope fits, splines."""
 
 import numpy as np
+import scipy.linalg as sla
 
 __all__ = [
     "simpson_weights",
@@ -10,6 +11,9 @@ __all__ = [
     "fd_first_axis",
     "loglog_slope",
     "cumulative_integral",
+    "spline_slopes",
+    "hermite",
+    "Spline",
 ]
 
 
@@ -152,3 +156,81 @@ def cumulative_integral(f, grid):
     out[0] = 0.0
     np.cumsum(seg, out=out[1:])
     return out
+
+
+def spline_slopes(x, y):
+    """Knot slopes of the not-a-knot cubic spline through (x, y), along axis 0 of y.
+
+    One tridiagonal solve for all trailing columns (de Boor, A Practical Guide
+    to Splines, ch. IV), with the rows SciPy's not-a-knot spline uses. Needs
+    at least 4 strictly increasing knots.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < 4:
+        raise ValueError(f"a not-a-knot spline needs at least 4 knots, got {n}")
+    dx = np.diff(x)
+    if not np.all(dx > 0.0):
+        raise ValueError("knots must be strictly increasing")
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    # banded storage: row 0 the upper diagonal, row 1 the diagonal, row 2 the lower
+    ab = np.empty((3, n))
+    ab[0, 2:] = dx[:-1]
+    ab[1, 1:-1] = 2.0 * (dx[:-1] + dx[1:])
+    ab[2, :-2] = dx[1:]
+    b = np.empty_like(slope, shape=y.shape)
+    b[1:-1] = 3.0 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    # not-a-knot: the third derivative is continuous at the second and the last-but-one knot
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dx[0] + 2.0 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2.0 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    sol = sla.solve_banded((1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True, check_finite=False)
+    return sol.reshape(y.shape)
+
+
+def hermite(grid, y, slope, t, order=0):
+    """Derivative of the given order (0-2) of the piecewise cubic with values y and slopes at the grid.
+
+    y and slope run along axis 0; the result has shape t.shape + y.shape[1:].
+    Each interval's cubic is y0 + m0 s + c2 s^2 + c3 s^3 in s = (t - knot)/h;
+    points outside the grid use the end intervals.
+    """
+    if order not in (0, 1, 2):
+        raise ValueError("order must be 0, 1 or 2")
+    t = np.asarray(t, dtype=float)
+    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
+    shape = t.shape + (1,) * (np.ndim(y) - 1)
+    h = (grid[i + 1] - grid[i]).reshape(shape)
+    s = (t - grid[i]).reshape(shape) / h
+    y0, y1 = y[i], y[i + 1]
+    m0, m1 = h * slope[i], h * slope[i + 1]
+    c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
+    c3 = 2.0 * (y0 - y1) + m0 + m1
+    if order == 0:
+        out = y0 + s * (m0 + s * (c2 + s * c3))
+    elif order == 1:
+        out = (m0 + s * (2.0 * c2 + s * 3.0 * c3)) / h
+    else:
+        out = (2.0 * c2 + 6.0 * s * c3) / h**2
+    return np.asarray(out)
+
+
+class Spline:
+    """Not-a-knot cubic spline through (x, y) along axis 0 of y.
+
+    spline(t, order) evaluates orders 0-2; points outside the knots use the
+    end cubics, as SciPy's cubic splines extrapolate.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        self.y = np.asarray(y, dtype=float)
+        self.slope = spline_slopes(self.x, self.y)
+
+    def __call__(self, t, order=0):
+        return hermite(self.x, self.y, self.slope, t, order)

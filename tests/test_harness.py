@@ -65,6 +65,33 @@ def test_module_entry_point():
     assert "run" in out.stdout and "gap-sweep" in out.stdout
 
 
+_LAYER_PIPELINE = """
+import sys
+from curvelayers import ansatz, reduced, scenarios
+scn = scenarios.builtin_scenario("bent-channel")
+chart = scenarios.build_domain(scn)
+field = scenarios.build_field(scn, chart)
+ctx = ansatz.build_strip_context(scn.p)
+problem = reduced.ReducedProblem(chart, field, ctx.lambda0, j_max=60)
+bundle = ansatz.assemble_ansatz(5, ansatz.zero_state(), 0.05, ctx, chart, field, reduced_problem=problem)
+ansatz.interior_residual(bundle)
+ansatz.boundary_residual(bundle)
+print(" ".join(sorted(sys.modules)))
+"""
+
+
+def test_layer_pipeline_imports_no_interpolation_or_ode_modules():
+    # the spline, quintic-seed and shooting-oracle imports stay off this path:
+    # scipy.interpolate alone pulls in scipy.special and scipy.optimize
+    src = os.path.dirname(os.path.dirname(scenarios.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", _LAYER_PIPELINE], capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    loaded = set(out.stdout.split())
+    assert "curvelayers.ansatz" in loaded
+    assert not loaded & {"scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special"}
+
+
 def test_scenario_roundtrip(tmp_path):
     scn = scenarios.builtin_scenario("flat-channel")
     path = tmp_path / "scn.json"

@@ -101,6 +101,22 @@ def test_exactly_singular_eliminated_matrix_is_refused(monkeypatch):
         basis.eigenvalues_near_zero()
 
 
+@pytest.mark.parametrize("n", [16, 40])
+def test_second_derivative_matrix_is_exact_on_polynomials(n):
+    theta, _, D2 = rd.cheb_nodes_matrices(n)
+    poly = np.polynomial.Polynomial([1.0, -2.0, 3.0, 0.5, -1.0, 2.0, 0.3, -0.7, 1.1])
+    want = poly.deriv(2)(theta)
+    assert np.max(np.abs(D2 @ poly(theta) - want)) <= 1e-10 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [16, 40, 1040])
+def test_closed_form_second_derivative_matrix_is_the_square_of_D1(n):
+    _, D1, D2 = rd.cheb_nodes_matrices(n)
+    assert np.max(np.abs(D2.sum(axis=1))) <= 1e-14 * np.max(np.abs(D2))
+    ref = D1 @ D1
+    assert np.max(np.abs(D2 - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 def test_singular_robin_block_is_refused():
     # this k_left zeroes the determinant of the 2 x 2 Robin block exactly;
     # in floating point the block has condition number ~1e17
