@@ -68,7 +68,6 @@ def cheb_nodes_matrices(n):
     D[diag] -= D.sum(axis=1)
     # the n x n arrays are updated in place: at n = 4040 each is 125 MiB
     D2 = np.reciprocal(dY, out=dY)
-    D2[diag] = 0.0
     np.subtract(D[diag][:, None], D2, out=D2)
     D2 *= D
     D2[diag] = 0.0

@@ -203,12 +203,15 @@ def hermite(grid, y, slope, t, order=0):
     if order not in (0, 1, 2):
         raise ValueError("order must be 0, 1 or 2")
     t = np.asarray(t, dtype=float)
-    i = np.clip(np.searchsorted(grid, t, side="right") - 1, 0, grid.size - 2)
+    # the interval index, 0 below the second knot and the last at or above the last-but-one
+    i = np.searchsorted(grid[1:-1], t, side="right")
+    j = i + 1
+    left = grid[i]
     shape = t.shape + (1,) * (np.ndim(y) - 1)
-    h = (grid[i + 1] - grid[i]).reshape(shape)
-    s = (t - grid[i]).reshape(shape) / h
-    y0, y1 = y[i], y[i + 1]
-    m0, m1 = h * slope[i], h * slope[i + 1]
+    h = (grid[j] - left).reshape(shape)
+    s = (t - left).reshape(shape) / h
+    y0, y1 = y[i], y[j]
+    m0, m1 = h * slope[i], h * slope[j]
     c2 = 3.0 * (y1 - y0) - 2.0 * m0 - m1
     c3 = 2.0 * (y0 - y1) + m0 + m1
     if order == 0:
