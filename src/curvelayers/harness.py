@@ -268,7 +268,9 @@ def _stage_reduced(pipe, tables_dir):
     problem = pipe.ensure_problem()
     basis = problem.basis
     info = {
-        "gram_deviation": basis.gram_deviation(),
+        # a roundoff-level health check: 3 significant digits, so that reordered
+        # floating-point work in the basis does not read as a moved result
+        "gram_deviation": float(f"{basis.gram_deviation():.2e}"),
         "yprime_bound": basis.yprime_bound(),
         "lambda_min": float(np.min(np.abs(basis.lam))),
     }

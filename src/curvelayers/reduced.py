@@ -36,6 +36,7 @@ __all__ = [
     "solve_coupled",
     "reduced_fixed_point",
     "GapError",
+    "refuse_failing_ledger",
     "DegenerateOperatorError",
     "lemma_series_sums",
 ]
@@ -343,12 +344,21 @@ class ReducedProblem:
         self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2, j_max=j_max, n_cheb=n_cheb)
         self.theta_nodes = self.theta_of(self.basis.nodes)
         self.beta_nodes = potential.beta(self.theta_nodes)
+        # (key, h) of the last ring solve, kept by ansatz.solve_h_bvp: tiers 3-5
+        # of one eps solve the same problem
+        self.last_ring = None
         lam = self.lam_near_zero = self.basis.eigenvalues_near_zero()
         if np.min(np.abs(lam)) < 1e-8 * max(1.0, np.max(np.abs(lam[:3]))):
             raise DegenerateOperatorError(
                 "reduced location operator has a numerically zero eigenvalue; "
                 "see the non-degeneracy test"
             )
+
+
+def refuse_failing_ledger(ledger):
+    """Raise GapError when a ledger is given and fails the gap condition."""
+    if ledger is not None and not ledger.passes:
+        raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
 
 
 @dataclass
@@ -388,8 +398,7 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     (Gamma0, Gamma1), f' + k f = Gamma at the ends, replaces the first and
     last rows. Refuses when the supplied ledger fails the gap condition.
     """
-    if ledger is not None and not ledger.passes:
-        raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
+    refuse_failing_ledger(ledger)
     basis = problem.basis
     th = problem.theta_nodes
     beta = problem.beta_nodes
@@ -431,8 +440,7 @@ def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, r
     eigenvalue of -[beta^-2 e'' + hbar5 e'], and the amplitude grows like
     its inverse.
     """
-    if ledger is not None and not ledger.passes:
-        raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
+    refuse_failing_ledger(ledger)
     th, D1, D2, wq = _e_grid()
     e = _robin_collocation(
         D1, D2, eps**2 * _on(beta, th) ** -2, eps**2 * _on(hbar5, th), lambda0, _on(g_tilde, th), (b5t, b6t), robin

@@ -108,6 +108,17 @@ def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
     return basis if variant == "translated" else basis.massive(k_tilde)
 
 
+# A mode's term is kept only where its exponential is at least 2^-64 (nu times
+# the distance to the end carrying it at most _CUTOFF): a dropped term is below
+# 2^-64 of its end amplitude, and all of them together stay under about 1e-17
+# of the layer's scale.
+_CUTOFF = 64.0 * np.log(2.0)
+# z columns per block of the mode tables and syntheses: each block evaluates
+# only the modes live in it (16 keeps the end blocks, where every mode is live,
+# a small share of the grid)
+_Z_BLOCK = 16
+
+
 @dataclass
 class StripLayer:
     """Closed-form modal solution of the strip problem with Neumann data."""
@@ -119,6 +130,15 @@ class StripLayer:
     active: np.ndarray
 
     _last: tuple = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the active modes are the first columns of E (the translated basis drops
+        # its two largest eigenvalues, the massive one none), and mu ascends, so
+        # nu = sqrt(-mu) descends along the table rows
+        n = int(np.count_nonzero(self.active))
+        if not self.active[:n].all():
+            raise ValueError("the active modes must be the first columns of the basis")
+        self.nu = np.sqrt(np.abs(self.basis.mu[:n]))
 
     def _entry(self, z):
         """Points z as an array and the cache entry (a dict) kept for them.
@@ -133,6 +153,30 @@ class StripLayer:
             self._last = (z.copy(), {})
         return z, self._last[1]
 
+    def _first_live(self, z):
+        """Per point of z, the first table row live there: the rows from it on
+        are the modes with nu min(z, L - z) <= _CUTOFF."""
+        reach = np.clip(np.minimum(z, self.L - z), 0.0, None)
+        with np.errstate(divide="ignore"):
+            live = np.searchsorted(self.nu[::-1], _CUTOFF / reach, side="right")
+        return self.nu.size - live
+
+    def blocks(self, z):
+        """(cols, first) for each block of _Z_BLOCK columns of z: the table rows
+        first: are the modes live somewhere in the block, the others are zero
+        there (first is the number of rows in a block where none is live)."""
+        z, entry = self._entry(z)
+        if "blocks" not in entry:
+            first = self._first_live(z)
+            entry["blocks"] = [
+                (slice(s, s + _Z_BLOCK), int(first[s : s + _Z_BLOCK].min())) for s in range(0, z.size, _Z_BLOCK)
+            ]
+        return entry["blocks"]
+
+    def is_zero(self, z, cols=slice(None)):
+        """Whether the layer is identically zero at the columns cols of z."""
+        return bool(np.all(self._first_live(np.atleast_1d(np.asarray(z, dtype=float))[cols]) == self.nu.size))
+
     def _tables(self, z):
         """Read-only mode coefficient tables c and c' at points z.
 
@@ -142,24 +186,28 @@ class StripLayer:
         is c = [d1 cosh(nu z) - d0 cosh(nu (L - z))] / (nu sinh(nu L)), that is
         c = P exp(-nu (L - z)) + Q exp(-nu z) and c' = nu (P exp(-nu (L - z)) -
         Q exp(-nu z)) with P, Q = (d1 - d0 q, d1 q - d0) / (nu (1 - q^2)): two
-        exponentials per entry, neither argument positive on [0, L].
+        exponentials per entry, neither argument positive on [0, L]. Each is
+        kept only where its argument is at least -_CUTOFF, and evaluated only
+        over the live rows of each block (see blocks); every other entry is an
+        exact zero.
         """
         z, entry = self._entry(z)
         if "c" in entry:
             return entry["c"], entry["cp"]
-        d0, d1 = (d[self.active][:, None] for d in (self.d0, self.d1))
-        nu = np.sqrt(np.abs(self.basis.mu[self.active]))[:, None]
+        n = self.nu.size
+        nu = self.nu[:, None]
         q = np.exp(-nu * self.L)
         scale = 1.0 / (-np.expm1(-2.0 * nu * self.L) * nu)
-        # far from the data-carrying end the modes underflow; subnormal
-        # entries make exp and the synthesis products many times slower
-        tiny = np.finfo(float).tiny
-        arg = -nu * np.stack((self.L - z, z))[:, None, :]
-        far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= np.log(tiny))
-        far, near = (d1 - d0 * q) * scale * far, (d1 * q - d0) * scale * near
-        c, cp = far + near, nu * (far - near)
-        c[np.abs(c) < tiny] = 0.0
-        cp[np.abs(cp) < tiny] = 0.0
+        P, Q = (self.d1[:n, None] - self.d0[:n, None] * q) * scale, (self.d1[:n, None] * q - self.d0[:n, None]) * scale
+        c, cp = np.zeros((n, z.size)), np.zeros((n, z.size))
+        for cols, first in self.blocks(z):
+            if first == n:
+                continue
+            rows = slice(first, n)
+            arg = -nu[rows] * np.stack((self.L - z[cols], z[cols]))[:, None, :]
+            far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= -_CUTOFF)
+            far, near = P[rows] * far, Q[rows] * near
+            c[rows, cols], cp[rows, cols] = far + near, nu[rows] * (far - near)
         c.flags.writeable = cp.flags.writeable = False
         entry["c"], entry["cp"] = c, cp
         return c, cp
@@ -171,6 +219,7 @@ class StripLayer:
     def _products(self, z):
         """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at points z.
 
+        Each block of columns multiplies only over its live rows (see blocks).
         The six evaluators follow from these three: E_x = fd_first_axis(E)
         and that map is linear along x, and E_xx = (shift + mu) E - p w^(p-1) E
         column by column.
@@ -178,11 +227,17 @@ class StripLayer:
         z, entry = self._entry(z)
         if "v" not in entry:
             c, cp = self._tables(z)
-            # all modes are active on the massive basis: E as it is, no copy
-            e = self.basis.E if self.active.all() else self.basis.E[:, self.active]
-            entry["v"], entry["vz"], entry["m"] = e @ c, e @ cp, e @ (self.basis.mu[self.active][:, None] * c)
-            for key in ("v", "vz", "m"):
-                entry[key].flags.writeable = False
+            n = self.nu.size
+            mu = self.basis.mu[:n, None]
+            v, vz, m = (np.zeros((self.basis.x.size, z.size)) for _ in range(3))
+            for cols, first in self.blocks(z):
+                if first == n:
+                    continue
+                e = self.basis.E[:, first:n]
+                v[:, cols], vz[:, cols], m[:, cols] = e @ c[first:, cols], e @ cp[first:, cols], e @ (mu[first:] * c[first:, cols])
+            for arr in (v, vz, m):
+                arr.flags.writeable = False
+            entry["v"], entry["vz"], entry["m"] = v, vz, m
         return entry["v"], entry["vz"], entry["m"]
 
     # The six evaluators return the columns cols of their field at points z.

@@ -146,8 +146,8 @@ def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_p
     assert np.max(np.abs(rhs_odd + rhs_odd[::-1])) < 1e-10 * scale
 
 
-def _phi4_one_shot(bundle):
-    """Reference: the phi4 tables from one full-width right side and solve."""
+def _phi4_direct(bundle):
+    """Reference: the phi4 tables from one full-width solve of the full right sides."""
     ctx = bundle.ctx
     rhs_pair = az._phi4_rhs(bundle, az._Rows(bundle, bundle.theta_grid()), slice(None))
     lin = ctx.p * np.abs(ctx.fine_tables["w"][:, None]) ** (ctx.p - 1.0)
@@ -158,17 +158,29 @@ def _phi4_one_shot(bundle):
     return tables
 
 
-@pytest.mark.parametrize("case, eps", [("bent", 0.05), ("flat", 0.2), ("flat", 0.3)])
-def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps):
+@pytest.mark.parametrize("case, eps", [("bent", 0.05), ("bent", 0.01), ("flat", 0.2), ("flat", 0.3)])
+def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps, monkeypatch):
     # n_theta = 81 ends in a one-column block, 21 in a five-column block, and
-    # 15 fits in a single block
+    # 15 fits in a single block; at eps 0.01 (401 sections) both strip layers
+    # are identically zero in the middle blocks, which solve nothing
     chart, field, problem = (request.getfixturevalue(f"{case}_{name}") for name in ("chart", "field", "problem"))
     b5 = az.assemble_ansatz(5, az.zero_state(), eps, ctx3, chart, field, reduced_problem=problem)
-    assert b5.theta_grid().size % az._PHI4_BLOCK != 0
-    one_shot = _phi4_one_shot(b5)
-    for tables, ref in zip(az._phi4_tables(b5), one_shot):
+    n_theta = b5.theta_grid().size
+    assert n_theta % az._PHI4_BLOCK != 0
+    if eps == 0.01:
+        zt = az._Rows(b5, b5.theta_grid())["zt"]
+        mid = slice(n_theta // 2, n_theta // 2 + az._PHI4_BLOCK)
+        assert b5.phi22.is_zero(zt, mid) and b5.phi3.is_zero(zt, mid)
+    streamed = az._phi4_tables(b5)
+    monkeypatch.setattr(az, "_PHI4_BLOCK", n_theta)
+    one_shot = az._phi4_tables(b5)
+    direct = _phi4_direct(b5)
+    for tables, ref, solved in zip(streamed, one_shot, direct):
         for key, table in ref.items():
             assert np.array_equal(tables[key], table), key
+            # the profile part (StripContext.phi4_response) and the strip-layer
+            # part are solved apart and summed after the solve: roundoff only
+            assert np.max(np.abs(table - solved[key])) <= 1e-12 * np.max(np.abs(solved[key])), key
     # the straight channel has no odd sources
     assert np.max(np.abs(one_shot[0]["val"])) > 0.0
     assert (np.max(np.abs(one_shot[1]["val"])) > 0.0) == (case == "bent")
@@ -743,3 +755,50 @@ def test_projection_deviations_at_the_zero_state(ctx3, bent_chart, bent_field, b
     assert proj.abs_dev_Z == float(np.sqrt(np.mean(proj.measured_Z**2))) > 0.0
     assert proj.rel_dev_wx > 1e250
     assert set(proj.to_dict()) == {"eps", "abs_dev_wx", "abs_dev_Z", "rel_dev_wx", "rel_dev_Z", "rel_dev_Z_displayed"}
+
+
+def test_one_ring_solve_per_eps_and_context(ctx3, bent_chart, bent_field, sincos_state, monkeypatch):
+    calls = []
+    solve = rd.solve_f_problem
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "solve_f_problem", counting)
+    problem = rd.ReducedProblem(bent_chart, bent_field, ctx3.lambda0, j_max=80)
+    eps = 0.05
+    bundles = [
+        az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=problem)
+        for tier in (3, 4, 5)
+    ]
+    assert calls == [eps]
+    h = bundles[0].h_solution
+    assert h is not None and all(b.h_solution is h for b in bundles)
+    # the kept h is the one a fresh problem solves
+    fresh = rd.ReducedProblem(bent_chart, bent_field, ctx3.lambda0, j_max=80)
+    h_fresh = az.assemble_ansatz(3, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=fresh).h_solution
+    assert len(calls) == 2
+    for key in ("values", "d1", "d2"):
+        assert np.array_equal(getattr(h, key), getattr(h_fresh, key)), key
+    # the sources do not read the state: another f at the same eps reuses h
+    b4 = az.assemble_ansatz(4, sincos_state, eps, ctx3, bent_chart, bent_field, reduced_problem=problem)
+    assert len(calls) == 2 and b4.h_solution is h
+    # h_from_state solves nothing
+    az.assemble_ansatz(4, b4.state, eps, ctx3, bent_chart, bent_field, reduced_problem=problem, h_from_state=True)
+    assert len(calls) == 2
+    # another eps, or another strip context, solves again
+    az.assemble_ansatz(3, az.zero_state(), 0.04, ctx3, bent_chart, bent_field, reduced_problem=problem)
+    other = az.build_strip_context(3.0)
+    az.assemble_ansatz(3, az.zero_state(), 0.04, other, bent_chart, bent_field, reduced_problem=problem)
+    assert calls == [eps, eps, 0.04, 0.04]
+
+
+def test_failing_ledger_is_refused_after_a_kept_ring_solve(ctx3, bent_chart, bent_field):
+    problem = rd.ReducedProblem(bent_chart, bent_field, ctx3.lambda0, j_max=80)
+    eps = 0.05
+    failing = dataclasses.replace(rd.gap_check(eps, 0.5, ctx3.lambda0, bent_field.ell), passes=False)
+    az.assemble_ansatz(3, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=problem)
+    assert problem.last_ring is not None
+    with pytest.raises(rd.GapError):
+        az.assemble_ansatz(4, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=problem, ledger=failing)

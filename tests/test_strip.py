@@ -230,3 +230,60 @@ def test_massive_basis_shares_the_translated_eigenvectors(bases):
     assert bm.idx_resonant is None and bm.idx_zero.size == 0 and bm.shift == 25.0
     with pytest.raises(RuntimeError, match="not negative definite"):
         bt.massive(1.0)
+
+
+@pytest.fixture(scope="module")
+def bent_layers_001(ctx3, bent_chart, bent_field):
+    """The phi22 (translated) and phi3 (massive) layers of a bent-channel eps 0.01
+    bundle with the strip points zt of its theta grid."""
+    from curvelayers import ansatz as az
+
+    b4 = az.assemble_ansatz(4, az.zero_state(), 0.01, ctx3, bent_chart, bent_field, h_from_state=True)
+    zt = az._Rows(b4, b4.theta_grid())["zt"]
+    return {"phi22": b4.phi22, "phi3": b4.phi3}, zt
+
+
+def _untruncated_products(lay, z):
+    """Reference: every active mode's two exponentials at every z, then v = E c,
+    v_z = E c' and m = E (mu c) over all active modes."""
+    b, act = lay.basis, lay.active
+    nu = np.sqrt(-b.mu[act])[:, None]
+    d0, d1 = lay.d0[act][:, None], lay.d1[act][:, None]
+    q = np.exp(-nu * lay.L)
+    scale = 1.0 / (-np.expm1(-2.0 * nu * lay.L) * nu)
+    with np.errstate(under="ignore"):
+        far = (d1 - d0 * q) * scale * np.exp(-nu * (lay.L - z))
+        near = (d1 * q - d0) * scale * np.exp(-nu * z)
+    c, cp = far + near, nu * (far - near)
+    E = b.E[:, act]
+    return E @ c, E @ cp, E @ (b.mu[act][:, None] * c)
+
+
+@pytest.mark.parametrize("name", ["phi22", "phi3"])
+def test_decay_limited_layers_match_the_untruncated_synthesis(bent_layers_001, name):
+    layers, zt = bent_layers_001
+    lay = layers[name]
+    assert lay.basis.variant == ("translated" if name == "phi22" else "massive")
+    for key, got, ref in zip(("v", "vz", "m"), lay._products(zt), _untruncated_products(lay, zt)):
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), key
+    # columns farther than _CUTOFF / nu_min from both ends are exact zeros
+    far = np.minimum(zt, lay.L - zt) > st._CUTOFF / lay.nu.min()
+    assert np.any(far)
+    for table in (*lay._tables(zt), *lay._products(zt)):
+        assert np.all(table[:, far] == 0.0)
+    # the layer still solves its PDE and meets its end data (the data's active modes)
+    E = lay.basis.E[:, lay.active]
+    data0, data1 = E @ lay.d0[lay.active], E @ lay.d1[lay.active]
+    scale = max(np.max(np.abs(data0)), np.max(np.abs(data1)))
+    assert np.max(np.abs(lay.pde_residual(zt[1:-1:7]))) < 1e-10 * scale
+    assert lay.boundary_mismatch(data0, data1) < 1e-10 * scale
+
+
+@pytest.mark.parametrize("name", ["phi22", "phi3"])
+def test_decay_limited_layers_evaluate_few_modes(bent_layers_001, name):
+    # a guard on the work: without the cutoff every (mode, z) pair is evaluated
+    layers, zt = bent_layers_001
+    lay = layers[name]
+    n = lay.nu.size
+    evaluated = sum((n - first) * len(range(*cols.indices(zt.size))) for cols, first in lay.blocks(zt))
+    assert evaluated < 0.15 * n * zt.size
