@@ -330,8 +330,7 @@ def _h_sources(bundle, rows, weights):
     if phi22 is None:
         p_xz = p_x_wx = p_xwx = p_3 = np.zeros_like(rows.th)
     else:
-        c = phi22._coef(rows["zt"])
-        cp = phi22._coef(rows["zt"], order=1)
+        c, cp = phi22._coefs(rows["zt"])
         p_xz = weights["v_x_wx"] @ cp  # int phi*_{x ztilde} w_x dx
         p_x_wx = weights["v_x_wx"] @ c  # int phi*_x w_x dx
         p_xwx = weights["v_val_x"] @ c  # int phi* x w_x dx
@@ -812,8 +811,36 @@ def _phi4_knots(th_grid, table):
     for key, slope in _PHI4_SLOPE.items():
         values = knots[key] = table.pop(key)
         knots[slope] = spline_slopes(th_grid, values.T).T
-    knots["d2th"] = hermite(th_grid, knots["val"].T, knots["dth"].T, th_grid, 2).T
+    knots["d2th"] = _knot_curvature(th_grid, knots["val"], knots["dth"])
     return knots
+
+
+def _knot_curvature(grid, y, slope):
+    """Second derivative at the knots grid (axis 1) of the Hermite cubics of (y, slope).
+
+    Each knot reads its right interval's cubic at s = 0, 2 c2 / h^2, and the
+    last knot the last interval's at s = 1, (2 c2 + 6 c3) / h^2: the
+    operations of hermite(grid, y.T, slope.T, grid, 2).T, the same bits,
+    with one temporary of the table's size where hermite makes about ten.
+    """
+    h = np.diff(grid)
+    out = np.empty_like(y)
+    c2 = out[:, :-1]
+    np.subtract(y[:, 1:], y[:, :-1], out=c2)
+    c2 *= 3.0
+    m = np.multiply(h, slope[:, :-1])  # m0 = h slope on the left
+    m *= 2.0
+    c2 -= m
+    np.multiply(h, slope[:, 1:], out=m)  # m1 = h slope on the right
+    c2 -= m
+    hl = h[-1:]
+    m0, m1 = hl * slope[:, -2], m[:, -1]
+    c3 = 2.0 * (y[:, -2] - y[:, -1]) + m0 + m1
+    last = (2.0 * c2[:, -1] + 6.0 * c3) / hl**2
+    c2 *= 2.0
+    c2 /= h**2
+    out[:, -1] = last
+    return out
 
 
 def _phi4_evaluators(th_grid, knots):

@@ -286,11 +286,17 @@ def _stage_reduced(pipe, tables_dir):
 
 
 def _resonance_sweep(eps_values, c, lambda0, ell, b5t, b6t, beta, hbar5):
-    """Rows [eps, gap margin, sup of e] of the amplitude problem forced by exp(theta)."""
+    """Rows [eps, gap margin, sup of e] of the amplitude problem forced by exp(theta).
+
+    beta, hbar5 and the forcing are evaluated once, at the nodes of the
+    amplitude solve, and every eps reads those values.
+    """
+    th = reduced._e_grid()[0]
+    force, beta, hbar5 = (reduced._on(fn, th) for fn in (np.exp, beta, hbar5))
     rows = []
     for eps in eps_values:
         led = reduced.gap_check(eps, c, lambda0, ell)
-        sol = reduced.solve_e_problem(lambda th: np.exp(th), eps, b5t, b6t, beta, hbar5, lambda0)
+        sol = reduced.solve_e_problem(force, eps, b5t, b6t, beta, hbar5, lambda0)
         rows.append([eps, led.margin, float(np.max(np.abs(sol.values)))])
     return np.asarray(rows)
 

@@ -63,11 +63,12 @@ def cheb_nodes_matrices(n):
     y = np.cos(np.pi * j / n)  # 1 ... -1
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     diag = np.diag_indices(n + 1)
+    # the n x n arrays are updated in place: at n = 4040 each is 125 MiB
     dY = y[:, None] - y  # y_i - y_j, with 1 on the diagonal
     dY[diag] = 1.0
-    D = np.outer(c, 1.0 / c) / dY
+    D = np.outer(c, 1.0 / c)
+    D /= dY
     D[diag] -= D.sum(axis=1)
-    # the n x n arrays are updated in place: at n = 4040 each is 125 MiB
     D2 = np.reciprocal(dY, out=dY)
     np.subtract(D[diag][:, None], D2, out=D2)
     D2 *= D
@@ -98,6 +99,10 @@ def clenshaw_curtis_weights(n):
     return 0.5 * w  # interval length 1
 
 
+# rows of the c1 D1 term formed at once by _robin_collocation
+_ROW_BLOCK = 256
+
+
 def _on(fn, x):
     """Values at the points x of a callable, a constant, or an array given at x."""
     return np.asarray(fn(x), dtype=float) if callable(fn) else np.full(np.shape(x), fn, dtype=float)
@@ -108,10 +113,19 @@ def _robin_collocation(D1, D2, c2, c1, c0, rhs, k, data):
     u' + k[0] u = data[0] at the first node and u' + k[1] u = data[1] at the last.
 
     The coefficients are constants or node values; the two Robin rows replace
-    the first and last rows of the collocation system.
+    the first and last rows of the collocation system. The system is formed
+    in D2, which is overwritten: c2 D2, then c1 D1 added in blocks of
+    _ROW_BLOCK rows, then c0 on the diagonal, the operations and order of
+    c2 D2 + c1 D1 + diag(c0), so no other n x n array is made but the copy
+    that the solve factorizes.
     """
     c2, c1, c0 = (np.broadcast_to(c, rhs.shape) for c in (c2, c1, c0))
-    A = c2[:, None] * D2 + c1[:, None] * D1 + np.diag(c0)
+    A = D2
+    A *= c2[:, None]
+    for start in range(0, A.shape[0], _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        A[rows] += c1[rows, None] * D1[rows]
+    A[np.diag_indices_from(A)] += c0
     rhs = np.array(rhs, dtype=float)
     A[[0, -1]] = D1[[0, -1]]
     A[0, 0] += k[0]
@@ -128,10 +142,12 @@ class SpectralBasis:
 
     The grid, the coefficients on it and the elimination of the two Robin
     rows are built here; a singular Robin block raises
-    DegenerateOperatorError. The eigenpairs, computed when first read, are
-    those of the Liouville normal form (they coincide with the original ones
-    when q1 = 0 and are orthonormal in L2(0,1) always); rho_half maps them
-    back to the original problem.
+    DegenerateOperatorError. The differentiation matrices are not kept (at
+    n = 4040 each is 125 MiB): matrices() forms them for each reader. The
+    eigenpairs, computed when first read, are those of the Liouville normal
+    form (they coincide with the original ones when q1 = 0 and are
+    orthonormal in L2(0,1) always); rho_half maps them back to the original
+    problem.
     """
 
     def __init__(self, q1, q2, k1, k2, j_max=60, n_cheb=None):
@@ -144,7 +160,7 @@ class SpectralBasis:
         n = n_cheb
         self.q1, self.q2, self.j_max = q1, q2, j_max
         self.k1, self.k2 = float(k1), float(k2)
-        self.nodes, self.D1, self.D2 = cheb_nodes_matrices(n)
+        self.nodes, D1, D2 = cheb_nodes_matrices(n)
         self.wq = clenshaw_curtis_weights(n)
         self.q1_nodes = _on(q1, self.nodes)
         self.q2_nodes = _on(q2, self.nodes)
@@ -162,7 +178,6 @@ class SpectralBasis:
         self.k2t = self.k2 - 0.5 * self.q1_nodes[-1]
         # u' + k1t u = 0 at the first node and u' + k2t u = 0 at the last give
         # the two end values as a linear map T of the interior values
-        D1 = self.D1
         robin = np.array([[D1[0, 0] + self.k1t, D1[0, n]], [D1[n, 0], D1[n, n] + self.k2t]])
         if np.linalg.cond(robin) > 1.0 / np.finfo(float).eps:
             raise DegenerateOperatorError(
@@ -170,12 +185,31 @@ class SpectralBasis:
                 "boundary block singular; the end values are not determined"
             )
         self.T = -np.linalg.solve(robin, D1[[0, n], 1:n])
+        # the first reader (ReducedProblem: eigenvalues_near_zero) takes this build
+        self._built = (D1, D2)
 
-    def _eliminated(self):
-        """-D2 + diag(Q) on the interior nodes with the two Robin rows substituted."""
+    def matrices(self):
+        """D1 and D2 on the nodes, the caller's to overwrite.
+
+        The first call returns the constructor's build and drops it; each
+        later call builds them again, in O(n^2).
+        """
+        built = self.__dict__.pop("_built", None)
+        return built if built is not None else cheb_nodes_matrices(self.nodes.size - 1)[1:]
+
+    def _eliminated(self, D2=None):
+        """-D2 + diag(Q) on the interior nodes with the two Robin rows substituted.
+
+        Formed in D2 (from matrices() when not given), which is overwritten;
+        the result is a view into it.
+        """
         n = self.nodes.size - 1
-        op = -self.D2 + np.diag(self.Q)
-        return op[1:n, 1:n] + op[1:n, [0, n]] @ self.T
+        op = D2 if D2 is not None else self.matrices()[1]
+        np.negative(op, out=op)
+        op[np.diag_indices_from(op)] += self.Q
+        M = op[1:n, 1:n]
+        M += op[1:n, [0, n]] @ self.T
+        return M
 
     def eigenvalues_near_zero(self):
         """The four eigenvalues nearest 0, ascending: shift-invert ARPACK on an
@@ -192,7 +226,9 @@ class SpectralBasis:
     @cached_property
     def _eigenpairs(self):
         n = self.nodes.size - 1
-        vals, vecs = sla.eig(self._eliminated())
+        D1, D2 = self.matrices()
+        vals, vecs = sla.eig(self._eliminated(D2))
+        del D2
         finite = np.isfinite(vals.real) & (np.abs(vals.imag) <= 1e-6 * (1.0 + np.abs(vals.real)))
         keep = np.flatnonzero(finite)[np.argsort(vals[finite].real)][: self.j_max + 1]
         lam = vals[keep].real
@@ -209,7 +245,7 @@ class SpectralBasis:
         Y = lifted / norms
         anchor = Y[0] + 0.1 * Y[min(4, n)]
         Y = Y * np.where(anchor >= 0, 1.0, -1.0)
-        Yp = self.D1 @ Y
+        Yp = D1 @ Y
         # Rayleigh-quotient polish: the eigenvalues of the eliminated collocation
         # matrix carry roundoff of order eps * ||D2||; the quotient error is
         # quadratic in the eigenvector error
@@ -406,11 +442,12 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     gv = _on(g, th)
     P1 = basis.q1_nodes + _on(alpha1, th) * ell / beta
     P2 = basis.q2_nodes + _on(alpha2, th) * ell**2 / beta**2
+    D1, D2 = basis.matrices()
     eta = _robin_collocation(
-        basis.D1, basis.D2, 1.0, P1, P2, ell**2 / beta**2 * gv,
+        D1, D2, 1.0, P1, P2, ell**2 / beta**2 * gv,
         (problem.kappa1, problem.kappa2), (robin[0] * ell / beta[0], robin[1] * ell / beta[-1]),
     )
-    eta_p = basis.D1 @ eta
+    eta_p = D1 @ eta
     # second derivative through the equation (interior identity)
     eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
     fp = eta_p * beta / ell
@@ -427,8 +464,11 @@ class ESolution(_NodalSolution):
 @cache
 def _e_grid():
     """The one CGL grid of the amplitude solve (its coefficients are smooth in
-    theta): nodes, D1, D2 and quadrature weights."""
-    return (*cheb_nodes_matrices(192), clenshaw_curtis_weights(192))
+    theta): nodes, D1, D2 and quadrature weights, read-only."""
+    grid = (*cheb_nodes_matrices(192), clenshaw_curtis_weights(192))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
 
 
 def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, robin=(0.0, 0.0)):
@@ -443,7 +483,7 @@ def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, r
     refuse_failing_ledger(ledger)
     th, D1, D2, wq = _e_grid()
     e = _robin_collocation(
-        D1, D2, eps**2 * _on(beta, th) ** -2, eps**2 * _on(hbar5, th), lambda0, _on(g_tilde, th), (b5t, b6t), robin
+        D1, D2.copy(), eps**2 * _on(beta, th) ** -2, eps**2 * _on(hbar5, th), lambda0, _on(g_tilde, th), (b5t, b6t), robin
     )
     ep = D1 @ e
     epp = D2 @ e

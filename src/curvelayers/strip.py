@@ -139,6 +139,12 @@ class StripLayer:
         if not self.active[:n].all():
             raise ValueError("the active modes must be the first columns of the basis")
         self.nu = np.sqrt(np.abs(self.basis.mu[:n]))
+        # the amplitudes P, Q of each mode's two exponentials (see _block_coefs)
+        nu = self.nu[:, None]
+        q = np.exp(-nu * self.L)
+        scale = 1.0 / (-np.expm1(-2.0 * nu * self.L) * nu)
+        d0, d1 = self.d0[:n, None], self.d1[:n, None]
+        self._P, self._Q = (d1 - d0 * q) * scale, (d1 * q - d0) * scale
 
     def _entry(self, z):
         """Points z as an array and the cache entry (a dict) kept for them.
@@ -177,8 +183,9 @@ class StripLayer:
         """Whether the layer is identically zero at the columns cols of z."""
         return bool(np.all(self._first_live(np.atleast_1d(np.asarray(z, dtype=float))[cols]) == self.nu.size))
 
-    def _tables(self, z):
-        """Read-only mode coefficient tables c and c' at points z.
+    def _block_coefs(self, z, cols, first):
+        """Mode coefficients c and c' at the columns cols of z over the live
+        table rows first: (see blocks).
 
         Every active mode has mu < 0: solve_strip_layer drops or refuses the
         resonant and zero modes of the translated basis, and the massive basis
@@ -187,54 +194,50 @@ class StripLayer:
         c = P exp(-nu (L - z)) + Q exp(-nu z) and c' = nu (P exp(-nu (L - z)) -
         Q exp(-nu z)) with P, Q = (d1 - d0 q, d1 q - d0) / (nu (1 - q^2)): two
         exponentials per entry, neither argument positive on [0, L]. Each is
-        kept only where its argument is at least -_CUTOFF, and evaluated only
-        over the live rows of each block (see blocks); every other entry is an
-        exact zero.
+        kept only where its argument is at least -_CUTOFF; every other entry
+        is an exact zero.
         """
-        z, entry = self._entry(z)
-        if "c" in entry:
-            return entry["c"], entry["cp"]
+        nu = self.nu[first:, None]
+        arg = -nu * np.stack((self.L - z[cols], z[cols]))[:, None, :]
+        far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= -_CUTOFF)
+        far, near = self._P[first:] * far, self._Q[first:] * near
+        return far + near, nu * (far - near)
+
+    def _coefs(self, z):
+        """Mode coefficient tables c and c' at points z, formed in one pass
+        over the blocks and not kept."""
+        z = np.atleast_1d(np.asarray(z, dtype=float))
         n = self.nu.size
-        nu = self.nu[:, None]
-        q = np.exp(-nu * self.L)
-        scale = 1.0 / (-np.expm1(-2.0 * nu * self.L) * nu)
-        P, Q = (self.d1[:n, None] - self.d0[:n, None] * q) * scale, (self.d1[:n, None] * q - self.d0[:n, None]) * scale
         c, cp = np.zeros((n, z.size)), np.zeros((n, z.size))
         for cols, first in self.blocks(z):
-            if first == n:
-                continue
-            rows = slice(first, n)
-            arg = -nu[rows] * np.stack((self.L - z[cols], z[cols]))[:, None, :]
-            far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= -_CUTOFF)
-            far, near = P[rows] * far, Q[rows] * near
-            c[rows, cols], cp[rows, cols] = far + near, nu[rows] * (far - near)
-        c.flags.writeable = cp.flags.writeable = False
-        entry["c"], entry["cp"] = c, cp
+            if first < n:
+                c[first:, cols], cp[first:, cols] = self._block_coefs(z, cols, first)
         return c, cp
 
     def _coef(self, z, order=0):
         """Mode coefficients c (order 0) or c' (order 1) at points z."""
-        return self._tables(z)[order]
+        return self._coefs(z)[order]
 
     def _products(self, z):
         """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at points z.
 
-        Each block of columns multiplies only over its live rows (see blocks).
-        The six evaluators follow from these three: E_x = fd_first_axis(E)
-        and that map is linear along x, and E_xx = (shift + mu) E - p w^(p-1) E
-        column by column.
+        Each block of columns forms c and c' over its live rows only (see
+        blocks), multiplies and drops them: no full-width table of c or c' is
+        made. The six evaluators follow from these three: E_x =
+        fd_first_axis(E) and that map is linear along x, and E_xx = (shift +
+        mu) E - p w^(p-1) E column by column.
         """
         z, entry = self._entry(z)
         if "v" not in entry:
-            c, cp = self._tables(z)
             n = self.nu.size
             mu = self.basis.mu[:n, None]
             v, vz, m = (np.zeros((self.basis.x.size, z.size)) for _ in range(3))
             for cols, first in self.blocks(z):
                 if first == n:
                     continue
+                c, cp = self._block_coefs(z, cols, first)
                 e = self.basis.E[:, first:n]
-                v[:, cols], vz[:, cols], m[:, cols] = e @ c[first:, cols], e @ cp[first:, cols], e @ (mu[first:] * c[first:, cols])
+                v[:, cols], vz[:, cols], m[:, cols] = e @ c, e @ cp, e @ (mu[first:] * c)
             for arr in (v, vz, m):
                 arr.flags.writeable = False
             entry["v"], entry["vz"], entry["m"] = v, vz, m

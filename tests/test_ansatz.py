@@ -12,7 +12,7 @@ from curvelayers import geodesic as gd
 from curvelayers import geometry, pde
 from curvelayers import reduced as rd
 from curvelayers.strip import StripLayer, solve_strip_layer
-from curvelayers.util import fd_first_axis, simpson_weights
+from curvelayers.util import fd_first_axis, hermite, simpson_weights, spline_slopes
 
 
 def test_rows_read_theta_functions(ctx3, bent_chart, bent_field, bent_problem):
@@ -462,6 +462,20 @@ def test_phi4_knot_evaluators_match_the_spline(ctx3, bent_chart, bent_field, ben
         got = layer["dth"](np.concatenate([knots, between])[::-1])
         assert np.array_equal(got[:, -knots.size :], layer["dth"](knots)[:, ::-1])
         assert np.max(np.abs(got[:, : between.size] - ref["dth"](between)[:, ::-1])) <= 1e-12 * np.max(np.abs(got))
+
+
+def test_knot_curvature_is_hermite_at_the_knots_bit_for_bit(ctx3, bent_b5_002):
+    # the phi4 knot tables of a bent-channel bundle, and a random table on an
+    # uneven grid
+    rng = np.random.default_rng(7)
+    grid = np.cumsum(rng.uniform(0.5, 1.5, 41))
+    y = rng.standard_normal((9, grid.size))
+    cases = [(grid, y, spline_slopes(grid, y.T).T)]
+    cases += [(bent_b5_002.theta_grid(), layer["val"](bent_b5_002.theta_grid()), layer["dth"](bent_b5_002.theta_grid()))
+              for layer in (bent_b5_002.phi4_even, bent_b5_002.phi4_odd)]
+    for grid, y, slope in cases:
+        want = hermite(grid, y.T, slope.T, grid, 2).T
+        assert np.array_equal(az._knot_curvature(grid, y, slope), want)
 
 
 def test_seed_value_matches_the_full_strip_fields(ctx3, bent_chart, bent_field, bent_problem):

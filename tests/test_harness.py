@@ -191,6 +191,27 @@ def test_gap_sweep_table(tmp_path):
     assert os.path.exists(tmp_path / "gap_sweep.txt")
 
 
+def test_resonance_sweep_reads_its_coefficients_once(flat_field):
+    # the sweep evaluates its coefficients once, at the amplitude nodes, and
+    # every row is what a per-eps solve with the callables gives, bit for bit
+    calls = []
+
+    def beta(th):
+        calls.append("beta")
+        return flat_field.beta(th)
+
+    def hbar5(th):
+        calls.append("hbar5")
+        return 0.2 * np.sin(np.pi * np.asarray(th))
+
+    eps_values = np.linspace(0.3, 0.1, 7)
+    rows = harness._resonance_sweep(eps_values, 0.5, 3.0, 1.3, 0.2, -0.1, beta, hbar5)
+    assert sorted(calls) == ["beta", "hbar5"]
+    for eps, row in zip(eps_values, rows):
+        sol = reduced.solve_e_problem(lambda th: np.exp(th), eps, 0.2, -0.1, beta, hbar5, 3.0)
+        assert row[2] == np.max(np.abs(sol.values))
+
+
 def test_cli_smoke(tmp_path):
     code = cli.main(["gap-sweep", "--p", "3", "--eps-min", "0.2", "--eps-max", "0.3", "--n", "5", "--out", str(tmp_path)])
     assert code == 0

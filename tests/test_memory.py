@@ -1,0 +1,69 @@
+"""Memory guards of a tier-5 rung: what it keeps, and its traced peak."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from curvelayers import ansatz as az
+from curvelayers import reduced as rd
+
+EPS = 0.02
+J_MAX = 200  # the eps-ladder's basis size at this eps
+
+
+def _rung(ctx, chart, field):
+    """ReducedProblem, tiers 3-5 (one ring solve) and both residuals."""
+    problem = rd.ReducedProblem(chart, field, 3.0, j_max=J_MAX)
+    for tier in (3, 4, 5):
+        bundle = az.assemble_ansatz(tier, az.zero_state(), EPS, ctx, chart, field, reduced_problem=problem)
+    az.interior_residual(bundle)
+    az.boundary_residual(bundle)
+    return problem, bundle
+
+
+@pytest.fixture(scope="module")
+def rung(ctx3, bent_chart, bent_field):
+    return _rung(ctx3, bent_chart, bent_field)
+
+
+def _arrays(obj):
+    """The arrays among the attributes of obj, one container level deep."""
+    for value in vars(obj).values():
+        items = value if isinstance(value, (tuple, list)) else value.values() if isinstance(value, dict) else (value,)
+        yield from (item for item in items if isinstance(item, np.ndarray))
+
+
+def test_problem_keeps_no_chebyshev_matrix(rung):
+    problem, _ = rung
+    n = problem.basis.nodes.size
+    assert problem.last_ring[1] is not None  # the ring problem was solved
+    for owner in (problem, problem.basis):
+        for arr in _arrays(owner):
+            assert not (arr.ndim == 2 and min(arr.shape) >= n - 2), (type(owner).__name__, arr.shape)
+
+
+def test_strip_layers_keep_only_their_syntheses(rung):
+    _, bundle = rung
+    for layer in (bundle.phi22, bundle.phi3):
+        assert layer._last is not None
+        assert set(layer._last[1]) <= {"blocks", "v", "vz", "m"}
+        # the coefficient tables are formed for the caller and not kept
+        z = np.linspace(0.0, layer.L, 7)
+        c, cp = layer._coefs(z)
+        assert c.shape == cp.shape == (layer.nu.size, z.size)
+        assert set(layer._last[1]) == {"blocks"}
+
+
+def test_rung_traced_peak(rung, ctx3, bent_chart, bent_field):
+    # the module fixture ran the same rung, so every cache of the context and
+    # the field is warm. The bound is 10% above the measured 33.2 MiB; a basis
+    # that keeps D1 and D2, strip layers that keep full-width c and c' tables
+    # and the knot curvature through hermite's temporaries read 42.9 MiB
+    tracemalloc.start()
+    try:
+        _rung(ctx3, bent_chart, bent_field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36.6 * 2**20

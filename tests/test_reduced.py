@@ -117,6 +117,54 @@ def test_closed_form_second_derivative_matrix_is_the_square_of_D1(n):
     assert np.max(np.abs(D2 - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def _robin_collocation_by_formula(D1, D2, c2, c1, c0, rhs, k, data):
+    """Reference: the collocation system as c2 D2 + c1 D1 + diag(c0) in new arrays."""
+    c2, c1, c0 = (np.broadcast_to(c, rhs.shape) for c in (c2, c1, c0))
+    A = c2[:, None] * D2 + c1[:, None] * D1 + np.diag(c0)
+    rhs = np.array(rhs, dtype=float)
+    A[[0, -1]] = D1[[0, -1]]
+    A[0, 0] += k[0]
+    A[-1, -1] += k[1]
+    rhs[[0, -1]] = data
+    return np.linalg.solve(A, rhs)
+
+
+# 192 is the amplitude grid; 540 the location grid of j_max = 200, more than
+# two blocks of rows with a ragged last one
+@pytest.mark.parametrize("n", [192, 540])
+def test_robin_collocation_in_place_is_the_formula_bit_for_bit(n):
+    th, D1, D2 = rd.cheb_nodes_matrices(n)
+    coefficients = (
+        (1.0, 0.3 * np.cos(3.0 * th), -2.0 + th),  # solve_f_problem: c2 = 1
+        (1e-4 / (1.0 + 0.3 * th) ** 2, 0.0, 3.0),  # solve_e_problem without hbar5
+        (1e-4 / (1.0 + 0.3 * th) ** 2, 5e-5 * np.sin(np.pi * th), 3.0),  # and with it
+    )
+    for c2, c1, c0 in coefficients:
+        args = (c2, c1, c0, np.exp(th), (0.4, -0.7), (1.5, 0.25))
+        want = _robin_collocation_by_formula(D1, D2, *args)
+        got = rd._robin_collocation(D1, D2.copy(), *args)
+        assert np.array_equal(got, want)
+
+
+def test_e_grid_is_read_only():
+    # _robin_collocation overwrites the D2 it is given; the cached amplitude
+    # grid is passed as a copy
+    for arr in rd._e_grid():
+        assert not arr.flags.writeable
+    th = rd._e_grid()[0]
+    rd.solve_e_problem(np.exp(th), 0.1, 0.2, -0.3, 1.0, 0.5, 3.0)
+
+
+def test_basis_builds_its_matrices_for_each_reader():
+    b = rd.SpectralBasis(0.3, -2.0, 0.5, -0.7, j_max=20)
+    _, D1, D2 = rd.cheb_nodes_matrices(b.nodes.size - 1)
+    first = b.matrices()  # the constructor's build, handed over once
+    assert "_built" not in vars(b)
+    for got in (first, b.matrices()):
+        assert np.array_equal(got[0], D1) and np.array_equal(got[1], D2)
+    assert b.matrices()[1] is not b.matrices()[1]
+
+
 def test_singular_robin_block_is_refused():
     # this k_left zeroes the determinant of the 2 x 2 Robin block exactly;
     # in floating point the block has condition number ~1e17

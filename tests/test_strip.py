@@ -259,6 +259,45 @@ def _untruncated_products(lay, z):
     return E @ c, E @ cp, E @ (b.mu[act][:, None] * c)
 
 
+def _full_table_products(lay, z):
+    """Reference: full-width c and c' tables over every block's live rows (zero
+    elsewhere), then each block's products from column slices of them."""
+    n = lay.nu.size
+    nu = lay.nu[:, None]
+    q = np.exp(-nu * lay.L)
+    scale = 1.0 / (-np.expm1(-2.0 * nu * lay.L) * nu)
+    P, Q = (lay.d1[:n, None] - lay.d0[:n, None] * q) * scale, (lay.d1[:n, None] * q - lay.d0[:n, None]) * scale
+    c, cp = np.zeros((n, z.size)), np.zeros((n, z.size))
+    v, vz, m = (np.zeros((lay.basis.x.size, z.size)) for _ in range(3))
+    mu = lay.basis.mu[:n, None]
+    for cols, first in lay.blocks(z):
+        if first == n:
+            continue
+        rows = slice(first, n)
+        arg = -nu[rows] * np.stack((lay.L - z[cols], z[cols]))[:, None, :]
+        far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= -st._CUTOFF)
+        far, near = P[rows] * far, Q[rows] * near
+        c[rows, cols], cp[rows, cols] = far + near, nu[rows] * (far - near)
+    for cols, first in lay.blocks(z):
+        if first < n:
+            e = lay.basis.E[:, first:n]
+            v[:, cols], vz[:, cols], m[:, cols] = e @ c[first:, cols], e @ cp[first:, cols], e @ (mu[first:] * c[first:, cols])
+    return (c, cp), (v, vz, m)
+
+
+@pytest.mark.parametrize("name", ["phi22", "phi3"])
+def test_blockwise_coefficients_are_the_full_tables_bit_for_bit(bent_layers_001, name):
+    layers, zt = bent_layers_001
+    lay = layers[name]
+    z = zt[: 3 * st._Z_BLOCK + 5]  # every mode live in some block, a ragged last block
+    for zz in (zt, z):
+        (c, cp), products = _full_table_products(lay, zz)
+        lay._last = None  # synthesize afresh, not from an earlier test's cache
+        assert np.array_equal(lay._coef(zz), c) and np.array_equal(lay._coef(zz, order=1), cp)
+        for got, want in zip(lay._products(zz), products):
+            assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("name", ["phi22", "phi3"])
 def test_decay_limited_layers_match_the_untruncated_synthesis(bent_layers_001, name):
     layers, zt = bent_layers_001
@@ -269,7 +308,7 @@ def test_decay_limited_layers_match_the_untruncated_synthesis(bent_layers_001, n
     # columns farther than _CUTOFF / nu_min from both ends are exact zeros
     far = np.minimum(zt, lay.L - zt) > st._CUTOFF / lay.nu.min()
     assert np.any(far)
-    for table in (*lay._tables(zt), *lay._products(zt)):
+    for table in (lay._coef(zt), lay._coef(zt, order=1), *lay._products(zt)):
         assert np.all(table[:, far] == 0.0)
     # the layer still solves its PDE and meets its end data (the data's active modes)
     E = lay.basis.E[:, lay.active]
