@@ -17,7 +17,7 @@ from . import geodesic, reduced
 from .geometry import ZERO_FN, ScalarFn
 from .profiles import build_profiles
 from .strip import build_strip_basis, solve_strip_layer
-from .util import bridge_cutoff, fd_first_axis, hermite, simpson_weights, smoothstep, spline_slopes
+from .util import Quintic, bridge_cutoff, fd_first_axis, hermite, simpson_weights, smoothstep, spline_slopes, write_table
 
 __all__ = [
     "ReducedState",
@@ -157,9 +157,9 @@ def resonance_amplitude(eps, c0, c1, ell, lambda0, margin_threshold=0.05):
 class StripContext:
     """Fine-grid profiles with a coarser strip grid and the two x-bases.
 
-    The bases, the phi4 profiles and their responses, and the ring-source
-    mode vectors are built on first read: the profiles stage, tiers 1-2 and
-    the Newton seeds read none of them.
+    The bases, the phi4 profiles and their responses, the ring-source mode
+    vectors and the seed quintic are built on first read: the profiles stage
+    and tiers 1-2 read none of them, and the Newton seeds only the quintic.
     """
 
     p: float
@@ -186,6 +186,11 @@ class StripContext:
     def basis_m(self):
         """The massive basis: basis_t's eigenvectors, its eigenvalues shifted by 1 - _K_TILDE."""
         return self.basis_t.massive(_K_TILDE)
+
+    @cached_property
+    def quintic(self):
+        """The Newton seed's quintic interpolation on x: its collocation matrix, factored."""
+        return Quintic(self.x)
 
     @cached_property
     def phi4_profiles(self):
@@ -568,20 +573,18 @@ class AnsatzBundle:
     def _W_columns(self, t_pts, th):
         """W at the points (t_pts, th[j]) as column j.
 
-        One strip synthesis and one quintic spline in x through all the
-        sections; each column's spline is then read at its own points.
+        One strip synthesis and one quintic in x through all the sections
+        (the context's factored collocation); every column is then read at
+        its own points in one pass.
         """
-        from scipy.interpolate import BSpline, make_interp_spline
-
         rows = _Rows(self, th)
-        x = self.ctx.x
-        spl = make_interp_spline(x, self.strip_fields(derivs=False, rows=rows)["v"], k=5)
-        xq = rows["beta"] * (t_pts[:, None] / self.eps - rows["fh"])
-        vals = np.zeros(xq.shape)
-        for j, col in enumerate(xq.T):
-            inside = np.abs(col) <= x[-1]
-            vals[inside, j] = BSpline.construct_fast(spl.t, spl.c[:, j], spl.k)(col[inside])
-        return self.window(t_pts)[0][:, None] * rows["alpha"] * vals
+        quintic = self.ctx.quintic
+        c = quintic.coefficients(self.strip_fields(derivs=False, rows=rows)["v"])
+        xq = (rows["beta"] * (t_pts[:, None] / self.eps - rows["fh"])).ravel()
+        vals = np.zeros(xq.size)
+        inside = np.flatnonzero(np.abs(xq) <= self.ctx.x[-1])
+        vals[inside] = quintic(c, xq[inside], inside % th.size)
+        return self.window(t_pts)[0][:, None] * rows["alpha"] * vals.reshape(t_pts.size, th.size)
 
 
 def export_strip_table(report, path, stride=(4, 1)):
@@ -591,7 +594,7 @@ def export_strip_table(report, path, stride=(4, 1)):
     z = report.z[::sz]
     E = report.E[::sx, ::sz]
     xx, zz = np.meshgrid(x, z, indexing="ij")
-    np.savetxt(path, np.column_stack([xx.ravel(), zz.ravel(), E.ravel()]), header="x z E", fmt="%.12e")
+    write_table(path, np.column_stack([xx.ravel(), zz.ravel(), E.ravel()]), header="x z E", fmt="%.12e")
 
 
 def default_z_grid(eps, spacing=0.25):
@@ -1138,51 +1141,6 @@ def interior_residual(bundle, z=None):
         proj_Z=proj_Z,
         quadrature_flag=flag,
     )
-
-
-def residual_crosscheck(bundle, n_probe=5, h=None):
-    """Independent check: central differences of W against the chain rule.
-
-    Samples interior points with the cutoff at 1 and compares the physical
-    residual computed from finite differences of W alone; returns the max
-    relative deviation (bounded by the FD truncation).
-    """
-    eps = bundle.eps
-    h = h if h is not None else eps * 2e-3
-    zs = np.linspace(0.25 / eps, 0.75 / eps, n_probe)
-    rep = interior_residual(bundle, z=zs)
-    dev = 0.0
-    for j, z in enumerate(zs):
-        th = eps * z
-        for i in (bundle.ctx.x.size // 2 + 3, bundle.ctx.x.size // 2 + 40):
-            beta = float(bundle.coeffs.beta(th))
-            fh = float(bundle.state.f(th) + bundle.state.h(th))
-            t0 = eps * (bundle.ctx.x[i] / beta + fh)
-            if abs(t0) > 2.0 * bundle.delta:
-                continue
-            # second-order stencils in (t, theta)
-            W0 = bundle.W_eval(np.array([t0]), th)[0]
-            Wt = (bundle.W_eval(np.array([t0 + h]), th)[0] - bundle.W_eval(np.array([t0 - h]), th)[0]) / (2 * h)
-            Wtt = (bundle.W_eval(np.array([t0 + h]), th)[0] - 2 * W0 + bundle.W_eval(np.array([t0 - h]), th)[0]) / h**2
-            Wth_ = (bundle.W_eval(np.array([t0]), th + h)[0] - bundle.W_eval(np.array([t0]), th - h)[0]) / (2 * h)
-            Wthth = (bundle.W_eval(np.array([t0]), th + h)[0] - 2 * W0 + bundle.W_eval(np.array([t0]), th - h)[0]) / h**2
-            Wtth = (
-                bundle.W_eval(np.array([t0 + h]), th + h)[0]
-                - bundle.W_eval(np.array([t0 + h]), th - h)[0]
-                - bundle.W_eval(np.array([t0 - h]), th + h)[0]
-                + bundle.W_eval(np.array([t0 - h]), th - h)[0]
-            ) / (4 * h**2)
-            c = bundle.chart.laplacian_coeffs(np.array([t0]), np.array([th]))
-            V0 = float(bundle.field.V(t0, th))
-            E_fd = (
-                eps**2 * (c[0][0] * Wtt + c[1][0] * Wtth + c[2][0] * Wthth + c[3][0] * Wt + c[4][0] * Wth_)
-                - V0 * W0
-                + _sign_power(W0, bundle.p)
-            )
-            E_fd /= float(bundle.coeffs.alpha(th)) * beta**2
-            ref = max(np.max(np.abs(rep.E[:, j])), 1e-300)
-            dev = max(dev, abs(E_fd - rep.E[i, j]) / ref)
-    return dev
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .util import fd_derivative
+from .util import fd_derivative, write_table
 
 __all__ = [
     "ChartDomainError",
@@ -462,4 +462,4 @@ def export_chart_tables(chart, path, nt=41, ntheta=41):
     cols = [tt.ravel(), hh.ravel(), met["g11"].ravel(), met["g12"].ravel(), met["g22"].ravel(), met["sqrtg"].ravel()]
     cols += [ci.ravel() for ci in np.broadcast_arrays(*c)]
     header = "t theta g11 g12 g22 sqrtg c_tt c_ttheta c_thetatheta c_t c_theta"
-    np.savetxt(path, np.column_stack(cols), header=header)
+    write_table(path, np.column_stack(cols), header=header)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ansatz, geodesic, pde, profiles, reduced, scenarios
-from .util import loglog_slope
+from .util import loglog_slope, write_table
 
 __all__ = ["RunResult", "run_scenario", "order_study", "gap_sweep", "format_summary"]
 
@@ -228,12 +228,7 @@ def _stage_ansatz(pipe, tables_dir):
         ok = ok and not rep.quadrature_flag
     usable = list(reports)
     rows = np.asarray(rows)
-    np.savetxt(
-        os.path.join(tables_dir, "residual_norms.txt"),
-        rows,
-        header="eps sup L2 L2_E12 boundary_rest",
-        fmt="%.12e",
-    )
+    write_table(os.path.join(tables_dir, "residual_norms.txt"), rows, header="eps sup L2 L2_E12 boundary_rest", fmt="%.12e")
     info = {"rows": rows.tolist(), "tier": scn.tier}
     if usable:
         bundle, rep, _ = reports[usable[0]]
@@ -250,7 +245,7 @@ def _stage_ansatz(pipe, tables_dir):
         bundle, rep, _ = reports[eps_probe]
         proj = ansatz.project_residual(bundle, rep)
         info["projection"] = proj.to_dict()
-        np.savetxt(
+        write_table(
             os.path.join(tables_dir, "projections.txt"),
             np.column_stack([proj.z, proj.measured_wx, proj.predicted_wx, proj.measured_Z, proj.predicted_Z]),
             header="z measured_wx predicted_wx measured_Z predicted_Z",
@@ -279,7 +274,7 @@ def _stage_reduced(pipe, tables_dir):
     norms = _resonance_sweep(
         np.linspace(0.08, 0.32, 121), scn.gap_constant, ctx.lambda0, field.ell, co.b5_tilde, co.b6_tilde, field.beta, co.hbar5
     )
-    np.savetxt(os.path.join(tables_dir, "resonance_sweep.txt"), norms, header="eps margin e_sup", fmt="%.12e")
+    write_table(os.path.join(tables_dir, "resonance_sweep.txt"), norms, header="eps margin e_sup", fmt="%.12e")
     ok = info["lambda_min"] > 1e-8
     info["passed"] = ok
     return ok, info
@@ -345,8 +340,8 @@ def _stage_pde(pipe, tables_dir):
         info["decay_ok"] = decay_ok
         ok = ok and amp_ok and off_ok and decay_ok
         U = mesh.as_grid(trace.u)
-        np.savetxt(os.path.join(tables_dir, "pde_solution_mid.txt"),
-                   np.column_stack([mesh.t_nodes, U[:, U.shape[1] // 2]]), header="t u_mid", fmt="%.12e")
+        write_table(os.path.join(tables_dir, "pde_solution_mid.txt"),
+                    np.column_stack([mesh.t_nodes, U[:, U.shape[1] // 2]]), header="t u_mid", fmt="%.12e")
     info["passed"] = ok
     return ok, info
 
@@ -461,5 +456,5 @@ def gap_sweep(p, eps_min, eps_max, n=200, c=0.5, outdir=None):
     rows = _resonance_sweep(np.linspace(eps_max, eps_min, n), c, profiles.lambda0_closed_form(p), 1.0, 0.0, 0.0, 1.0, 0.0)
     if outdir:
         os.makedirs(outdir, exist_ok=True)
-        np.savetxt(os.path.join(outdir, "gap_sweep.txt"), rows, header="eps margin e_sup", fmt="%.12e")
+        write_table(os.path.join(outdir, "gap_sweep.txt"), rows, header="eps margin e_sup", fmt="%.12e")
     return rows

@@ -13,7 +13,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .util import fd_first_axis, simpson_weights
+from .util import fd_first_axis, simpson_weights, write_table
 
 __all__ = [
     "ProfileSet",
@@ -28,7 +28,6 @@ __all__ = [
     "LinearizedSolver1D",
     "ground_state_by_shooting",
     "save_profiles",
-    "load_profiles",
 ]
 
 
@@ -374,20 +373,4 @@ def save_profiles(ps, path):
     header_lines = [f"{name} = {getattr(ps, name):.17e}" for name in _SCALARS]
     header_lines.append(" ".join(_COLUMNS))
     data = np.column_stack([getattr(ps, name) for name in _COLUMNS])
-    np.savetxt(path, data, header="\n".join(header_lines))
-
-
-def load_profiles(path):
-    """Read back a saved table; returns (scalars dict, columns dict)."""
-    scalars = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            if "=" in body:
-                key, val = body.split("=")
-                scalars[key.strip()] = float(val)
-    data = np.loadtxt(path)
-    columns = {name: data[:, i] for i, name in enumerate(_COLUMNS)}
-    return scalars, columns
+    write_table(path, data, header="\n".join(header_lines))

@@ -1,7 +1,8 @@
-"""Shared numerical helpers: quadrature, smooth cutoffs, stencils, slope fits, splines."""
+"""Shared numerical helpers: quadrature, smooth cutoffs, stencils, slope fits, splines, tables."""
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 __all__ = [
     "simpson_weights",
@@ -14,6 +15,8 @@ __all__ = [
     "spline_slopes",
     "hermite",
     "Spline",
+    "Quintic",
+    "write_table",
 ]
 
 
@@ -237,3 +240,125 @@ class Spline:
 
     def __call__(self, t, order=0):
         return hermite(self.x, self.y, self.slope, t, order)
+
+
+# points per pass of Quintic.__call__: the recurrence's work arrays (about
+# 300 bytes a point) then stay in a core's L2 cache
+_QUINTIC_BLOCK = 4096
+
+
+class Quintic:
+    """Not-a-knot quintic B-spline interpolation on the fixed sites x.
+
+    The knots are x[0] and x[-1] six times each with x[3:-3] between (de Boor,
+    A Practical Guide to Splines, ch. XIII), and the collocation matrix is
+    factored once, in the band layout of LAPACK's gbsv. coefficients(y) then
+    solves for every column of y, and q(c, xq, cols) reads column cols[i] of
+    the coefficients c at xq[i] in [x[0], x[-1]]. Both follow the arithmetic
+    of SciPy's make_interp_spline(x, y, k=5) and its BSpline, so the results
+    are SciPy's bits. Needs at least 6 strictly increasing sites.
+    """
+
+    k = 5
+
+    def __init__(self, x):
+        x = np.asarray(x, dtype=float)
+        n, k = x.size, self.k
+        if n < k + 1:
+            raise ValueError(f"a quintic needs at least {k + 1} sites, got {n}")
+        if not np.all(np.diff(x) > 0.0):
+            raise ValueError("sites must be strictly increasing")
+        self.t = np.concatenate([np.full(k + 1, x[0]), x[3:-3], np.full(k + 1, x[-1])])
+        # column l - k + 1 holds the knots t[l - k + 1 .. l + k] that interval l reads
+        self._near = np.ascontiguousarray(np.lib.stride_tricks.sliding_window_view(self.t, 2 * k).T)
+        self._per_site = (n - 1) / (x[-1] - x[0])
+        left = self._interval(x)
+        ab = np.zeros((3 * k + 1, n), order="F")  # row 2k + i - j holds A[i, j]
+        rows = np.arange(n)
+        for a, b in enumerate(self._basis(x, left)):
+            col = left - k + a
+            ab[2 * k + rows - col, col] = b
+        self.lu, self.piv, info = dgbtrf(ab, k, k, overwrite_ab=True)
+        if info != 0:
+            raise np.linalg.LinAlgError("the collocation matrix is singular")
+
+    def _interval(self, xq):
+        """The index l in [k, n - 1] with t[l] <= xq < t[l + 1], or l = n - 1 at x[-1].
+
+        A guess from the mean site spacing, stepped one knot at a time until it holds.
+        """
+        t, lo, hi = self.t, self.k, self.t.size - self.k - 2
+        # t[i + 3] is site i inside, so [x[i], x[i + 1]) is interval i + 3
+        left = np.clip(((xq - t[lo]) * self._per_site).astype(np.intp) + 3, lo, hi)
+        while True:
+            up = (t[left + 1] <= xq) & (left < hi)
+            down = (t[left] > xq) & (left > lo)
+            if not (up.any() or down.any()):
+                return left
+            left += up
+            left -= down
+
+    def _basis(self, xq, left):
+        """(k + 1, len(xq)): the B-splines B[left - k + a] at xq, by de Boor's recurrence.
+
+        Step j turns the j values of degree j - 1 into the j + 1 of degree j:
+        each B[i] splits as w = B[i] / (t[i + j] - t[i]) into w (xq - t[i]) for
+        B[i] and w (t[i + j] - xq) for B[i - 1], in the order of SciPy's _deBoor_D.
+        """
+        k, m = self.k, xq.size
+        tk = np.take(self._near, left - k + 1, axis=1)
+        after, before = tk[k:] - xq, xq - tk[:k]
+        h, w, d = np.empty((k + 1, m)), np.empty((k, m)), np.empty((k, m))
+        h[0] = 1.0
+        for j in range(1, k + 1):
+            np.subtract(tk[k : k + j], tk[k - j : k], out=d[:j])
+            np.divide(h[:j], d[:j], out=w[:j])
+            np.multiply(w[:j], after[:j], out=h[:j])
+            w[:j] *= before[k - j :]
+            h[1:j] += w[: j - 1]
+            h[j] = w[j - 1]
+        return h
+
+    def coefficients(self, y):
+        """B-spline coefficients (n, m) of the interpolants of the columns of y (n, m)."""
+        c, info = dgbtrs(self.lu, self.k, self.k, y, self.piv)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+        return c
+
+    def __call__(self, c, xq, cols):
+        """Column cols[i] of the spline with coefficients c, at xq[i] (1-D arrays)."""
+        k, out = self.k, np.empty(xq.size)
+        flat = c.ravel(order="F")
+        for s in range(0, xq.size, _QUINTIC_BLOCK):
+            part = slice(s, s + _QUINTIC_BLOCK)
+            left = self._interval(xq[part])
+            terms = flat[left - k + cols[part] * c.shape[0] + np.arange(k + 1)[:, None]]
+            terms *= self._basis(xq[part], left)
+            total = out[part]
+            total[:] = 0.0
+            for term in terms:
+                total += term
+        return out
+
+
+# rows per formatting pass of write_table: the pass's strings stay under 1 MiB
+_TABLE_BLOCK = 1024
+
+
+def write_table(path, data, header="", fmt="%.18e"):
+    """Write a 1-D or 2-D table byte for byte as np.savetxt(path, data, fmt=fmt, header=header).
+
+    Each header line gets the prefix "# "; a row is fmt once per column, joined
+    by spaces. One % formats each block of up to _TABLE_BLOCK rows.
+    """
+    data = np.asarray(data)
+    if data.ndim == 1:
+        data = data[:, None]
+    line = " ".join([fmt] * data.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        if header:
+            fh.write("# " + header.replace("\n", "\n# ") + "\n")
+        for s in range(0, data.shape[0], _TABLE_BLOCK):
+            block = data[s : s + _TABLE_BLOCK]
+            fh.write(line * block.shape[0] % tuple(block.ravel().tolist()))

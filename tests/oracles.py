@@ -1,0 +1,90 @@
+"""Test-side oracles: independent checks of the package that no run uses.
+
+residual_crosscheck differences W itself against the chain-rule residual;
+load_profiles reads back a profiles.save_profiles table; scipy_seed_columns
+is the Newton seed built on SciPy's quintic spline.
+"""
+
+import numpy as np
+from scipy.interpolate import BSpline, make_interp_spline
+
+from curvelayers import ansatz as az
+from curvelayers import profiles as pr
+
+
+def residual_crosscheck(bundle, n_probe=5, h=None):
+    """Independent check: central differences of W against the chain rule.
+
+    Samples interior points with the cutoff at 1 and compares the physical
+    residual computed from finite differences of W alone; returns the max
+    relative deviation (bounded by the FD truncation).
+    """
+    eps = bundle.eps
+    h = h if h is not None else eps * 2e-3
+    zs = np.linspace(0.25 / eps, 0.75 / eps, n_probe)
+    rep = az.interior_residual(bundle, z=zs)
+    dev = 0.0
+    for j, z in enumerate(zs):
+        th = eps * z
+        for i in (bundle.ctx.x.size // 2 + 3, bundle.ctx.x.size // 2 + 40):
+            beta = float(bundle.coeffs.beta(th))
+            fh = float(bundle.state.f(th) + bundle.state.h(th))
+            t0 = eps * (bundle.ctx.x[i] / beta + fh)
+            if abs(t0) > 2.0 * bundle.delta:
+                continue
+            # second-order stencils in (t, theta)
+            W0 = bundle.W_eval(np.array([t0]), th)[0]
+            Wt = (bundle.W_eval(np.array([t0 + h]), th)[0] - bundle.W_eval(np.array([t0 - h]), th)[0]) / (2 * h)
+            Wtt = (bundle.W_eval(np.array([t0 + h]), th)[0] - 2 * W0 + bundle.W_eval(np.array([t0 - h]), th)[0]) / h**2
+            Wth_ = (bundle.W_eval(np.array([t0]), th + h)[0] - bundle.W_eval(np.array([t0]), th - h)[0]) / (2 * h)
+            Wthth = (bundle.W_eval(np.array([t0]), th + h)[0] - 2 * W0 + bundle.W_eval(np.array([t0]), th - h)[0]) / h**2
+            Wtth = (
+                bundle.W_eval(np.array([t0 + h]), th + h)[0]
+                - bundle.W_eval(np.array([t0 + h]), th - h)[0]
+                - bundle.W_eval(np.array([t0 - h]), th + h)[0]
+                + bundle.W_eval(np.array([t0 - h]), th - h)[0]
+            ) / (4 * h**2)
+            c = bundle.chart.laplacian_coeffs(np.array([t0]), np.array([th]))
+            V0 = float(bundle.field.V(t0, th))
+            E_fd = (
+                eps**2 * (c[0][0] * Wtt + c[1][0] * Wtth + c[2][0] * Wthth + c[3][0] * Wt + c[4][0] * Wth_)
+                - V0 * W0
+                + az._sign_power(W0, bundle.p)
+            )
+            E_fd /= float(bundle.coeffs.alpha(th)) * beta**2
+            ref = max(np.max(np.abs(rep.E[:, j])), 1e-300)
+            dev = max(dev, abs(E_fd - rep.E[i, j]) / ref)
+    return dev
+
+
+def load_profiles(path):
+    """Read back a saved table; returns (scalars dict, columns dict)."""
+    scalars = {}
+    with open(path) as fh:
+        for line in fh:
+            if not line.startswith("#"):
+                break
+            body = line[1:].strip()
+            if "=" in body:
+                key, val = body.split("=")
+                scalars[key.strip()] = float(val)
+    data = np.loadtxt(path)
+    columns = {name: data[:, i] for i, name in enumerate(pr._COLUMNS)}
+    return scalars, columns
+
+
+def scipy_seed_columns(bundle, t_pts, th):
+    """AnsatzBundle._W_columns on SciPy's quintic: W at (t_pts, th[j]) as column j.
+
+    One make_interp_spline(k=5) in x through all the sections, then one
+    BSpline per column at its points with |x| inside the strip grid.
+    """
+    rows = az._Rows(bundle, th)
+    x = bundle.ctx.x
+    spl = make_interp_spline(x, bundle.strip_fields(derivs=False, rows=rows)["v"], k=5)
+    xq = rows["beta"] * (t_pts[:, None] / bundle.eps - rows["fh"])
+    vals = np.zeros(xq.shape)
+    for j, col in enumerate(xq.T):
+        inside = np.abs(col) <= x[-1]
+        vals[inside, j] = BSpline.construct_fast(spl.t, spl.c[:, j], spl.k)(col[inside])
+    return bundle.window(t_pts)[0][:, None] * rows["alpha"] * vals

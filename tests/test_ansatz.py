@@ -13,6 +13,7 @@ from curvelayers import geometry, pde
 from curvelayers import reduced as rd
 from curvelayers.strip import StripLayer, solve_strip_layer
 from curvelayers.util import fd_first_axis, hermite, simpson_weights, spline_slopes
+from oracles import residual_crosscheck
 
 
 def test_rows_read_theta_functions(ctx3, bent_chart, bent_field, bent_problem):
@@ -593,12 +594,12 @@ def test_boundary_z_projection_with_active_ring(ctx3, bent_chart, bent_field, be
 def test_two_way_residual_crosscheck(ctx3, flat_chart, flat_field, sincos_state, bent_chart, bent_field, bent_problem):
     eps = 0.05
     b5 = az.assemble_ansatz(5, sincos_state, eps, ctx3, flat_chart, flat_field)
-    dev_h = az.residual_crosscheck(b5, h=eps * 4e-3)
-    dev_h2 = az.residual_crosscheck(b5, h=eps * 2e-3)
+    dev_h = residual_crosscheck(b5, h=eps * 4e-3)
+    dev_h2 = residual_crosscheck(b5, h=eps * 2e-3)
     # second-order stencils: deviation falls with the step (or is tiny already)
     assert dev_h2 < max(0.5 * dev_h, 2e-3)
     b3 = az.assemble_ansatz(3, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
-    assert az.residual_crosscheck(b3) < 0.02
+    assert residual_crosscheck(b3) < 0.02
 
 
 def test_norm_definitions(sincos_state):

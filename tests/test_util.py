@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import BSpline, CubicSpline, make_interp_spline
 
-from curvelayers.util import Spline, cumulative_integral
+from curvelayers.util import Quintic, Spline, cumulative_integral, write_table
 
 
 def _arc_knots(n):
@@ -62,3 +62,49 @@ def test_spline_refuses_unordered_knots_and_orders():
         Spline(np.array([0.0, 0.5, 0.4, 1.0]), np.ones(4))
     with pytest.raises(ValueError, match="order"):
         Spline(np.linspace(0.0, 1.0, 5), np.ones(5))(0.5, 3)
+
+
+def _quintic_against_scipy(x, y, rng):
+    """The in-house quintic's knots, coefficients and values against SciPy's, as bytes."""
+    spl = make_interp_spline(x, y, k=5)
+    q = Quintic(x)
+    c = q.coefficients(y)
+    assert q.t.tobytes() == spl.t.tobytes()
+    assert np.asarray(c, order="C").tobytes() == np.asarray(spl.c, order="C").tobytes()
+    # every column at random points, at the sites, and at both ends
+    xq = np.concatenate([rng.uniform(x[0], x[-1], 400), x, [x[0], x[-1]]])
+    cols = rng.integers(0, y.shape[1], xq.size)
+    ref = np.array([BSpline.construct_fast(spl.t, spl.c[:, j], 5)(xi) for xi, j in zip(xq, cols)])
+    assert q(c, xq, cols).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("ncols", [1, 49])
+def test_quintic_is_scipys_on_the_strip_grid(ctx3, ncols):
+    rng = np.random.default_rng(ncols)
+    x = ctx3.x
+    y = np.exp(-np.abs(x))[:, None] * rng.uniform(0.5, 2.0, ncols) + 1e-3 * rng.standard_normal((x.size, ncols))
+    _quintic_against_scipy(x, y, rng)
+
+
+def test_quintic_is_scipys_on_an_uneven_grid():
+    rng = np.random.default_rng(7)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 60)) - 3.0
+    _quintic_against_scipy(x, rng.standard_normal((x.size, 3)), rng)
+
+
+def test_quintic_refuses_too_few_or_unordered_sites():
+    with pytest.raises(ValueError):
+        Quintic(np.arange(5.0))
+    with pytest.raises(ValueError):
+        Quintic(np.array([0.0, 1.0, 2.0, 2.0, 3.0, 4.0, 5.0]))
+
+
+@pytest.mark.parametrize("fmt", ["%.18e", "%.12e"])
+@pytest.mark.parametrize("shape", [(2500, 3), (1024, 11), (7,), (0, 2)])
+def test_write_table_is_savetxt(tmp_path, fmt, shape):
+    data = np.random.default_rng(1).standard_normal(shape) * 10.0 ** np.arange(-4, 5)[np.arange(shape[-1]) % 9]
+    data.flat[::5] = 0.0
+    for header in ("", "x w", "p = 3.0\nrho1 = 2.5\nx w w_x"):
+        write_table(tmp_path / "ours.txt", data, header=header, fmt=fmt)
+        np.savetxt(tmp_path / "numpy.txt", data, header=header, fmt=fmt)
+        assert (tmp_path / "ours.txt").read_bytes() == (tmp_path / "numpy.txt").read_bytes()
