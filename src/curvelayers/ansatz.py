@@ -132,11 +132,11 @@ class Amplitude:
         return float(np.hypot(self.K, self.c0 / np.sqrt(self.lambda0)))
 
 
-def resonance_amplitude(eps, c0, c1, ell, lambda0, margin_threshold=0.05):
+def resonance_amplitude(eps, c0, c1, ell, lambda0):
     """Amplitude A with eps*A solving the two-point resonance problem.
 
     Verified by substitution; flagged unreliable near resonance where
-    |sin(sqrt(lambda0) ell / eps)| drops below the threshold.
+    |sin(sqrt(lambda0) ell / eps)| drops below 0.05.
     """
     margin = abs(np.sin(np.sqrt(lambda0) * ell / eps))
     return Amplitude(
@@ -145,7 +145,7 @@ def resonance_amplitude(eps, c0, c1, ell, lambda0, margin_threshold=0.05):
         ell=float(ell),
         lambda0=float(lambda0),
         eps=float(eps),
-        flagged=bool(margin < margin_threshold),
+        flagged=bool(margin < 0.05),
     )
 
 

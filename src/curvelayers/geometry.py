@@ -321,14 +321,13 @@ class DomainChart:
         return k_end, (bt, bth), samples
 
 
-def build_chart(curve, delta0, sigma0=None, n_scan=(61, 121)):
-    """Validate the curve, scan the Jacobian, and return the chart."""
-    if sigma0 is None:
-        sigma0 = curve.sigma0
+def build_chart(curve, delta0):
+    """Validate the curve, scan the Jacobian on 61 x 121 points, and return the chart."""
+    sigma0 = curve.sigma0
     curve.validate()
     chart = DomainChart(curve=curve, delta0=float(delta0), sigma0=float(sigma0))
-    ts = np.linspace(-delta0, delta0, n_scan[0])
-    ths = np.linspace(-sigma0, 1 + sigma0, n_scan[1])
+    ts = np.linspace(-delta0, delta0, 61)
+    ths = np.linspace(-sigma0, 1 + sigma0, 121)
     tt, hh = np.meshgrid(ts, ths, indexing="ij")
     jac = chart.metric(tt, hh)["sqrtg"]
     if not np.all(jac > 0):  # catches NaN from graphs leaving their domain

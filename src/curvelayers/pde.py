@@ -113,16 +113,17 @@ def rectangle_mesh(t_nodes, th_nodes, potential):
     return _finite_volume_mesh(np.asarray(t_nodes, dtype=float), np.asarray(th_nodes, dtype=float), potential, 1.0, 1.0, 1.0)
 
 
-def chart_mesh(chart, t_nodes, th_nodes, potential, orthogonality_tol=1e-10):
+def chart_mesh(chart, t_nodes, th_nodes, potential):
     """Laplace-Beltrami finite volumes on an orthogonal chart image.
 
-    Valid when the chart has g12 = 0 (straight channel walls); fluxes carry
-    sqrt(g) g^{ii} at the faces and the volume weight is sqrt(g).
+    Valid when the chart has g12 = 0 (straight channel walls; |g12| up to
+    1e-10 max g is accepted); fluxes carry sqrt(g) g^{ii} at the faces and
+    the volume weight is sqrt(g).
     """
     t_nodes = np.asarray(t_nodes, dtype=float)
     th_nodes = np.asarray(th_nodes, dtype=float)
     met = chart.metric(*np.meshgrid(t_nodes, th_nodes, indexing="ij"))
-    if np.max(np.abs(met["g12"])) > orthogonality_tol * np.max(met["g"]):
+    if np.max(np.abs(met["g12"])) > 1e-10 * np.max(met["g"]):
         raise ValueError("chart is not orthogonal; finite-volume form unsupported")
     t_face = 0.5 * (t_nodes[:-1] + t_nodes[1:])
     th_face = 0.5 * (th_nodes[:-1] + th_nodes[1:])
@@ -259,7 +260,7 @@ class MetricsReport:
         }
 
 
-def concentration_metrics(trace, potential, p, eps, w_of=None):
+def concentration_metrics(trace, potential, p, eps):
     """Per-section maxima, amplitude ratios, profile fit, and decay rate.
 
     The target amplitude at section theta is V(0,theta)^(1/(p-1)) w(0) and

@@ -156,13 +156,12 @@ class LinearizedSolver1D:
     moves the border column forward and the U factor fills to O(n^2).
     """
 
-    def __init__(self, p, x, w, w_x, tol_solv=1e-6):
+    def __init__(self, p, x, w, w_x):
         self.p = float(p)
         self.x = np.asarray(x, dtype=float)
         self.hx = float(self.x[1] - self.x[0])
         self.w = np.asarray(w, dtype=float)
         self.w_x = np.asarray(w_x, dtype=float)
-        self.tol_solv = tol_solv
         n = self.x.size
         h2 = self.hx**2
         wq = simpson_weights(n, self.hx)
@@ -190,12 +189,13 @@ class LinearizedSolver1D:
 
         parity in {"odd", "even", "none"} declares the expected symmetry of
         the data; it is asserted on the output. Solvability <r, w_x> = 0 is
-        required unless the data is declared even (then it holds exactly).
+        required, to 1e-6 relative, unless the data is declared even (then it
+        holds exactly).
         """
         r = np.asarray(r, dtype=float)
         proj = self.projection(r)
         scale = np.sqrt(np.sum(self._wq * r**2)) * self._norm_wx
-        if check and parity != "even" and scale > 0 and abs(proj) > self.tol_solv * max(scale, 1e-300):
+        if check and parity != "even" and scale > 0 and abs(proj) > 1e-6 * max(scale, 1e-300):
             raise SolvabilityError(proj)
         rhs = np.concatenate([r[1:-1], [0.0]])
         sol = self._lu.solve(rhs)

@@ -6,8 +6,9 @@ ends, and one Chebyshev collocation routine solves them: the first and last
 rows carry the Robin conditions and their data. The location operator
 eta'' + q1 eta' + q2 eta is also brought to Liouville normal form
 -u'' + Q u = lam u (u = rho^{1/2} eta, rho = exp(int q1)) with the two Robin
-rows eliminated. The few eigenvalues nearest zero (shift-invert) decide
-non-degeneracy; the full eigenbasis is computed only where it is read.
+rows eliminated. Its dense eigenpairs are computed only where they are
+read; the four eigenvalues nearest zero on the 192-node grid decide
+non-degeneracy.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,6 @@ from functools import cache, cached_property
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse.linalg as spla
 
 from . import geodesic
 from .geometry import ZERO_FN
@@ -50,6 +50,12 @@ class DegenerateOperatorError(RuntimeError):
     """The reduced linear operator has an eigenvalue at numerical zero."""
 
 
+def _cgl_points(n):
+    """CGL points y = cos(pi j/n), 1 ... -1, and theta = (1 - y)/2, ascending 0 ... 1."""
+    y = np.cos(np.pi * np.arange(n + 1) / n)
+    return y, 0.5 * (1.0 - y)
+
+
 def cheb_nodes_matrices(n):
     """CGL nodes on [0, 1] (ascending) with first/second derivative matrices.
 
@@ -60,7 +66,7 @@ def cheb_nodes_matrices(n):
     if n < 2:
         raise ValueError("need n >= 2")
     j = np.arange(n + 1)
-    y = np.cos(np.pi * j / n)  # 1 ... -1
+    y, theta = _cgl_points(n)
     c = np.where((j == 0) | (j == n), 2.0, 1.0) * (-1.0) ** j
     diag = np.diag_indices(n + 1)
     # the n x n arrays are updated in place: at n = 4040 each is 125 MiB
@@ -76,7 +82,6 @@ def cheb_nodes_matrices(n):
     D2[diag] = -D2.sum(axis=1)
     D2 *= 8.0  # 2 from the entries, 4 from theta = (1 - y)/2
     D *= -2.0
-    theta = 0.5 * (1.0 - y)  # ascending 0 ... 1
     return theta, D, D2
 
 
@@ -140,14 +145,13 @@ def _robin_collocation(D1, D2, c2, c1, c0, rhs, k, data):
 class SpectralBasis:
     """Chebyshev collocation of -(y'' + q1 y' + q2 y) = lam y with Robin ends.
 
-    The grid, the coefficients on it and the elimination of the two Robin
-    rows are built here; a singular Robin block raises
-    DegenerateOperatorError. The differentiation matrices are not kept (at
-    n = 4040 each is 125 MiB): matrices() forms them for each reader. The
-    eigenpairs, computed when first read, are those of the Liouville normal
-    form (they coincide with the original ones when q1 = 0 and are
-    orthonormal in L2(0,1) always); rho_half maps them back to the original
-    problem.
+    The constructor builds the grid and the coefficients on it, but no n x n
+    matrix (at n = 4040 each is 125 MiB). The eigenpairs, computed when first read
+    from a dense eigensolve with the two Robin rows eliminated, are those of
+    the Liouville normal form (they coincide with the original ones when
+    q1 = 0 and are orthonormal in L2(0,1) always); rho_half maps them back to
+    the original problem. A singular Robin block raises
+    DegenerateOperatorError on that read.
     """
 
     def __init__(self, q1, q2, k1, k2, j_max=60, n_cheb=None):
@@ -160,7 +164,7 @@ class SpectralBasis:
         n = n_cheb
         self.q1, self.q2, self.j_max = q1, q2, j_max
         self.k1, self.k2 = float(k1), float(k2)
-        self.nodes, D1, D2 = cheb_nodes_matrices(n)
+        self.nodes = _cgl_points(n)[1]
         self.wq = clenshaw_curtis_weights(n)
         self.q1_nodes = _on(q1, self.nodes)
         self.q2_nodes = _on(q2, self.nodes)
@@ -176,6 +180,11 @@ class SpectralBasis:
         # Liouville transform u = rho^{1/2} y shifts the Robin constants by -q1/2
         self.k1t = self.k1 - 0.5 * self.q1_nodes[0]
         self.k2t = self.k2 - 0.5 * self.q1_nodes[-1]
+
+    @cached_property
+    def _eigenpairs(self):
+        n = self.nodes.size - 1
+        _, D1, op = cheb_nodes_matrices(n)
         # u' + k1t u = 0 at the first node and u' + k2t u = 0 at the last give
         # the two end values as a linear map T of the interior values
         robin = np.array([[D1[0, 0] + self.k1t, D1[0, n]], [D1[n, 0], D1[n, n] + self.k2t]])
@@ -184,51 +193,15 @@ class SpectralBasis:
                 f"Robin constants k_left = {self.k1t:.12g}, k_right = {self.k2t:.12g} make the "
                 "boundary block singular; the end values are not determined"
             )
-        self.T = -np.linalg.solve(robin, D1[[0, n], 1:n])
-        # the first reader (ReducedProblem: eigenvalues_near_zero) takes this build
-        self._built = (D1, D2)
-
-    def matrices(self):
-        """D1 and D2 on the nodes, the caller's to overwrite.
-
-        The first call returns the constructor's build and drops it; each
-        later call builds them again, in O(n^2).
-        """
-        built = self.__dict__.pop("_built", None)
-        return built if built is not None else cheb_nodes_matrices(self.nodes.size - 1)[1:]
-
-    def _eliminated(self, D2=None):
-        """-D2 + diag(Q) on the interior nodes with the two Robin rows substituted.
-
-        Formed in D2 (from matrices() when not given), which is overwritten;
-        the result is a view into it.
-        """
-        n = self.nodes.size - 1
-        op = D2 if D2 is not None else self.matrices()[1]
+        T = -np.linalg.solve(robin, D1[[0, n], 1:n])
+        # -D2 + diag(Q) on the interior nodes with the two Robin rows
+        # substituted, formed in D2
         np.negative(op, out=op)
         op[np.diag_indices_from(op)] += self.Q
         M = op[1:n, 1:n]
-        M += op[1:n, [0, n]] @ self.T
-        return M
-
-    def eigenvalues_near_zero(self):
-        """The four eigenvalues nearest 0, ascending: shift-invert ARPACK on an
-        LU of the eliminated matrix, from a fixed start vector. An exactly
-        singular matrix (a zero pivot) raises DegenerateOperatorError."""
-        M = self._eliminated()
-        *lu, info = sla.lapack.dgetrf(M)
-        if info > 0:
-            raise DegenerateOperatorError(f"reduced location operator is exactly singular (zero pivot {info})")
-        inv = spla.LinearOperator(M.shape, matvec=lambda v: sla.lu_solve(lu, v), dtype=M.dtype)
-        vals = spla.eigs(M, k=4, sigma=0.0, v0=np.ones(M.shape[0]), OPinv=inv, return_eigenvectors=False)
-        return np.sort(vals.real)
-
-    @cached_property
-    def _eigenpairs(self):
-        n = self.nodes.size - 1
-        D1, D2 = self.matrices()
-        vals, vecs = sla.eig(self._eliminated(D2))
-        del D2
+        M += op[1:n, [0, n]] @ T
+        vals, vecs = sla.eig(M)
+        del op, M
         finite = np.isfinite(vals.real) & (np.abs(vals.imag) <= 1e-6 * (1.0 + np.abs(vals.real)))
         keep = np.flatnonzero(finite)[np.argsort(vals[finite].real)][: self.j_max + 1]
         lam = vals[keep].real
@@ -237,7 +210,7 @@ class SpectralBasis:
         interior = vecs[:, keep].real
         lifted = np.empty((n + 1, keep.size))
         lifted[1:n] = interior
-        lifted[[0, n]] = self.T @ interior
+        lifted[[0, n]] = T @ interior
 
         # L2 normalization and a sign convention
         wq = self.wq
@@ -295,8 +268,11 @@ class ResonanceLedger:
     passes: bool
 
 
-def gap_check(eps, c, lambda0, ell, j_list=12):
-    """Populate the resonance ledger for |eps^2 j^2 - lambda*| >= c eps."""
+def gap_check(eps, c, lambda0, ell):
+    """Populate the resonance ledger for |eps^2 j^2 - lambda*| >= c eps.
+
+    The ledger lists the resonant eps = sqrt(lambda*)/j for j = 1 .. 12.
+    """
     if eps <= 0 or c <= 0:
         raise ValueError("need eps > 0 and c > 0")
     lam_star = lambda0 * ell**2 / np.pi**2
@@ -304,7 +280,7 @@ def gap_check(eps, c, lambda0, ell, j_list=12):
     j = np.arange(1, max(j_top, 2))
     gaps = np.abs(eps**2 * j**2 - lam_star)
     i = int(np.argmin(gaps))
-    resonant = np.sqrt(lam_star) / np.arange(1, j_list + 1)
+    resonant = np.sqrt(lam_star) / np.arange(1, 13)
     return ResonanceLedger(
         eps=float(eps),
         c=float(c),
@@ -351,9 +327,13 @@ def default_j_max(eps):
 
 
 class ReducedProblem:
-    """Geometry/potential context shared by the f- and e-solvers."""
+    """Geometry/potential context shared by the f- and e-solvers.
 
-    def __init__(self, chart, potential, lambda0, j_max=60, n_cheb=None):
+    Construction refuses a location operator with a numerically zero
+    eigenvalue (DegenerateOperatorError).
+    """
+
+    def __init__(self, chart, potential, lambda0, j_max=60):
         self.chart = chart
         self.field = potential
         self.lambda0 = float(lambda0)
@@ -377,13 +357,16 @@ class ReducedProblem:
 
         self.kappa1 = chart.k1 * self.ell / potential.beta(0.0)
         self.kappa2 = chart.k2 * self.ell / potential.beta(1.0)
-        self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2, j_max=j_max, n_cheb=n_cheb)
+        self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2, j_max=j_max)
         self.theta_nodes = self.theta_of(self.basis.nodes)
         self.beta_nodes = potential.beta(self.theta_nodes)
         # (key, h) of the last ring solve, kept by ansatz.solve_h_bvp: tiers 3-5
         # of one eps solve the same problem
         self.last_ring = None
-        lam = self.lam_near_zero = self.basis.eigenvalues_near_zero()
+        # the eigenvalues nearest 0 do not depend on eps or j_max: the degeneracy
+        # check reads them on the default 192-node grid
+        lam = SpectralBasis(q1, q2, self.kappa1, self.kappa2).lam
+        lam = self.lam_near_zero = np.sort(lam[np.argsort(np.abs(lam))[:4]])
         if np.min(np.abs(lam)) < 1e-8 * max(1.0, np.max(np.abs(lam[:3]))):
             raise DegenerateOperatorError(
                 "reduced location operator has a numerically zero eigenvalue; "
@@ -442,7 +425,7 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     gv = _on(g, th)
     P1 = basis.q1_nodes + _on(alpha1, th) * ell / beta
     P2 = basis.q2_nodes + _on(alpha2, th) * ell**2 / beta**2
-    D1, D2 = basis.matrices()
+    _, D1, D2 = cheb_nodes_matrices(basis.nodes.size - 1)
     eta = _robin_collocation(
         D1, D2, 1.0, P1, P2, ell**2 / beta**2 * gv,
         (problem.kappa1, problem.kappa2), (robin[0] * ell / beta[0], robin[1] * ell / beta[-1]),

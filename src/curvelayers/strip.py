@@ -296,13 +296,14 @@ class StripLayer:
         return float(-coef[0])
 
 
-def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6, tail_tol=1e-4):
+def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6):
     """Solve the strip problem for Neumann data (data0 at z=0, data1 at z=L).
 
     Translated variant: the resonance mode (positive eigenvalue) and the
     translation mode (zero eigenvalue) must not be excited; their data
     projections are checked against drop_tol relative to the data norm and
-    the offending magnitudes are reported on refusal.
+    the offending magnitudes are reported on refusal. The data's end values
+    must be below 1e-4 of its norm.
     """
     data0 = np.asarray(data0, dtype=float)
     data1 = np.asarray(data1, dtype=float)
@@ -320,6 +321,6 @@ def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6, tail_tol=1e-4):
                 f"(tolerance {drop_tol * scale:.3e})"
             )
     tail = max(np.max(np.abs(data0[[0, -1]])), np.max(np.abs(data1[[0, -1]])))
-    if tail > tail_tol * scale:
+    if tail > 1e-4 * scale:
         raise StripDataError(f"boundary data not decayed at |x| = {basis.x[-1]}: {tail:.3e}")
     return StripLayer(basis=basis, L=float(L), d0=d0, d1=d1, active=active)

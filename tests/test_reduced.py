@@ -53,13 +53,24 @@ def test_bent_channel_basis_at_j_max_400(monkeypatch):
     chart = scenarios.build_domain(scn)
     field = scenarios.build_field(scn, chart)
 
-    def dense_eig(*args, **kwargs):
-        raise AssertionError("dense eigensolve while constructing the problem")
+    eig, build = rd.sla.eig, rd.cheb_nodes_matrices
+    built = []
 
-    # the degeneracy check needs only the eigenvalues nearest 0
+    def check_sized_eig(a, *args, **kwargs):
+        assert a.shape == (191, 191), "dense eigensolve beyond the degeneracy check"
+        return eig(a, *args, **kwargs)
+
+    def counted_build(n):
+        built.append(n)
+        return build(n)
+
+    # the degeneracy check reads the eigenvalues nearest 0 on the 192-node
+    # grid; the j_max grid builds no matrix until a solve reads it
     with monkeypatch.context() as m:
-        m.setattr(rd.sla, "eig", dense_eig)
+        m.setattr(rd.sla, "eig", check_sized_eig)
+        m.setattr(rd, "cheb_nodes_matrices", counted_build)
         problem = rd.ReducedProblem(chart, field, 3.0, j_max=400)
+    assert built == [192]
     b = problem.basis
     assert "_eigenpairs" not in vars(b) and "rho_half" not in vars(b)
     assert np.max(np.abs(problem.lam_near_zero - b.lam[:4]) / np.abs(b.lam[:4])) <= 1e-8
@@ -87,18 +98,6 @@ def test_dropped_problem_is_freed_without_the_cycle_collector(bent_chart, bent_f
         assert ref() is None
     finally:
         gc.enable()
-
-
-def test_exactly_singular_eliminated_matrix_is_refused(monkeypatch):
-    # a zero pivot in the LU of the eliminated matrix is a clear verdict, not
-    # the ValueError that ARPACK's shift-invert raises on the infs it makes
-    basis = rd.SpectralBasis(0.0, 0.0, 0.0, 0.0, j_max=20)
-    n = basis.nodes.size - 2
-    diag = np.arange(1.0, n + 1.0)
-    diag[5] = 0.0
-    monkeypatch.setattr(basis, "_eliminated", lambda: np.diag(diag))
-    with pytest.raises(rd.DegenerateOperatorError, match="exactly singular"):
-        basis.eigenvalues_near_zero()
 
 
 @pytest.mark.parametrize("n", [16, 40])
@@ -155,24 +154,34 @@ def test_e_grid_is_read_only():
     rd.solve_e_problem(np.exp(th), 0.1, 0.2, -0.3, 1.0, 0.5, 3.0)
 
 
-def test_basis_builds_its_matrices_for_each_reader():
-    b = rd.SpectralBasis(0.3, -2.0, 0.5, -0.7, j_max=20)
-    _, D1, D2 = rd.cheb_nodes_matrices(b.nodes.size - 1)
-    first = b.matrices()  # the constructor's build, handed over once
-    assert "_built" not in vars(b)
-    for got in (first, b.matrices()):
-        assert np.array_equal(got[0], D1) and np.array_equal(got[1], D2)
-    assert b.matrices()[1] is not b.matrices()[1]
-
-
 def test_singular_robin_block_is_refused():
     # this k_left zeroes the determinant of the 2 x 2 Robin block exactly;
     # in floating point the block has condition number ~1e17
     n = 192
     _, D1, _ = rd.cheb_nodes_matrices(n)
     k_left = -D1[0, 0] + D1[0, n] * D1[n, 0] / D1[n, n]
+    basis = rd.SpectralBasis(0.0, 0.0, k_left, 0.0, j_max=20, n_cheb=n)
     with pytest.raises(rd.DegenerateOperatorError, match=r"k_left = 24576\.33.*k_right = 0\b"):
-        rd.SpectralBasis(0.0, 0.0, k_left, 0.0, j_max=20, n_cheb=n)
+        basis.lam
+
+
+@pytest.mark.parametrize("n", [192, 1040])
+def test_basis_nodes_are_the_matrices_nodes(n):
+    basis = rd.SpectralBasis(0.0, 0.0, 0.0, 0.0, j_max=20, n_cheb=n)
+    assert np.array_equal(basis.nodes, rd.cheb_nodes_matrices(n)[0])
+
+
+def test_neumann_location_operator_eigenvalues_near_zero(flat_problem):
+    # V = 1 + t^2 and sigma = 3/2 give hbar2 = -3 with q1 = 0 and Neumann
+    # ends: the operator is -y'' + 3y, with eigenvalues (j pi)^2 + 3
+    want = (np.arange(4) * np.pi) ** 2 + 3.0
+    assert np.max(np.abs(flat_problem.lam_near_zero - want) / want) <= 1e-12
+
+
+def test_translation_kernel_is_refused(flat_chart, unit_field):
+    # V = 1 on the straight channel: every shift of the curve is a solution
+    with pytest.raises(rd.DegenerateOperatorError, match="numerically zero eigenvalue"):
+        rd.ReducedProblem(flat_chart, unit_field, 3.0, j_max=60)
 
 
 def test_gap_ledger_examples():
