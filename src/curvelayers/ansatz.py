@@ -376,7 +376,7 @@ def _solve_h_bvp(bundle, problem, ledger):
     a1p, _, gp = _h_sources(bundle, _Rows(bundle, np.linspace(0.0, 1.0, 37)), weights)
     if np.max(np.abs(a1p)) + np.max(np.abs(gp)) < 1e-14:
         return None  # zero ring correction
-    alpha1, alpha2, g = _h_sources(bundle, _Rows(bundle, problem.theta_nodes), weights)
+    alpha1, alpha2, g = _h_sources(bundle, _Rows(bundle, problem.ring.theta), weights)
     return reduced.solve_f_problem(problem, g, bundle.eps, alpha1=alpha1, alpha2=alpha2, ledger=ledger)
 
 
@@ -490,7 +490,7 @@ class _StripTerm:
 
 
 class _TableLayer:
-    """A phi4 layer read from its knot-table evaluators (see _phi4_evaluators)."""
+    """A phi4 layer read from its knot-table evaluators (see _Phi4Fields)."""
 
     def __init__(self, evaluators):
         self.ev = evaluators
@@ -522,7 +522,7 @@ class AnsatzBundle:
     amplitude: object = None
     phi22: object = None
     phi3: object = None
-    phi4_even: object = None  # dicts of theta evaluators over (nx_strip, n_theta) knot tables
+    phi4_even: object = None  # _Phi4Fields: theta evaluators over (nx_strip, n_theta) knot tables
     phi4_odd: object = None
     c0: float = 0.0
     c1: float = 0.0
@@ -747,11 +747,11 @@ def _to_fine(ctx, arr):
 def _solve_phi4(bundle):
     """Even and odd phi4 layers: one bordered 1D solve per theta section.
 
-    Returns each layer as a dict of theta evaluators (val, dx, dxx, dth,
-    d2th, dxdth) read from the knot tables of _phi4_knots.
+    Returns each layer as a _Phi4Fields: a dict of theta evaluators (val,
+    dx, dxx, dth, d2th, dxdth) read from the knot tables of _phi4_knots.
     """
     th_grid = bundle.theta_grid()
-    return tuple(_phi4_evaluators(th_grid, _phi4_knots(th_grid, table)) for table in _phi4_tables(bundle))
+    return tuple(_Phi4Fields(th_grid, _phi4_knots(th_grid, table)) for table in _phi4_tables(bundle))
 
 
 def _phi4_solve(ctx, rhs):
@@ -805,76 +805,88 @@ def _phi4_knots(th_grid, table):
     """Strip-grid (nx_strip, n_theta) knot tables of one phi4 layer.
 
     The layer is the not-a-knot cubic spline in theta through each of the
-    val, dx and dxx tables. The tables hold what strip_fields reads at the
-    theta grid: val, dx and dxx themselves, their knot slopes dth, dxdth and
-    dxxdth (the last for points between knots), and d2th from the cubics
-    of (val, dth), the last knot read on the last interval.
+    val, dx and dxx tables. The five tables kept are val, dx and dxx
+    themselves and the knot slopes dth and dxdth: the slope of dxx is read
+    only between knots, and d2th at the knots follows from (val, dth) (see
+    _Phi4Fields).
     """
     knots = {}
-    for key, slope in _PHI4_SLOPE.items():
+    for key in ("val", "dx"):
         values = knots[key] = table.pop(key)
-        knots[slope] = spline_slopes(th_grid, values.T).T
-    knots["d2th"] = _knot_curvature(th_grid, knots["val"], knots["dth"])
+        knots[_PHI4_SLOPE[key]] = spline_slopes(th_grid, values.T).T
+    knots["dxx"] = table.pop("dxx")
     return knots
 
 
-def _knot_curvature(grid, y, slope):
-    """Second derivative at the knots grid (axis 1) of the Hermite cubics of (y, slope).
+def _knot_curvature(grid, y, slope, at=None):
+    """Second derivative of the Hermite cubics of (y, slope) at the knots of
+    grid (axis 1) with the indices at, or at every knot.
 
     Each knot reads its right interval's cubic at s = 0, 2 c2 / h^2, and the
     last knot the last interval's at s = 1, (2 c2 + 6 c3) / h^2: the
-    operations of hermite(grid, y.T, slope.T, grid, 2).T, the same bits,
-    with one temporary of the table's size where hermite makes about ten.
+    operations of hermite(grid, y.T, slope.T, grid, 2).T, the same bits. A
+    column reads only its own and its right neighbour's entries, so any
+    subset of knots gets the bits of the full table.
     """
-    h = np.diff(grid)
-    out = np.empty_like(y)
-    c2 = out[:, :-1]
-    np.subtract(y[:, 1:], y[:, :-1], out=c2)
+    at = np.arange(grid.size) if at is None else np.asarray(at)
+    left = np.minimum(at, grid.size - 2)
+    h = grid[left + 1] - grid[left]
+    c2 = y[:, left + 1] - y[:, left]
     c2 *= 3.0
-    m = np.multiply(h, slope[:, :-1])  # m0 = h slope on the left
-    m *= 2.0
-    c2 -= m
-    np.multiply(h, slope[:, 1:], out=m)  # m1 = h slope on the right
-    c2 -= m
-    hl = h[-1:]
-    m0, m1 = hl * slope[:, -2], m[:, -1]
-    c3 = 2.0 * (y[:, -2] - y[:, -1]) + m0 + m1
-    last = (2.0 * c2[:, -1] + 6.0 * c3) / hl**2
-    c2 *= 2.0
-    c2 /= h**2
-    out[:, -1] = last
+    m0 = h * slope[:, left]  # h slope on the left
+    c2 -= 2.0 * m0
+    m1 = h * slope[:, left + 1]  # h slope on the right
+    c2 -= m1
+    out = 2.0 * c2 / h**2
+    last = np.flatnonzero(at == grid.size - 1)
+    if last.size:
+        c3 = 2.0 * (y[:, left[last]] - y[:, left[last] + 1]) + m0[:, last] + m1[:, last]
+        out[:, last] = (2.0 * c2[:, last] + 6.0 * c3) / h[last] ** 2
     return out
 
 
-def _phi4_evaluators(th_grid, knots):
-    """The phi4 fields as callables of theta over the knot tables.
+class _Phi4Fields(dict):
+    """The phi4 fields of one layer as callables of theta over its knot tables.
 
-    At a knot each field is its stored column. Between knots val, dth and
+    At a knot each field is its stored column, and d2th the curvature of the
+    cubic of (val, dth) there (_knot_curvature). Between knots val, dth and
     d2th evaluate the Hermite cubic of (val, dth), dx and dxdth that of
     (dx, dxdth), and dxx that of (dxx, dxxdth): the spline's own piecewise
-    cubic, to roundoff.
+    cubic, to roundoff. The slope table dxxdth is formed on the first read
+    of dxx between knots and then kept in knots.
     """
 
-    def field(key, cubic, order):
-        def evaluate(th):
-            th = np.atleast_1d(np.asarray(th, dtype=float))
-            at = np.minimum(np.searchsorted(th_grid, th), th_grid.size - 1)
-            out = knots[key][:, at]
-            off = np.flatnonzero(th_grid[at] != th)
-            if off.size:
-                out[:, off] = hermite(th_grid, knots[cubic].T, knots[_PHI4_SLOPE[cubic]].T, th[off], order).T
-            return out
+    def __init__(self, th_grid, knots):
+        # the evaluators hold th_grid and knots, not self: no reference cycle
+        # keeps a dropped layer's tables alive
+        self.knots = knots
 
-        return evaluate
+        def slope(key):
+            name = _PHI4_SLOPE[key]
+            if name not in knots:
+                knots[name] = spline_slopes(th_grid, knots[key].T).T
+            return knots[name]
 
-    return {
-        "val": field("val", "val", 0),
-        "dx": field("dx", "dx", 0),
-        "dxx": field("dxx", "dxx", 0),
-        "dth": field("dth", "val", 1),
-        "d2th": field("d2th", "val", 2),
-        "dxdth": field("dxdth", "dx", 1),
-    }
+        def field(key, cubic, order):
+            def evaluate(th):
+                th = np.atleast_1d(np.asarray(th, dtype=float))
+                at = np.minimum(np.searchsorted(th_grid, th), th_grid.size - 1)
+                out = _knot_curvature(th_grid, knots["val"], knots["dth"], at) if key == "d2th" else knots[key][:, at]
+                off = np.flatnonzero(th_grid[at] != th)
+                if off.size:
+                    out[:, off] = hermite(th_grid, knots[cubic].T, slope(cubic).T, th[off], order).T
+                return out
+
+            return evaluate
+
+        super().__init__(
+            val=field("val", "val", 0),
+            dx=field("dx", "dx", 0),
+            dxx=field("dxx", "dxx", 0),
+            dth=field("dth", "val", 1),
+            d2th=field("d2th", "val", 2),
+            dxdth=field("dxdth", "dx", 1),
+        )
 
 
 def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, reduced_problem=None, h_from_state=False, ledger=None, z_grid=None):
@@ -1094,7 +1106,7 @@ def interior_residual(bundle, z=None):
     the closed-form metric coefficients; no grid differencing enters, so the
     epsilon-order fits are not polluted by discretization error. E is formed
     in blocks of _RESIDUAL_BLOCK sections: each block reads its columns of
-    the strip layers' full-width syntheses, and every other factor is
+    the strip layers' syntheses over all of z, and every other factor is
     elementwise in z, so the blocks give E bit for bit as one pass would.
     """
     eps = bundle.eps
@@ -1115,18 +1127,32 @@ def interior_residual(bundle, z=None):
     if z.size % 2 == 0:
         wqz[0] = wqz[-1] = hz / 2.0
 
-    def l2(arr):
-        return float(np.sqrt(np.abs(np.sum(arr**2 * wqx[:, None] * wqz[None, :]))))
+    # the norms and projections are formed in one scratch array, by the
+    # operations of arr**2 * wx[:, None] * wqz[None, :] and ctx.integrate
+    buf = np.empty_like(E)
+
+    def l2(arr, wx):
+        sq = np.square(arr, out=buf)
+        sq *= wx[:, None]
+        sq *= wqz[None, :]
+        return float(np.sqrt(np.abs(sq.sum())))
+
+    def project(profile):
+        prod = np.multiply(E, profile[:, None], out=buf)
+        prod *= wqx[:, None]
+        return prod.sum(axis=0)
 
     # quadrature sanity: trapezoid vs Simpson in both directions
     trap_x = np.full_like(wqx, bundle.ctx.hx)
     trap_x[0] = trap_x[-1] = bundle.ctx.hx / 2.0
-    l2_trap = float(np.sqrt(np.abs(np.sum(E**2 * trap_x[:, None] * wqz[None, :]))))
-    l2_simpson = l2(E)
+    l2_trap = l2(E, trap_x)
+    l2_simpson = l2(E, wqx)
     flag = bool(abs(l2_trap - l2_simpson) > 0.05 * max(l2_simpson, 1e-300))
 
-    proj_wx = bundle.ctx.integrate(E * bundle.ctx.tables["w_x"][:, None], axis=0)
-    proj_Z = bundle.ctx.integrate(E * bundle.ctx.tables["Z"][:, None], axis=0)
+    proj_wx = project(bundle.ctx.tables["w_x"])
+    proj_Z = project(bundle.ctx.tables["Z"])
+    l2_E12 = l2(np.subtract(E, E11, out=buf), wqx)
+    sup = float(np.max(np.abs(E, out=buf)))
     return ResidualReport(
         eps=eps,
         tier=bundle.tier,
@@ -1134,9 +1160,9 @@ def interior_residual(bundle, z=None):
         z=z,
         E=E,
         E11=E11,
-        sup=float(np.max(np.abs(E))),
+        sup=sup,
         l2=l2_simpson,
-        l2_E12=l2(E - E11),
+        l2_E12=l2_E12,
         proj_wx=proj_wx,
         proj_Z=proj_Z,
         quadrature_flag=flag,

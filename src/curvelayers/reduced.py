@@ -6,13 +6,17 @@ ends, and one Chebyshev collocation routine solves them: the first and last
 rows carry the Robin conditions and their data. The location operator
 eta'' + q1 eta' + q2 eta is also brought to Liouville normal form
 -u'' + Q u = lam u (u = rho^{1/2} eta, rho = exp(int q1)) with the two Robin
-rows eliminated. Its dense eigenpairs are computed only where they are
-read; the four eigenvalues nearest zero on the 192-node grid decide
-non-degeneracy.
+rows eliminated. A problem keeps one spectral basis, on the 192-node
+grid: the four eigenvalues nearest zero of its dense eigenpairs decide
+non-degeneracy. The ring solve runs on a CGL grid sized by the number of
+modes it resolves (ring_degree), and its solutions, like the amplitude
+solve's, are read between the nodes by barycentric interpolation (Berrut & Trefethen 2004,
+"Barycentric Lagrange interpolation", SIAM Review 46).
 """
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from math import ceil
 
 import numpy as np
 import scipy.linalg as sla
@@ -28,7 +32,10 @@ __all__ = [
     "ResonanceLedger",
     "gap_check",
     "default_j_max",
+    "ring_degree",
+    "RingGrid",
     "ReducedProblem",
+    "barycentric",
     "FSolution",
     "ESolution",
     "solve_f_problem",
@@ -38,7 +45,6 @@ __all__ = [
     "GapError",
     "refuse_failing_ledger",
     "DegenerateOperatorError",
-    "lemma_series_sums",
 ]
 
 
@@ -104,10 +110,6 @@ def clenshaw_curtis_weights(n):
     return 0.5 * w  # interval length 1
 
 
-# rows of the c1 D1 term formed at once by _robin_collocation
-_ROW_BLOCK = 256
-
-
 def _on(fn, x):
     """Values at the points x of a callable, a constant, or an array given at x."""
     return np.asarray(fn(x), dtype=float) if callable(fn) else np.full(np.shape(x), fn, dtype=float)
@@ -118,18 +120,13 @@ def _robin_collocation(D1, D2, c2, c1, c0, rhs, k, data):
     u' + k[0] u = data[0] at the first node and u' + k[1] u = data[1] at the last.
 
     The coefficients are constants or node values; the two Robin rows replace
-    the first and last rows of the collocation system. The system is formed
-    in D2, which is overwritten: c2 D2, then c1 D1 added in blocks of
-    _ROW_BLOCK rows, then c0 on the diagonal, the operations and order of
-    c2 D2 + c1 D1 + diag(c0), so no other n x n array is made but the copy
-    that the solve factorizes.
+    the first and last rows of the collocation system. The system
+    c2 D2 + c1 D1 + diag(c0) is formed in D2, which is overwritten.
     """
     c2, c1, c0 = (np.broadcast_to(c, rhs.shape) for c in (c2, c1, c0))
     A = D2
     A *= c2[:, None]
-    for start in range(0, A.shape[0], _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        A[rows] += c1[rows, None] * D1[rows]
+    A += c1[:, None] * D1
     A[np.diag_indices_from(A)] += c0
     rhs = np.array(rhs, dtype=float)
     A[[0, -1]] = D1[[0, -1]]
@@ -292,45 +289,45 @@ def gap_check(eps, c, lambda0, ell):
     )
 
 
-def lemma_series_sums(eps, lambda0, ell, k1=0.0, k2=0.0, q_mean=0.0, j_sum=None):
-    """The three spectral sums split at 2 eps^2 lam_j vs {3, 1} lambda0 ell^2.
-
-    Uses the two-term eigenvalue asymptotics lam_j ~ (j pi)^2 + 2(k2 - k1)
-    + q_mean; returns the sums and their epsilon-normalized sizes.
-    """
-    if j_sum is None:
-        j_sum = int(20.0 / eps)
-    j = np.arange(1, j_sum + 1, dtype=float)
-    lam = (j * np.pi) ** 2 + 2.0 * (k2 - k1) + q_mean
-    den = lambda0 * ell**2 - eps**2 * lam
-    terms = j**2 * eps**2 * (eps * j + 1.0) ** 2 / (lam**2 * den**2)
-    hi = 2.0 * eps**2 * lam >= 3.0 * lambda0 * ell**2
-    mid = (2.0 * eps**2 * lam > lambda0 * ell**2) & ~hi
-    lo = 2.0 * eps**2 * lam <= lambda0 * ell**2
-    s_hi, s_mid, s_lo = terms[hi].sum(), terms[mid].sum(), terms[lo].sum()
-    return {
-        "high": float(s_hi),
-        "mid": float(s_mid),
-        "low": float(s_lo),
-        "high_over_eps2": float(s_hi / eps**2),
-        "mid_over_eps": float(s_mid / eps),
-        "low_over_eps2": float(s_lo / eps**2),
-    }
-
-
 # ---------------------------------------------------------------------------
 
 
 def default_j_max(eps):
-    """Basis size that resolves the reduced location problem at this eps."""
+    """Modes of the location problem resolved at this eps."""
     return max(60, int(np.ceil(4.0 / eps)))
+
+
+def ring_degree(j_max):
+    """Chebyshev degree of the ring solve's grid for j_max: 5 j_max/8 + 40,
+    about 2.5/eps + 40 at the default j_max = 4/eps, and at least 192."""
+    return max(192, ceil(5 * j_max / 8) + 40)
+
+
+@dataclass(frozen=True)
+class RingGrid:
+    """The CGL grid of the ring solve in the arclength variable.
+
+    nodes and wq are the nodes on [0, 1] and their quadrature weights; q1
+    and q2 are the location coefficients at the nodes, theta the nodes in
+    theta and beta the field's beta there.
+    """
+
+    nodes: np.ndarray
+    wq: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    theta: np.ndarray
+    beta: np.ndarray
 
 
 class ReducedProblem:
     """Geometry/potential context shared by the f- and e-solvers.
 
-    Construction refuses a location operator with a numerically zero
-    eigenvalue (DegenerateOperatorError).
+    basis is the spectral basis of the location operator on the 192-node
+    grid, and ring the grid of the ring solve (ring_degree(j_max)); at
+    degree 192 the ring grid shares the basis's arrays. Construction refuses
+    a location operator with a numerically zero eigenvalue
+    (DegenerateOperatorError).
     """
 
     def __init__(self, chart, potential, lambda0, j_max=60):
@@ -357,21 +354,31 @@ class ReducedProblem:
 
         self.kappa1 = chart.k1 * self.ell / potential.beta(0.0)
         self.kappa2 = chart.k2 * self.ell / potential.beta(1.0)
-        self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2, j_max=j_max)
-        self.theta_nodes = self.theta_of(self.basis.nodes)
-        self.beta_nodes = potential.beta(self.theta_nodes)
-        # (key, h) of the last ring solve, kept by ansatz.solve_h_bvp: tiers 3-5
-        # of one eps solve the same problem
-        self.last_ring = None
-        # the eigenvalues nearest 0 do not depend on eps or j_max: the degeneracy
-        # check reads them on the default 192-node grid
-        lam = SpectralBasis(q1, q2, self.kappa1, self.kappa2).lam
+        # the eigenvalues nearest 0 do not depend on eps or j_max: the
+        # degeneracy check reads them on the basis's 192-node grid
+        self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2)
+        lam = self.basis.lam
         lam = self.lam_near_zero = np.sort(lam[np.argsort(np.abs(lam))[:4]])
         if np.min(np.abs(lam)) < 1e-8 * max(1.0, np.max(np.abs(lam[:3]))):
             raise DegenerateOperatorError(
                 "reduced location operator has a numerically zero eigenvalue; "
                 "see the non-degeneracy test"
             )
+        self.ring = self.ring_grid(ring_degree(self.j_max))
+        # (key, h) of the last ring solve, kept by ansatz.solve_h_bvp: tiers 3-5
+        # of one eps solve the same problem
+        self.last_ring = None
+
+    def ring_grid(self, n):
+        """The RingGrid of degree n; at the basis's degree it shares the basis's arrays."""
+        b = self.basis
+        if n == b.nodes.size - 1:
+            nodes, wq, q1, q2 = b.nodes, b.wq, b.q1_nodes, b.q2_nodes
+        else:
+            nodes, wq = _cgl_points(n)[1], clenshaw_curtis_weights(n)
+            q1, q2 = _on(b.q1, nodes), _on(b.q2, nodes)
+        theta = self.theta_of(nodes)
+        return RingGrid(nodes=nodes, wq=wq, q1=q1, q2=q2, theta=theta, beta=self.field.beta(theta))
 
 
 def refuse_failing_ledger(ledger):
@@ -380,24 +387,60 @@ def refuse_failing_ledger(ledger):
         raise GapError(f"gap margin {ledger.margin:.3e} < c*eps = {ledger.c * ledger.eps:.3e}")
 
 
+# points per pass of barycentric: a pass holds one (points, nodes) array,
+# 2 MiB at 1041 nodes
+_BARY_BLOCK = 256
+
+
+def barycentric(nodes, values, x):
+    """The polynomial through values at the CGL nodes on [0, 1], read at x.
+
+    The second (true) barycentric formula with the CGL weights (-1)^j,
+    halved at the two ends (Berrut & Trefethen 2004). A point equal to a
+    node returns that node's value itself.
+    """
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    w = (-1.0) ** np.arange(nodes.size)
+    w[[0, -1]] *= 0.5
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _BARY_BLOCK):
+        part = slice(start, start + _BARY_BLOCK)
+        c = flat[part, None] - nodes
+        hit = np.nonzero(c == 0.0)
+        c[hit] = 1.0
+        np.divide(w, c, out=c)
+        c[hit] = 0.0
+        out[part] = (c @ values) / c.sum(axis=1)
+        out[start + hit[0]] = values[hit[1]]
+    return out.reshape(x.shape)
+
+
 @dataclass
 class _NodalSolution:
-    """Values and first two derivatives at theta_nodes, each splined between the nodes."""
+    """Values and first two theta-derivatives at the CGL nodes of a grid.
 
+    nodes are the grid's nodes on [0, 1] in its own variable, to_grid maps
+    theta to that variable (None: the variable is theta), and theta_nodes
+    are the nodes in theta. Each of the three is read between the nodes by
+    barycentric interpolation in the grid's variable.
+    """
+
+    nodes: np.ndarray
+    to_grid: object
     theta_nodes: np.ndarray
     values: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
 
-    @cached_property
-    def _splines(self):
-        return tuple(Spline(self.theta_nodes, v) for v in (self.values, self.d1, self.d2))
+    def _at(self, values, theta):
+        return barycentric(self.nodes, values, theta if self.to_grid is None else self.to_grid(theta))
 
     def __call__(self, theta):
-        return self._splines[0](theta)
+        return self._at(self.values, theta)
 
     def deriv(self, theta, order=1):
-        return self._splines[order](theta)
+        return self._at((self.values, self.d1, self.d2)[order], theta)
 
 
 @dataclass
@@ -409,23 +452,21 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     """Solve f'' + (hbar1 + alpha1) f' + (hbar2 + alpha2) f = g, Robin ends.
 
     g, alpha1, alpha2 are callables of theta, constants or values at
-    problem.theta_nodes (the alphas are typically oscillatory, built from the
+    problem.ring.theta (the alphas are typically oscillatory, built from the
     resonance amplitude and the boundary strip layer). Chebyshev collocation
-    in the arclength variable: the strip layer imprints end layers of width
-    eps on the coefficients, which the end-clustered nodes resolve while a
-    truncated eigenfunction expansion does not. The Robin data
-    (Gamma0, Gamma1), f' + k f = Gamma at the ends, replaces the first and
-    last rows. Refuses when the supplied ledger fails the gap condition.
+    in the arclength variable on problem.ring: the strip layer imprints end
+    layers of width eps on the coefficients, which the end-clustered nodes
+    resolve while a truncated eigenfunction expansion does not. The Robin
+    data (Gamma0, Gamma1), f' + k f = Gamma at the ends, replaces the first
+    and last rows. Refuses when the supplied ledger fails the gap condition.
     """
     refuse_failing_ledger(ledger)
-    basis = problem.basis
-    th = problem.theta_nodes
-    beta = problem.beta_nodes
-    ell = problem.ell
+    ring = problem.ring
+    th, beta, ell = ring.theta, ring.beta, problem.ell
     gv = _on(g, th)
-    P1 = basis.q1_nodes + _on(alpha1, th) * ell / beta
-    P2 = basis.q2_nodes + _on(alpha2, th) * ell**2 / beta**2
-    _, D1, D2 = cheb_nodes_matrices(basis.nodes.size - 1)
+    P1 = ring.q1 + _on(alpha1, th) * ell / beta
+    P2 = ring.q2 + _on(alpha2, th) * ell**2 / beta**2
+    _, D1, D2 = cheb_nodes_matrices(ring.nodes.size - 1)
     eta = _robin_collocation(
         D1, D2, 1.0, P1, P2, ell**2 / beta**2 * gv,
         (problem.kappa1, problem.kappa2), (robin[0] * ell / beta[0], robin[1] * ell / beta[-1]),
@@ -435,8 +476,10 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
     fp = eta_p * beta / ell
     fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.beta.deriv(th, 1) / ell
-    norm = float(np.max(np.abs(eta)) + np.max(np.abs(fp)) + np.sqrt(np.sum(basis.wq * fpp**2)))
-    return FSolution(theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=norm)
+    norm = float(np.max(np.abs(eta)) + np.max(np.abs(fp)) + np.sqrt(np.sum(ring.wq * fpp**2)))
+    return FSolution(
+        nodes=ring.nodes, to_grid=problem.of_theta, theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=norm
+    )
 
 
 @dataclass
@@ -471,7 +514,7 @@ def solve_e_problem(g_tilde, eps, b5t, b6t, beta, hbar5, lambda0, ledger=None, r
     ep = D1 @ e
     epp = D2 @ e
     norm = float(np.max(np.abs(e)) + eps * np.sqrt(np.sum(wq * ep**2)) + eps**2 * np.sqrt(np.sum(wq * epp**2)))
-    return ESolution(theta_nodes=th, values=e, d1=ep, d2=epp, norm_dstar=norm)
+    return ESolution(nodes=th, to_grid=None, theta_nodes=th, values=e, d1=ep, d2=epp, norm_dstar=norm)
 
 
 def solve_coupled(problem, g, g_tilde, eps, gammas=(0.0, 0.0, 0.0, 0.0), b5t=0.0, b6t=0.0, hbar5=None, ledger=None):

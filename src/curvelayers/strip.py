@@ -219,11 +219,14 @@ class StripLayer:
         return self._coefs(z)[order]
 
     def _products(self, z):
-        """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at points z.
+        """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at the points
+        of z where a mode is live, and live, the map from z to their columns.
 
-        Each block of columns forms c and c' over its live rows only (see
-        blocks), multiplies and drops them: no full-width table of c or c' is
-        made. The six evaluators follow from these three: E_x =
+        Only the blocks where a mode is live (see blocks) are synthesized:
+        live[j] is the column of v, v_z and m that holds point j of z, and -1
+        where every mode is zero. Each block forms c and c' over its live
+        rows only, multiplies and drops them: no full-width table of c or c'
+        is made. The six evaluators follow from these three: E_x =
         fd_first_axis(E) and that map is linear along x, and E_xx = (shift +
         mu) E - p w^(p-1) E column by column.
         """
@@ -231,42 +234,55 @@ class StripLayer:
         if "v" not in entry:
             n = self.nu.size
             mu = self.basis.mu[:n, None]
-            v, vz, m = (np.zeros((self.basis.x.size, z.size)) for _ in range(3))
-            for cols, first in self.blocks(z):
-                if first == n:
-                    continue
+            blocks = [(cols, first) for cols, first in self.blocks(z) if first < n]
+            synthesized = np.zeros(z.size, dtype=bool)
+            for cols, _ in blocks:
+                synthesized[cols] = True
+            live = np.where(synthesized, np.cumsum(synthesized) - 1, -1)
+            v, vz, m = (np.empty((self.basis.x.size, np.count_nonzero(synthesized))) for _ in range(3))
+            for cols, first in blocks:
                 c, cp = self._block_coefs(z, cols, first)
                 e = self.basis.E[:, first:n]
-                v[:, cols], vz[:, cols], m[:, cols] = e @ c, e @ cp, e @ (mu[first:] * c)
-            for arr in (v, vz, m):
+                part = slice(live[cols][0], live[cols][-1] + 1)
+                v[:, part], vz[:, part], m[:, part] = e @ c, e @ cp, e @ (mu[first:] * c)
+            for arr in (live, v, vz, m):
                 arr.flags.writeable = False
-            entry["v"], entry["vz"], entry["m"] = v, vz, m
-        return entry["v"], entry["vz"], entry["m"]
+            entry["live"], entry["v"], entry["vz"], entry["m"] = live, v, vz, m
+        return entry["live"], entry["v"], entry["vz"], entry["m"]
+
+    def _synthesis(self, z, k, cols):
+        """Columns cols of z of the synthesis k of _products (0: v, 1: v_z,
+        2: m), zero where no mode is live."""
+        live, *kept = self._products(z)
+        sel = live[cols]
+        out = np.zeros((self.basis.x.size, sel.size))
+        hit = sel >= 0
+        out[:, hit] = kept[k][:, sel[hit]]
+        return out
 
     # The six evaluators return the columns cols of their field at points z.
     # The products are formed once at all of z, so a caller that walks a long
-    # z in blocks reads every block from one full-width synthesis: E @ c on a
-    # column subset would differ from the full product at roundoff.
+    # z in blocks reads every block from one synthesis: E @ c on a column
+    # subset would differ from the full product at roundoff.
 
     def value(self, z, cols=slice(None)):
-        return self._products(z)[0][:, cols].copy()
+        return self._synthesis(z, 0, cols)
 
     def dx(self, z, cols=slice(None)):
-        return fd_first_axis(self._products(z)[0][:, cols], self.basis.hx)
+        return fd_first_axis(self._synthesis(z, 0, cols), self.basis.hx)
 
     def dxx(self, z, cols=slice(None)):
-        v, _, m = self._products(z)
         b = self.basis
-        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * v[:, cols] + m[:, cols]
+        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * self._synthesis(z, 0, cols) + self._synthesis(z, 2, cols)
 
     def dz(self, z, cols=slice(None)):
-        return self._products(z)[1][:, cols].copy()
+        return self._synthesis(z, 1, cols)
 
     def dxz(self, z, cols=slice(None)):
-        return fd_first_axis(self._products(z)[1][:, cols], self.basis.hx)
+        return fd_first_axis(self._synthesis(z, 1, cols), self.basis.hx)
 
     def dzz(self, z, cols=slice(None)):
-        return -self._products(z)[2][:, cols]
+        return -self._synthesis(z, 2, cols)
 
     def pde_residual(self, z):
         """Residual of the discrete-x PDE at interior points z (machine-level)."""

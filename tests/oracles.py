@@ -2,7 +2,8 @@
 
 residual_crosscheck differences W itself against the chain-rule residual;
 load_profiles reads back a profiles.save_profiles table; scipy_seed_columns
-is the Newton seed built on SciPy's quintic spline.
+is the Newton seed built on SciPy's quintic spline; lemma_series_sums sizes
+the spectral sums of the lemma from the eigenvalue asymptotics.
 """
 
 import numpy as np
@@ -88,3 +89,29 @@ def scipy_seed_columns(bundle, t_pts, th):
         inside = np.abs(col) <= x[-1]
         vals[inside, j] = BSpline.construct_fast(spl.t, spl.c[:, j], spl.k)(col[inside])
     return bundle.window(t_pts)[0][:, None] * rows["alpha"] * vals
+
+
+def lemma_series_sums(eps, lambda0, ell, k1=0.0, k2=0.0, q_mean=0.0, j_sum=None):
+    """The three spectral sums split at 2 eps^2 lam_j vs {3, 1} lambda0 ell^2.
+
+    Uses the two-term eigenvalue asymptotics lam_j ~ (j pi)^2 + 2(k2 - k1)
+    + q_mean; returns the sums and their epsilon-normalized sizes.
+    """
+    if j_sum is None:
+        j_sum = int(20.0 / eps)
+    j = np.arange(1, j_sum + 1, dtype=float)
+    lam = (j * np.pi) ** 2 + 2.0 * (k2 - k1) + q_mean
+    den = lambda0 * ell**2 - eps**2 * lam
+    terms = j**2 * eps**2 * (eps * j + 1.0) ** 2 / (lam**2 * den**2)
+    hi = 2.0 * eps**2 * lam >= 3.0 * lambda0 * ell**2
+    mid = (2.0 * eps**2 * lam > lambda0 * ell**2) & ~hi
+    lo = 2.0 * eps**2 * lam <= lambda0 * ell**2
+    s_hi, s_mid, s_lo = terms[hi].sum(), terms[mid].sum(), terms[lo].sum()
+    return {
+        "high": float(s_hi),
+        "mid": float(s_mid),
+        "low": float(s_lo),
+        "high_over_eps2": float(s_hi / eps**2),
+        "mid_over_eps": float(s_mid / eps),
+        "low_over_eps2": float(s_lo / eps**2),
+    }

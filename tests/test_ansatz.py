@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
-from curvelayers import geometry, pde
+from curvelayers import geometry, harness, pde
 from curvelayers import reduced as rd
 from curvelayers.strip import StripLayer, solve_strip_layer
 from curvelayers.util import fd_first_axis, hermite, simpson_weights, spline_slopes
@@ -325,10 +325,11 @@ def test_phi4_solve_keeps_no_full_fine_grid_temporaries(ctx3, bent_b5_002):
     # rows peak at about 4 such arrays, whole-grid theta-splines at about 8,
     # and a right side formed at full width alone at about 20
     assert peak <= 5 * fine_array
-    # each layer keeps 7 knot tables (val, dx, dxx, dth, d2th, dxdth and the
-    # slope of dxx); the coefficients of three CubicSplines fill 12
+    # each layer keeps 5 knot tables (val, dx, dxx, dth and dxdth); the
+    # coefficients of three CubicSplines fill 12
     assert len(layers) == 2
-    assert held <= 2 * 8 * strip_table
+    assert all(set(layer.knots) == {"val", "dx", "dxx", "dth", "dxdth"} for layer in layers)
+    assert held <= 2 * 6 * strip_table
 
 
 def test_blocked_interior_residual_keeps_no_full_width_products(ctx3, bent_b5_002):
@@ -477,6 +478,56 @@ def test_knot_curvature_is_hermite_at_the_knots_bit_for_bit(ctx3, bent_b5_002):
     for grid, y, slope in cases:
         want = hermite(grid, y.T, slope.T, grid, 2).T
         assert np.array_equal(az._knot_curvature(grid, y, slope), want)
+
+
+def test_knot_curvature_is_formed_when_read_bit_for_bit(ctx3, bent_b5_002):
+    # d2th at the knots comes from the read columns and their right
+    # neighbours: any subset of knots reads the full table's bits
+    grid = bent_b5_002.theta_grid()
+    for layer in (bent_b5_002.phi4_even, bent_b5_002.phi4_odd):
+        assert "d2th" not in layer.knots
+        want = az._knot_curvature(grid, layer.knots["val"], layer.knots["dth"])
+        assert np.array_equal(layer["d2th"](grid), want)
+        for cols in (slice(0, 32), slice(grid.size - 5, None), [grid.size - 1, 0, 7]):
+            assert np.array_equal(layer["d2th"](grid[cols]), want[:, cols])
+
+
+def test_dxx_slope_is_formed_on_the_first_read_between_knots(ctx3, bent_chart, bent_field, bent_problem):
+    b5 = az.assemble_ansatz(5, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+    th = b5.theta_grid()
+    mid = 0.5 * (th[1:] + th[:-1])
+    for layer in (b5.phi4_even, b5.phi4_odd):
+        knots = layer.knots
+        for key in layer:
+            layer[key](th)
+        assert "dxxdth" not in knots
+        layer["dx"](mid)  # a slope of its own
+        assert "dxxdth" not in knots
+        got = layer["dxx"](mid)
+        # the table the knot set kept before, from the same values
+        want = spline_slopes(th, knots["dxx"].T).T
+        assert np.array_equal(knots["dxxdth"], want)
+        assert np.array_equal(got, hermite(th, knots["dxx"].T, want.T, mid).T)
+        kept = knots["dxxdth"]
+        layer["dxx"](mid[::2])
+        assert knots["dxxdth"] is kept
+
+
+def test_bent_channel_run_forms_no_dxx_slope(tmp_path, monkeypatch):
+    # the harness reads the phi4 layers only at the knots of the theta grid
+    layers = []
+
+    class Recorded(az._Phi4Fields):
+        def __init__(self, *args):
+            super().__init__(*args)
+            layers.append(self)
+
+    monkeypatch.setattr(az, "_Phi4Fields", Recorded)
+    res = harness.run_scenario("bent-channel", str(tmp_path), stages=("profiles", "ansatz"))
+    assert res.summary["stages"]["ansatz"]["passed"]
+    assert len(layers) == 2
+    for layer in layers:
+        assert set(layer.knots) == {"val", "dx", "dxx", "dth", "dxdth"}
 
 
 def test_seed_value_matches_the_full_strip_fields(ctx3, bent_chart, bent_field, bent_problem):

@@ -212,7 +212,7 @@ def test_order_study_projection_quantity(tmp_path):
 
 
 def test_order_study_builds_one_reduced_problem(monkeypatch):
-    # every eps shares the basis sized for the smallest one
+    # every eps shares the ring grid sized for the smallest one
     builds = []
 
     class Counting(reduced.ReducedProblem):
@@ -225,6 +225,30 @@ def test_order_study_builds_one_reduced_problem(monkeypatch):
     res = harness.order_study(scn, "interior_sup", tier=3)
     assert len(res["eps"]) == 3
     assert builds == [reduced.default_j_max(0.06)]
+
+
+def test_flat_channel_run_solves_one_eigenproblem_per_reduced_problem(tmp_path, monkeypatch):
+    # the reduced stage reads the problem's one basis, whose 191 x 191
+    # eigensolve the degeneracy check has already made
+    builds, solved = [], []
+    eig = reduced.sla.eig
+
+    class Counting(reduced.ReducedProblem):
+        def __init__(self, *args, **kwargs):
+            builds.append(kwargs.get("j_max"))
+            super().__init__(*args, **kwargs)
+
+    def counted_eig(a, *args, **kwargs):
+        solved.append(a.shape)
+        return eig(a, *args, **kwargs)
+
+    monkeypatch.setattr(reduced, "ReducedProblem", Counting)
+    monkeypatch.setattr(reduced.sla, "eig", counted_eig)
+    res = harness.run_scenario("flat-channel", str(tmp_path), stages=("profiles", "ansatz", "reduced"))
+    assert all(info["passed"] for info in res.summary["stages"].values())
+    # the fixture's smallest eps, 0.025, has j_max = 160: a 440-node basis before
+    assert builds == [reduced.default_j_max(0.025)] == [160]
+    assert solved == [(191, 191)]
 
 
 @pytest.mark.parametrize("name", ["constant-V", "disk-diameter"])

@@ -9,7 +9,7 @@ from curvelayers import ansatz as az
 from curvelayers import reduced as rd
 
 EPS = 0.02
-J_MAX = 200  # the eps-ladder's basis size at this eps
+J_MAX = 200  # the eps-ladder's j_max at this eps
 
 
 def _rung(ctx, chart, field):
@@ -36,9 +36,9 @@ def _arrays(obj):
 
 def test_problem_keeps_no_chebyshev_matrix(rung):
     problem, _ = rung
-    n = problem.basis.nodes.size
+    n = min(problem.basis.nodes.size, problem.ring.nodes.size)
     assert problem.last_ring[1] is not None  # the ring problem was solved
-    for owner in (problem, problem.basis):
+    for owner in (problem, problem.basis, problem.ring):
         for arr in _arrays(owner):
             assert not (arr.ndim == 2 and min(arr.shape) >= n - 2), (type(owner).__name__, arr.shape)
 
@@ -47,7 +47,7 @@ def test_strip_layers_keep_only_their_syntheses(rung):
     _, bundle = rung
     for layer in (bundle.phi22, bundle.phi3):
         assert layer._last is not None
-        assert set(layer._last[1]) <= {"blocks", "v", "vz", "m"}
+        assert set(layer._last[1]) <= {"blocks", "live", "v", "vz", "m"}
         # the coefficient tables are formed for the caller and not kept
         z = np.linspace(0.0, layer.L, 7)
         c, cp = layer._coefs(z)
@@ -55,15 +55,25 @@ def test_strip_layers_keep_only_their_syntheses(rung):
         assert set(layer._last[1]) == {"blocks"}
 
 
+def test_bundle_keeps_five_knot_tables_per_parity(rung):
+    # the interior and boundary residuals read the phi4 layers at the knots:
+    # d2th is formed when read, and the slope of dxx only between knots
+    _, bundle = rung
+    for layer in (bundle.phi4_even, bundle.phi4_odd):
+        assert set(layer.knots) == {"val", "dth", "dx", "dxdth", "dxx"}
+
+
 def test_rung_traced_peak(rung, ctx3, bent_chart, bent_field):
     # the module fixture ran the same rung, so every cache of the context and
-    # the field is warm. The bound is 10% above the measured 33.2 MiB; a basis
-    # that keeps D1 and D2, strip layers that keep full-width c and c' tables
-    # and the knot curvature through hermite's temporaries read 42.9 MiB
+    # the field is warm. The bound is 10% above the measured 26.4 MiB; seven
+    # knot tables per phi4 parity, full-width strip syntheses and the norms'
+    # full-width temporaries read 33.2 MiB, and a basis that keeps D1 and D2,
+    # strip layers that keep full-width c and c' tables and the knot
+    # curvature through hermite's temporaries 42.9 MiB
     tracemalloc.start()
     try:
         _rung(ctx3, bent_chart, bent_field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 36.6 * 2**20
+    assert peak <= 29.1 * 2**20

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 from curvelayers import reduced as rd
 from curvelayers import scenarios
 from curvelayers.util import loglog_slope
+from oracles import lemma_series_sums
 
 
 def test_basis_neumann_exact():
@@ -48,31 +49,31 @@ def test_basis_robin_roots():
 
 def test_bent_channel_basis_at_j_max_400(monkeypatch):
     # the eps-ladder output check reads the collocation nodes but not the
-    # eigenpairs, so the basis of its eps = 0.01 rung is pinned here
+    # eigenpairs, so the spectrum of its eps = 0.01 rung (j_max = 400) is pinned here
     scn = scenarios.builtin_scenario("bent-channel")
     chart = scenarios.build_domain(scn)
     field = scenarios.build_field(scn, chart)
 
     eig, build = rd.sla.eig, rd.cheb_nodes_matrices
-    built = []
+    built, solved = [], []
 
     def check_sized_eig(a, *args, **kwargs):
-        assert a.shape == (191, 191), "dense eigensolve beyond the degeneracy check"
+        solved.append(a.shape)
         return eig(a, *args, **kwargs)
 
     def counted_build(n):
         built.append(n)
         return build(n)
 
-    # the degeneracy check reads the eigenvalues nearest 0 on the 192-node
-    # grid; the j_max grid builds no matrix until a solve reads it
+    # the problem's one basis is the 192-node grid whose eigenvalues nearest 0
+    # the degeneracy check reads; the ring grid builds no matrix until a solve
     with monkeypatch.context() as m:
         m.setattr(rd.sla, "eig", check_sized_eig)
         m.setattr(rd, "cheb_nodes_matrices", counted_build)
         problem = rd.ReducedProblem(chart, field, 3.0, j_max=400)
-    assert built == [192]
+    assert built == [192] and solved == [(191, 191)]
     b = problem.basis
-    assert "_eigenpairs" not in vars(b) and "rho_half" not in vars(b)
+    assert b.nodes.size == 193 and problem.ring.nodes.size == rd.ring_degree(400) + 1 == 291
     assert np.max(np.abs(problem.lam_near_zero - b.lam[:4]) / np.abs(b.lam[:4])) <= 1e-8
     assert b.gram_deviation() <= 1e-8
     ref = {
@@ -84,8 +85,69 @@ def test_bent_channel_basis_at_j_max_400(monkeypatch):
         200: 394782.8425037123,
         400: 1579135.3711316604,
     }
+    # a basis of 400 modes on the problem's coefficients: the 1040-node grid
+    full = rd.SpectralBasis(b.q1, b.q2, b.k1, b.k2, j_max=400)
+    assert full.nodes.size == 1041 and full.gram_deviation() <= 1e-8
     for j, lam in ref.items():
-        assert abs(b.lam[j] - lam) <= 1e-9 * abs(lam), j
+        assert abs(full.lam[j] - lam) <= 1e-9 * abs(lam), j
+        if j <= b.j_max:
+            assert abs(b.lam[j] - lam) <= 1e-9 * abs(lam), j
+
+
+@pytest.mark.parametrize("n", [64, 192])
+def test_nodal_solution_is_barycentric_on_its_grid(n):
+    # node values come back as they are; between the nodes a degree-40
+    # polynomial is reproduced to roundoff
+    nodes = rd._cgl_points(n)[1]
+    poly = np.polynomial.Chebyshev(np.random.default_rng(5).standard_normal(41), domain=[0.0, 1.0])
+    derivs = [poly, poly.deriv(1), poly.deriv(2)]
+    sol = rd.ESolution(nodes=nodes, to_grid=None, theta_nodes=nodes, values=poly(nodes), d1=derivs[1](nodes),
+                       d2=derivs[2](nodes), norm_dstar=0.0)
+    assert np.array_equal(sol(nodes), sol.values)
+    assert np.array_equal(sol(nodes[::-1]), sol.values[::-1])
+    assert all(np.array_equal(sol.deriv(nodes, k), arr) for k, arr in ((1, sol.d1), (2, sol.d2)))
+    x = np.linspace(0.0, 1.0, 1001)
+    x = x[~np.isin(x, nodes)]
+    for k, fn in enumerate(derivs):
+        got = sol(x) if k == 0 else sol.deriv(x, k)
+        want = fn(x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), k
+    # a scalar reads as a scalar
+    assert np.ndim(sol(0.3)) == 0 and sol(0.3) == sol(np.array([0.3]))[0]
+
+
+def test_f_solution_reads_its_nodes_in_arclength(bent_problem):
+    sol = rd.solve_f_problem(bent_problem, lambda t: np.cos(np.pi * np.asarray(t, dtype=float)), 0.05)
+    ring = bent_problem.ring
+    assert np.array_equal(sol.nodes, ring.nodes) and np.array_equal(sol.theta_nodes, ring.theta)
+    v = bent_problem.of_theta(ring.theta)
+    assert np.max(np.abs(v - ring.nodes)) <= 1e-14
+    assert np.max(np.abs(sol(ring.theta) - sol.values)) <= 1e-12 * np.max(np.abs(sol.values))
+
+
+@pytest.fixture(scope="module")
+def bent_scenario_geometry():
+    scn = scenarios.builtin_scenario("bent-channel")
+    chart = scenarios.build_domain(scn)
+    return chart, scenarios.build_field(scn, chart)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.005])
+def test_ring_solve_on_its_grid_matches_the_finer_one(ctx3, bent_scenario_geometry, eps):
+    # the ring grid of degree 5 j_max/8 + 40 against the earlier 2.5 j_max + 40
+    from curvelayers import ansatz as az
+
+    chart, field = bent_scenario_geometry
+    j_max = rd.default_j_max(eps)
+    h = {}
+    for n in (rd.ring_degree(j_max), int(2.5 * j_max) + 40):
+        problem = rd.ReducedProblem(chart, field, ctx3.lambda0, j_max=j_max)
+        problem.ring = problem.ring_grid(n)
+        h[n] = az.assemble_ansatz(3, az.zero_state(), eps, ctx3, chart, field, reduced_problem=problem).h_solution
+    assert rd.ring_degree(j_max) == {0.01: 290, 0.005: 540}[eps]
+    th = np.linspace(0.0, 1.0, 1001)
+    got, ref = (sol(th) for sol in h.values())
+    assert np.max(np.abs(got - ref)) <= 5e-8 * np.max(np.abs(ref))
 
 
 def test_dropped_problem_is_freed_without_the_cycle_collector(bent_chart, bent_field):
@@ -255,7 +317,7 @@ def test_lemma_series_sums_scaling():
         led = rd.gap_check(eps, 0.025, 3.0, 1.0)
         if not led.passes:
             continue
-        rows[eps] = rd.lemma_series_sums(eps, 3.0, 1.0)
+        rows[eps] = lemma_series_sums(eps, 3.0, 1.0)
     highs = [v["high_over_eps2"] for v in rows.values()]
     mids = [v["mid_over_eps"] for v in rows.values()]
     lows = [v["low_over_eps2"] for v in rows.values()]

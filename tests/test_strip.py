@@ -285,6 +285,11 @@ def _full_table_products(lay, z):
     return (c, cp), (v, vz, m)
 
 
+def _zero_filled(lay, z):
+    """The layer's syntheses v, v_z and m at all of z, zero where no mode is live."""
+    return tuple(lay._synthesis(z, k, slice(None)) for k in range(3))
+
+
 @pytest.mark.parametrize("name", ["phi22", "phi3"])
 def test_blockwise_coefficients_are_the_full_tables_bit_for_bit(bent_layers_001, name):
     layers, zt = bent_layers_001
@@ -294,7 +299,7 @@ def test_blockwise_coefficients_are_the_full_tables_bit_for_bit(bent_layers_001,
         (c, cp), products = _full_table_products(lay, zz)
         lay._last = None  # synthesize afresh, not from an earlier test's cache
         assert np.array_equal(lay._coef(zz), c) and np.array_equal(lay._coef(zz, order=1), cp)
-        for got, want in zip(lay._products(zz), products):
+        for got, want in zip(_zero_filled(lay, zz), products):
             assert np.array_equal(got, want)
 
 
@@ -303,12 +308,12 @@ def test_decay_limited_layers_match_the_untruncated_synthesis(bent_layers_001, n
     layers, zt = bent_layers_001
     lay = layers[name]
     assert lay.basis.variant == ("translated" if name == "phi22" else "massive")
-    for key, got, ref in zip(("v", "vz", "m"), lay._products(zt), _untruncated_products(lay, zt)):
+    for key, got, ref in zip(("v", "vz", "m"), _zero_filled(lay, zt), _untruncated_products(lay, zt)):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), key
     # columns farther than _CUTOFF / nu_min from both ends are exact zeros
     far = np.minimum(zt, lay.L - zt) > st._CUTOFF / lay.nu.min()
     assert np.any(far)
-    for table in (lay._coef(zt), lay._coef(zt, order=1), *lay._products(zt)):
+    for table in (lay._coef(zt), lay._coef(zt, order=1), *_zero_filled(lay, zt)):
         assert np.all(table[:, far] == 0.0)
     # the layer still solves its PDE and meets its end data (the data's active modes)
     E = lay.basis.E[:, lay.active]
@@ -326,3 +331,31 @@ def test_decay_limited_layers_evaluate_few_modes(bent_layers_001, name):
     n = lay.nu.size
     evaluated = sum((n - first) * len(range(*cols.indices(zt.size))) for cols, first in lay.blocks(zt))
     assert evaluated < 0.15 * n * zt.size
+
+
+@pytest.mark.parametrize("name", ["phi22", "phi3"])
+def test_evaluators_zero_fill_the_kept_syntheses_bit_for_bit(bent_layers_001, name):
+    # the layer keeps the syntheses of the blocks where a mode is live; each
+    # evaluator's columns equal those of the full-width syntheses
+    layers, zt = bent_layers_001
+    lay = layers[name]
+    n = lay.nu.size
+    lay._last = None
+    live, v, vz, m = lay._products(zt)
+    live_blocks = [cols for cols, first in lay.blocks(zt) if first < n]
+    assert v.shape == vz.shape == m.shape == (lay.basis.x.size, sum(len(range(*c.indices(zt.size))) for c in live_blocks))
+    assert v.shape[1] < zt.size and np.count_nonzero(live >= 0) == v.shape[1]
+    _, (fv, fvz, fm) = _full_table_products(lay, zt)
+    b = lay.basis
+    lin = (b.shift - b.p * b.w ** (b.p - 1.0))[:, None]
+    want = {
+        "value": lambda c: fv[:, c],
+        "dx": lambda c: fd_first_axis(fv[:, c], b.hx),
+        "dxx": lambda c: lin * fv[:, c] + fm[:, c],
+        "dz": lambda c: fvz[:, c],
+        "dxz": lambda c: fd_first_axis(fvz[:, c], b.hx),
+        "dzz": lambda c: -fm[:, c],
+    }
+    for cols in (slice(None), *(slice(s, s + 32) for s in range(0, zt.size, 32))):
+        for key in EVALUATORS:
+            assert np.array_equal(getattr(lay, key)(zt, cols), want[key](cols)), (key, cols)
