@@ -173,10 +173,11 @@ class StripContext:
     tables: dict
     fine_tables: dict
 
-    def integrate(self, values, axis=0):
+    def integrate(self, values, axis=0, out=None):
+        """Quadrature of values over x along axis; out, when given, holds the weighted values."""
         shape = [1] * np.ndim(values)
         shape[axis] = self.x.size
-        return np.sum(values * self.wq.reshape(shape), axis=axis)
+        return np.multiply(values, self.wq.reshape(shape), out=out).sum(axis=axis)
 
     @cached_property
     def basis_t(self):
@@ -1127,8 +1128,8 @@ def interior_residual(bundle, z=None):
     if z.size % 2 == 0:
         wqz[0] = wqz[-1] = hz / 2.0
 
-    # the norms and projections are formed in one scratch array, by the
-    # operations of arr**2 * wx[:, None] * wqz[None, :] and ctx.integrate
+    # the norms are formed in one scratch array by the operations of
+    # arr**2 * wx[:, None] * wqz[None, :], the projections in it by ctx.integrate
     buf = np.empty_like(E)
 
     def l2(arr, wx):
@@ -1138,9 +1139,7 @@ def interior_residual(bundle, z=None):
         return float(np.sqrt(np.abs(sq.sum())))
 
     def project(profile):
-        prod = np.multiply(E, profile[:, None], out=buf)
-        prod *= wqx[:, None]
-        return prod.sum(axis=0)
+        return bundle.ctx.integrate(np.multiply(E, profile[:, None], out=buf), out=buf)
 
     # quadrature sanity: trapezoid vs Simpson in both directions
     trap_x = np.full_like(wqx, bundle.ctx.hx)

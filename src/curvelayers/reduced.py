@@ -324,10 +324,9 @@ class ReducedProblem:
     """Geometry/potential context shared by the f- and e-solvers.
 
     basis is the spectral basis of the location operator on the 192-node
-    grid, and ring the grid of the ring solve (ring_degree(j_max)); at
-    degree 192 the ring grid shares the basis's arrays. Construction refuses
-    a location operator with a numerically zero eigenvalue
-    (DegenerateOperatorError).
+    grid, and ring the grid of the ring solve (ring_degree(j_max)).
+    Construction refuses a location operator with a numerically zero
+    eigenvalue (DegenerateOperatorError).
     """
 
     def __init__(self, chart, potential, lambda0, j_max=60):
@@ -370,15 +369,17 @@ class ReducedProblem:
         self.last_ring = None
 
     def ring_grid(self, n):
-        """The RingGrid of degree n; at the basis's degree it shares the basis's arrays."""
-        b = self.basis
-        if n == b.nodes.size - 1:
-            nodes, wq, q1, q2 = b.nodes, b.wq, b.q1_nodes, b.q2_nodes
-        else:
-            nodes, wq = _cgl_points(n)[1], clenshaw_curtis_weights(n)
-            q1, q2 = _on(b.q1, nodes), _on(b.q2, nodes)
+        """The RingGrid of degree n."""
+        nodes = _cgl_points(n)[1]
         theta = self.theta_of(nodes)
-        return RingGrid(nodes=nodes, wq=wq, q1=q1, q2=q2, theta=theta, beta=self.field.beta(theta))
+        return RingGrid(
+            nodes=nodes,
+            wq=clenshaw_curtis_weights(n),
+            q1=_on(self.basis.q1, nodes),
+            q2=_on(self.basis.q2, nodes),
+            theta=theta,
+            beta=self.field.beta(theta),
+        )
 
 
 def refuse_failing_ledger(ledger):
@@ -443,6 +444,11 @@ class _NodalSolution:
         return self._at((self.values, self.d1, self.d2)[order], theta)
 
 
+# theta points of the two sup terms of FSolution.norm_star, the points of
+# ansatz.ReducedState.norm_star: the norm does not depend on the grid's size
+_SUP_THETA = np.linspace(0.0, 1.0, 2001)
+
+
 @dataclass
 class FSolution(_NodalSolution):
     norm_star: float
@@ -458,7 +464,9 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     layers of width eps on the coefficients, which the end-clustered nodes
     resolve while a truncated eigenfunction expansion does not. The Robin
     data (Gamma0, Gamma1), f' + k f = Gamma at the ends, replaces the first
-    and last rows. Refuses when the supplied ledger fails the gap condition.
+    and last rows. norm_star reads max|f| and max|f'| on 2001 equispaced
+    theta points, not at the nodes, and the L2 norm of f'' by the grid's
+    quadrature. Refuses when the supplied ledger fails the gap condition.
     """
     refuse_failing_ledger(ledger)
     ring = problem.ring
@@ -476,7 +484,9 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     eta_pp = ell**2 / beta**2 * gv - P1 * eta_p - P2 * eta
     fp = eta_p * beta / ell
     fpp = eta_pp * (beta / ell) ** 2 + eta_p * problem.field.beta.deriv(th, 1) / ell
-    norm = float(np.max(np.abs(eta)) + np.max(np.abs(fp)) + np.sqrt(np.sum(ring.wq * fpp**2)))
+    v = problem.of_theta(_SUP_THETA)
+    sup = lambda vals: np.max(np.abs(barycentric(ring.nodes, vals, v)))
+    norm = float(sup(eta) + sup(fp) + np.sqrt(np.sum(ring.wq * fpp**2)))
     return FSolution(
         nodes=ring.nodes, to_grid=problem.of_theta, theta_nodes=th, values=eta, d1=fp, d2=fpp, norm_star=norm
     )
