@@ -88,8 +88,9 @@ class ReducedState:
         return h0, h1
 
 
-def state_from_callables(f=None, fp=None, fpp=None, e=None, ep=None, epp=None, h=None, hp=None, hpp=None):
-    return ReducedState(f=_theta_fn(f, fp, fpp), e=_theta_fn(e, ep, epp), h=_theta_fn(h, hp, hpp))
+def state_from_callables(f=None, fp=None, fpp=None, e=None, ep=None, epp=None):
+    """The state of f and e with their given derivatives, and h = 0."""
+    return ReducedState(f=_theta_fn(f, fp, fpp), e=_theta_fn(e, ep, epp), h=ZERO_FN)
 
 
 def zero_state():
@@ -181,7 +182,7 @@ class StripContext:
 
     @cached_property
     def basis_t(self):
-        return build_strip_basis(self.p, self.x, "translated")
+        return build_strip_basis(self.p, self.x)
 
     @cached_property
     def basis_m(self):
@@ -406,24 +407,24 @@ _DERIVED_ROWS = {
     "xiApp": lambda r: r["xipp"] * r["A"]
     + 2.0 * r["xip"] * r["Ap"] * r["beta"]
     + r["xi"] * (r["App"] * r["beta"] ** 2 + r["Ap"] * r["betap"]),
-    "zt": lambda r: r.bundle.field.arc(r.all_th) / r.bundle.eps,
+    "zt": lambda r: r.bundle.field.arc(r.th) / r.bundle.eps,
 }
 
 
 class _Rows(dict):
-    """Theta-only rows at the sections th[cols], each evaluated once on first use.
+    """Theta-only rows at the sections th, each evaluated once on first use.
 
     The one reader of theta-only quantities: one instance serves every layer
     of a strip_fields call and the chain rule of a residual. A row is a
     derived row (_DERIVED_ROWS) or the name of a theta-function followed by
     one "p" per derivative ("betapp" is beta'', "ep" is e'): f, e and h are
     read from the state, every other name from LayerCoeffs. "zt" holds the
-    strip points arc(th)/eps of all of th, where the strip layers synthesize.
+    strip points arc(th)/eps of the sections, where the strip layers are read.
     """
 
-    def __init__(self, bundle, th, cols=slice(None)):
+    def __init__(self, bundle, th):
         super().__init__()
-        self.bundle, self.all_th, self.cols, self.th = bundle, th, cols, th[cols]
+        self.bundle, self.th = bundle, th
 
     def __missing__(self, name):
         if name in _DERIVED_ROWS:
@@ -469,24 +470,24 @@ class _StripTerm:
         self.layer, self.k = layer, k
 
     def fields(self, rows, derivs):
-        L, zt, cols, eps = self.layer, rows["zt"], rows.cols, rows.bundle.eps
-        if L.is_zero(zt, cols):
+        L, zt, eps = self.layer, rows["zt"], rows.bundle.eps
+        if L.is_zero(zt):
             return (0.0,) * (len(_FIELDS) if derivs else 1)
         s0, s1, s2 = (eps ** (self.k + j) for j in range(3))
         xi = rows["xi"][None, :]
-        m = L.value(zt, cols)
+        m = L.value(zt)
         v = s0 * xi * m
         if not derivs:
             return (v,)
         dxi, d2xi, beta, dbeta = (rows[name][None, :] for name in ("xip", "xipp", "beta", "betap"))
-        m_x, m_z = L.dx(zt, cols), L.dz(zt, cols)
+        m_x, m_z = L.dx(zt), L.dz(zt)
         return (
             v,
             s0 * xi * m_x,
-            s0 * xi * L.dxx(zt, cols),
+            s0 * xi * L.dxx(zt),
             s1 * dxi * m + s0 * xi * beta * m_z,
-            s2 * d2xi * m + 2.0 * s1 * dxi * beta * m_z + s0 * xi * (beta**2 * L.dzz(zt, cols) + eps * dbeta * m_z),
-            s1 * dxi * m_x + s0 * xi * beta * L.dxz(zt, cols),
+            s2 * d2xi * m + 2.0 * s1 * dxi * beta * m_z + s0 * xi * (beta**2 * L.dzz(zt) + eps * dbeta * m_z),
+            s1 * dxi * m_x + s0 * xi * beta * L.dxz(zt),
         )
 
 
@@ -537,19 +538,18 @@ class AnsatzBundle:
         return self.eps * self.z_grid
 
     # -- strip fields ------------------------------------------------------
-    def strip_fields(self, z=None, cols=slice(None), derivs=True, rows=None):
-        """Arrays (nx, ncols) of v and, with derivs, v_x, v_xx, v_z, v_zz, v_xz.
+    def strip_fields(self, z=None, derivs=True, rows=None):
+        """Arrays (nx, nz) of v and, with derivs, v_x, v_xx, v_z, v_zz, v_xz.
 
-        Each field is the sum over the layers, in order, of their parts. The
-        strip layers are read at all of z (each keeps its syntheses for the
-        last z it saw), and cols selects the columns returned; the theta-only
-        rows are evaluated on those columns alone, once per call. Given rows,
-        the sections are theirs and z and cols are not read. Without derivs
-        only v is formed, from the same terms in the same order.
+        Each field is the sum over the layers, in order, of their parts, at
+        the sections z (the z grid by default) or, given rows, at theirs. The
+        theta-only rows are evaluated once per call, and the strip layers
+        synthesize only these sections. Without derivs only v is formed, from
+        the same terms in the same order.
         """
         if rows is None:
             z = self.z_grid if z is None else np.atleast_1d(np.asarray(z, dtype=float))
-            rows = _Rows(self, self.eps * z, cols)
+            rows = _Rows(self, self.eps * z)
         names = _FIELDS if derivs else _FIELDS[:1]
         out = dict.fromkeys(names, 0.0)
         for layer in self.layers:
@@ -588,18 +588,17 @@ class AnsatzBundle:
         return self.window(t_pts)[0][:, None] * rows["alpha"] * vals.reshape(t_pts.size, th.size)
 
 
-def export_strip_table(report, path, stride=(4, 1)):
-    """Plot-ready columnar dump (x, z, E) of an interior residual table."""
-    sx, sz = stride
-    x = report.x[::sx]
-    z = report.z[::sz]
-    E = report.E[::sx, ::sz]
+def export_strip_table(report, path):
+    """Plot-ready columnar dump (x, z, E) of an interior residual table, every fourth x."""
+    x = report.x[::4]
+    z = report.z
+    E = report.E[::4]
     xx, zz = np.meshgrid(x, z, indexing="ij")
     write_table(path, np.column_stack([xx.ravel(), zz.ravel(), E.ravel()]), header="x z E", fmt="%.12e")
 
 
-def default_z_grid(eps, spacing=0.25):
-    n = int(np.ceil(1.0 / (eps * spacing)))
+def default_z_grid(eps):
+    n = int(np.ceil(4.0 / eps))
     if n % 2 == 1:
         n += 1  # odd point count for Simpson in z
     return np.linspace(0.0, 1.0 / eps, n + 1)
@@ -690,18 +689,18 @@ def _phi4_strip_terms(bundle, src, cols, q_even, q_odd, c3):
     """(field, row) terms (even, odd) of the phi22 and phi3 layers in the phi4
     right sides at theta columns cols, given their rows of _phi4_coefficients
     at those columns; a layer that is identically zero there has none."""
-    ctx, zt = bundle.ctx, src["zt"]
+    ctx, zt = bundle.ctx, src["zt"][cols]
     terms_even, terms_odd = [], []
     phi22, phi3 = bundle.phi22, bundle.phi3
-    if phi22 is not None and not phi22.is_zero(zt, cols):
-        synth = np.stack([getattr(phi22, fn)(zt, cols) for fn in ("value", "dx", "dz", "dxz")], axis=1)
+    if phi22 is not None and not phi22.is_zero(zt):
+        synth = np.stack([getattr(phi22, fn)(zt) for fn in ("value", "dx", "dz", "dxz")], axis=1)
         q, q_x, q_zt, q_xzt = _to_fine(ctx, synth).transpose(1, 0, 2)
         x, w1, w2, Z = (ctx.fine_tables[key][:, None] for key in ("x", "w1", "w2", "Z"))
         wq = ctx.phi4_profiles["wp2"] * q
         terms_even += zip((q_zt, x * q_xzt, q, wq * q, wq * Z, wq * w2), q_even)
         terms_odd += zip((q_x, q_xzt, x * q, wq * w1), q_odd)
-    if phi3 is not None and not phi3.is_zero(zt, cols):
-        terms_even.append((_to_fine(ctx, phi3.value(zt, cols)), c3))
+    if phi3 is not None and not phi3.is_zero(zt):
+        terms_even.append((_to_fine(ctx, phi3.value(zt)), c3))
     return terms_even, terms_odd
 
 
@@ -777,11 +776,11 @@ def _phi4_tables(bundle):
     are identically zero needs no solve. Every column is computed as in a
     single full-width pass, bit for bit.
 
-    One set of theta-only rows on the theta grid serves every block; its "zt"
-    holds the strip points of the theta grid. Each block reads its columns of
-    the phi22 and phi3 fields at all of zt: the layers synthesize them once
-    at full width (see StripLayer.blocks), and strip_fields later reads the
-    same syntheses.
+    One set of theta-only rows on the theta grid serves every block. Each
+    block reads the phi22 and phi3 fields at its own strip points only: a
+    layer synthesizes every strip._Z_BLOCK block of points by its own
+    product (StripLayer._syntheses), and _PHI4_BLOCK is a multiple of it, so
+    a block gets the bits of a full-width synthesis.
     """
     ctx = bundle.ctx
     th_grid = bundle.theta_grid()
@@ -890,7 +889,7 @@ class _Phi4Fields(dict):
         )
 
 
-def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, reduced_problem=None, h_from_state=False, ledger=None, z_grid=None):
+def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, reduced_problem=None, h_from_state=False, ledger=None):
     """Build the bundle of the ansatz layers up to the given tier.
 
     Tier 1 is the profile w; tier 2 adds the curvature corrections w1 and w2;
@@ -906,9 +905,6 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
     """
     if not 1 <= tier <= 5:
         raise ValueError("tier must be 1..5")
-    delta = delta if delta is not None else chart.delta0 / 8.0
-    if 6.0 * delta > chart.delta0:
-        raise ValueError("cutoff support exceeds the chart half-width")
     if tier < 4:
         state = ReducedState(f=state.f, e=ZERO_FN, h=state.h)
     t = ctx.tables
@@ -921,8 +917,8 @@ def assemble_ansatz(tier, state, eps, ctx, chart, potential, *, delta=None, redu
         coeffs=coeffs,
         ctx=ctx,
         state=state,
-        delta=float(delta),
-        z_grid=z_grid if z_grid is not None else default_z_grid(eps),
+        delta=chart.delta0 / 8.0,
+        z_grid=default_z_grid(eps),
         layers=[_ProfileLayer(t, "w", 0, "one")],
     )
     if tier >= 2:
@@ -1018,16 +1014,6 @@ class ResidualReport:
     proj_Z: np.ndarray
     quadrature_flag: bool
 
-    def to_dict(self):
-        return {
-            "eps": self.eps,
-            "tier": self.tier,
-            "sup": self.sup,
-            "l2": self.l2,
-            "l2_E12": self.l2_E12,
-            "quadrature_valid": not self.quadrature_flag,
-        }
-
 
 def _chart_coeff_arrays(bundle, t, th, mask):
     nx, nz = t.shape
@@ -1079,10 +1065,10 @@ def _chain_rule(bundle, rows):
     return t, W, U_t, U_th, U_tt, U_tth, U_thth
 
 
-def _interior_block(bundle, z, cols):
-    """Interior residual E at the sections z[cols], from the chain-rule partials of W(t, theta)."""
+def _interior_block(bundle, z):
+    """Interior residual E at the sections z, from the chain-rule partials of W(t, theta)."""
     eps = bundle.eps
-    rows = _Rows(bundle, eps * z, cols)
+    rows = _Rows(bundle, eps * z)
     th = rows.th
     t, W, U_t, U_th, U_tt, U_tth, U_thth = _chain_rule(bundle, rows)
     alpha, beta = rows["alpha"][None, :], rows["beta"][None, :]
@@ -1106,8 +1092,9 @@ def interior_residual(bundle, z=None):
     E(x, z) = [eps^2 Delta_y - V + (.)^p](W) / (alpha beta^2) evaluated with
     the closed-form metric coefficients; no grid differencing enters, so the
     epsilon-order fits are not polluted by discretization error. E is formed
-    in blocks of _RESIDUAL_BLOCK sections: each block reads its columns of
-    the strip layers' syntheses over all of z, and every other factor is
+    in blocks of _RESIDUAL_BLOCK sections, each reading the strip layers at
+    its own sections only. The layers synthesize per strip._Z_BLOCK block
+    of points, _RESIDUAL_BLOCK is a multiple of it, and every other factor is
     elementwise in z, so the blocks give E bit for bit as one pass would.
     """
     eps = bundle.eps
@@ -1115,7 +1102,7 @@ def interior_residual(bundle, z=None):
     E = np.empty((bundle.ctx.x.size, z.size))
     for start in range(0, z.size, _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
-        E[:, cols] = _interior_block(bundle, z, cols)
+        E[:, cols] = _interior_block(bundle, z[cols])
 
     rows = _Rows(bundle, eps * z)
     ev, evpp, beta = (rows[name][None, :] for name in ("e", "epp", "beta"))
@@ -1180,19 +1167,6 @@ class BoundaryReport:
     proj_wx: tuple
     proj_Z: tuple
     exact_dev: float
-
-    def to_dict(self):
-        return {
-            "eps": self.eps,
-            "tier": self.tier,
-            "l2_g02": self.l2_g02,
-            "l2_g12": self.l2_g12,
-            "proj_wx_0": self.proj_wx[0],
-            "proj_wx_1": self.proj_wx[1],
-            "proj_Z_0": self.proj_Z[0],
-            "proj_Z_1": self.proj_Z[1],
-            "exact_normal_dev": self.exact_dev,
-        }
 
 
 def boundary_residual(bundle):
@@ -1284,11 +1258,9 @@ def project_residual(bundle, report=None):
     t = ctx.tables
     weights = _h_weights(ctx, bundle.phi22)
 
-    rho1 = weights["rho1"]
+    rho1, I_xwxZ, I_w3 = weights["rho1"], weights["I_Z_xwx"], weights["I_Z_3"]
     rho2 = float(2.0 * ctx.integrate(t["w_xx"] * t["Z"]))
-    I1 = float(ctx.integrate((t["Z_x"] + t["x"] * t["Z"] / ctx.sigma) * t["w_x"]))
-    I_xwxZ = float(ctx.integrate(t["x"] * t["w_x"] * t["Z"]))
-    I_w3 = float(ctx.integrate(ctx.p * (ctx.p - 1.0) * t["w"] ** (ctx.p - 2.0) * t["w1"] * t["Z"] * t["w_x"]))
+    I1 = weights["I_Zx_wx"] + weights["I_Z_xwx"] / ctx.sigma
 
     beta, k, vp, h1, h2, h5 = (rows[name] for name in ("beta", "k", "varpi", "hbar1", "hbar2", "hbar5"))
     h31 = -k * I1 / rho1

@@ -286,7 +286,7 @@ class NondegeneracyReport:
     stationarity_sup: float
 
 
-def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stationarity_tol=1e-8):
+def nondegeneracy_test(chart, field, stationarity_tol=1e-8):
     """Smallest singular value of the Jacobi operator and the verdict.
 
     The curve must first be stationary: unless the stationarity residual sup
@@ -310,7 +310,7 @@ def nondegeneracy_test(chart, field, n_theta=401, refine=(401, 801, 1601), stati
     if not sup < stationarity_tol * max(scale, 1.0):
         raise StationarityError(f"stationarity residual sup {sup:.3e} exceeds tolerance", sup)
 
-    sizes = tuple(sorted(set(list(refine) + [n_theta])))
+    sizes = (401, 801, 1601)
     smallest = []
     for n in sizes:
         theta = np.linspace(0.0, 1.0, n)

@@ -100,11 +100,11 @@ class CurveSpec:
         # k' = gamma''' . n + gamma'' . n', and gamma'' . n' = -k gamma'' . gamma' = 0
         return np.sum(self.gamma.deriv(s, 3) * self.normal(s), axis=-1)
 
-    def validate(self, tol=1e-8):
+    def validate(self):
         s = np.linspace(-self.sigma0 / 2, 1 + self.sigma0 / 2, 41)
         tang = self.tangent(s)
         speed_dev = np.max(np.abs(np.sum(tang**2, axis=-1) - 1.0))
-        if speed_dev > tol:
+        if speed_dev > 1e-8:
             raise ValueError(f"curve is not arclength parameterized (dev {speed_dev:.2e})")
         # Frenet: n' = -k gamma'
         nprime = fd_derivative(self.normal, s, order=1, h=1e-4)
@@ -112,10 +112,10 @@ class CurveSpec:
         if frenet_dev > 1e-6:
             raise ValueError(f"Frenet relation violated (dev {frenet_dev:.2e})")
         for name, graph, base in (("phi1", self.phi1, 0.0), ("phi2", self.phi2, 1.0)):
-            if abs(float(graph(0.0)) - base) > tol:
+            if abs(float(graph(0.0)) - base) > 1e-8:
                 raise ValueError(f"{name}(0) != {base}")
             d0 = float(graph.deriv(0.0, 1))
-            if abs(d0) > tol:
+            if abs(d0) > 1e-8:
                 raise ValueError(f"orthogonal intersection violated: {name}'(0) = {d0:.2e}")
         return self
 
@@ -451,10 +451,10 @@ def generic_chart_curve(kappa=0.8, c1=(1.0, 0.5), c2=(-0.8, 0.3), sigma0=0.1):
     )
 
 
-def export_chart_tables(chart, path, nt=41, ntheta=41):
-    """Columnar text table of the metric and the operator coefficients."""
-    ts = np.linspace(-chart.delta0 * 0.95, chart.delta0 * 0.95, nt)
-    ths = np.linspace(0.0, 1.0, ntheta)
+def export_chart_tables(chart, path):
+    """Columnar text table of the metric and the operator coefficients on 41 x 41 chart points."""
+    ts = np.linspace(-chart.delta0 * 0.95, chart.delta0 * 0.95, 41)
+    ths = np.linspace(0.0, 1.0, 41)
     tt, hh = np.meshgrid(ts, ths, indexing="ij")
     met = chart.metric(tt, hh)
     c = chart.laplacian_coeffs(tt, hh)

@@ -27,17 +27,16 @@ __all__ = [
 ]
 
 
-def graded_nodes(eps, half_width, fine_per_layer=12, core=None, ratio=1.15, h_max=0.1):
-    """Symmetric node set, uniform across the layer and geometric outside."""
+def graded_nodes(eps, half_width, fine_per_layer=12, h_max=0.1):
+    """Symmetric node set, uniform on the core |t| <= max(12 eps, 0.4) and growing by 1.15 a step outside."""
     h_f = eps / fine_per_layer
-    core = core if core is not None else max(12.0 * eps, 0.4)
-    core = min(core, half_width)
+    core = min(max(12.0 * eps, 0.4), half_width)
     n_core = int(np.ceil(core / h_f))
     # a core rounded up past the edge is shrunk onto [0, half_width]
     right = list(np.linspace(0.0, min(n_core * h_f, half_width), n_core + 1))
     h = h_f
     while right[-1] < half_width:
-        h = min(h * ratio, h_max)
+        h = min(h * 1.15, h_max)
         right.append(min(right[-1] + h, half_width))
     right = np.asarray(right)
     return np.concatenate([-right[::-1][:-1], right])
@@ -160,7 +159,7 @@ def _scaled_norm(mesh, u, r):
     return float(np.max(np.abs(r)) / scale)
 
 
-def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.0):
+def newton_solve(mesh, p, eps, u0, max_iter=25, min_damping=1.0 / 64.0):
     """Damped Newton iteration for eps^2 Lap u - V u + u^p = 0 with no-flux.
 
     The residual is scaled by the reaction size; backtracking halves the step
@@ -192,7 +191,7 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
     ab = np.empty((3 * nb + 1, u.size), order="F")
     converged = False
     for it in range(max_iter):
-        if norms[-1] < tol:
+        if norms[-1] < 1e-10:
             converged = True
             break
         ab[nb:] = 0.0
@@ -219,7 +218,7 @@ def newton_solve(mesh, p, eps, u0, tol=1e-10, max_iter=25, min_damping=1.0 / 64.
         damping.append(lam)
         norms.append(norm_try)
     else:
-        converged = norms[-1] < tol
+        converged = norms[-1] < 1e-10
     return SolveTrace(
         u=u,
         residuals=norms,

@@ -1,8 +1,8 @@
 """Linear layer problems on the strip R x (0, L) via the x-eigenbasis.
 
-The cross-section operator is either d_xx - 1 + p w^(p-1) (translated
-variant, carrying the positive resonance mode and the translation zero mode)
-or d_xx - Ktilde + p w^(p-1) (massive variant, negative definite for large
+The cross-section operator is either d_xx - 1 + p w^(p-1) (the translated
+basis, carrying the positive resonance mode and the translation zero mode)
+or d_xx - Ktilde + p w^(p-1) (the massive basis, negative definite for large
 Ktilde). The two differ by a constant, so one eigendecomposition serves
 both. For Neumann data on the two ends, every mode reduces to a two-point
 ODE c'' + mu c = 0 with c'(0), c'(L) prescribed, solved in closed form with
@@ -28,14 +28,13 @@ class StripDataError(RuntimeError):
 class StripBasis:
     """Discrete eigenbasis of the cross-section operator on [-X, X].
 
-    The two variants differ by a constant mass, so they share the
-    eigenvectors E: the massive basis is the translated one with every
-    eigenvalue shifted by 1 - k_tilde (see massive).
+    The operator is d_xx - shift + p w^(p-1): shift 1 for the translated
+    basis, the mass k_tilde for the massive one, which shares the
+    eigenvectors E with every eigenvalue moved by 1 - k_tilde (see massive).
     """
 
     p: float
-    variant: str
-    k_tilde: float
+    shift: float
     x: np.ndarray
     hx: float
     w: np.ndarray
@@ -43,11 +42,6 @@ class StripBasis:
     E: np.ndarray  # (nx, nmodes), discrete-L2 orthonormal, zero at the ends
     idx_resonant: int | None
     idx_zero: np.ndarray
-
-    @property
-    def shift(self):
-        """Mass term of the cross-section operator: 1 or k_tilde."""
-        return 1.0 if self.variant == "translated" else self.k_tilde
 
     def project(self, data):
         return self.hx * (self.E.T @ np.asarray(data, dtype=float))
@@ -65,15 +59,12 @@ class StripBasis:
         """The massive basis of mass k_tilde on the same eigenvectors E (not a copy)."""
         mu = self.mu - (float(k_tilde) - self.shift)
         if np.any(mu > -1e-8):
-            raise RuntimeError("massive variant is not negative definite; raise k_tilde")
-        return replace(self, variant="massive", k_tilde=float(k_tilde), mu=mu, idx_resonant=None,
-                       idx_zero=np.array([], dtype=int))
+            raise RuntimeError("massive basis is not negative definite; raise k_tilde")
+        return replace(self, shift=float(k_tilde), mu=mu, idx_resonant=None, idx_zero=np.array([], dtype=int))
 
 
-def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
-    """The translated basis, or for variant "massive" its shift StripBasis.massive(k_tilde)."""
-    if variant not in ("translated", "massive"):
-        raise ValueError("variant must be 'translated' or 'massive'")
+def build_strip_basis(p, x):
+    """The translated basis (shift 1); its massive shift is StripBasis.massive."""
     x = np.asarray(x, dtype=float)
     hx = x[1] - x[0]
     w = ground_state(p, x)[0]
@@ -93,19 +84,7 @@ def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
     others = np.setdiff1d(np.arange(mu.size), np.append(idx_zero, idx_res))
     if np.any(mu[others] > -0.5):
         raise RuntimeError("unexpected cross-section mode in the spectral gap")
-    basis = StripBasis(
-        p=float(p),
-        variant="translated",
-        k_tilde=float(k_tilde),
-        x=x,
-        hx=float(hx),
-        w=w,
-        mu=mu,
-        E=e,
-        idx_resonant=idx_res,
-        idx_zero=idx_zero,
-    )
-    return basis if variant == "translated" else basis.massive(k_tilde)
+    return StripBasis(p=float(p), shift=1.0, x=x, hx=float(hx), w=w, mu=mu, E=e, idx_resonant=idx_res, idx_zero=idx_zero)
 
 
 # A mode's term is kept only where its exponential is at least 2^-64 (nu times
@@ -113,7 +92,7 @@ def build_strip_basis(p, x, variant="translated", k_tilde=25.0):
 # 2^-64 of its end amplitude, and all of them together stay under about 1e-17
 # of the layer's scale.
 _CUTOFF = 64.0 * np.log(2.0)
-# z columns per block of the mode tables and syntheses: each block evaluates
+# points of z per block of the mode tables and syntheses: each block evaluates
 # only the modes live in it (16 keeps the end blocks, where every mode is live,
 # a small share of the grid)
 _Z_BLOCK = 16
@@ -121,7 +100,11 @@ _Z_BLOCK = 16
 
 @dataclass
 class StripLayer:
-    """Closed-form modal solution of the strip problem with Neumann data."""
+    """Closed-form modal solution of the strip problem with Neumann data.
+
+    The evaluators synthesize only the points they are given, and the layer
+    keeps the syntheses of its last call alone (see _syntheses).
+    """
 
     basis: StripBasis
     L: float
@@ -146,19 +129,6 @@ class StripLayer:
         d0, d1 = self.d0[:n, None], self.d1[:n, None]
         self._P, self._Q = (d1 - d0 * q) * scale, (d1 * q - d0) * scale
 
-    def _entry(self, z):
-        """Points z as an array and the cache entry (a dict) kept for them.
-
-        Only the last z is kept: the evaluators are called in a row at the
-        same z, and the strip fields revisit the z of the phi4 right side.
-        The key is a copy of z, so an in-place change of the caller's array
-        cannot return stale values.
-        """
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if self._last is None or not np.array_equal(self._last[0], z):
-            self._last = (z.copy(), {})
-        return z, self._last[1]
-
     def _first_live(self, z):
         """Per point of z, the first table row live there: the rows from it on
         are the modes with nu min(z, L - z) <= _CUTOFF."""
@@ -168,24 +138,19 @@ class StripLayer:
         return self.nu.size - live
 
     def blocks(self, z):
-        """(cols, first) for each block of _Z_BLOCK columns of z: the table rows
+        """(cols, first) for each block of _Z_BLOCK points of z: the table rows
         first: are the modes live somewhere in the block, the others are zero
         there (first is the number of rows in a block where none is live)."""
-        z, entry = self._entry(z)
-        if "blocks" not in entry:
-            first = self._first_live(z)
-            entry["blocks"] = [
-                (slice(s, s + _Z_BLOCK), int(first[s : s + _Z_BLOCK].min())) for s in range(0, z.size, _Z_BLOCK)
-            ]
-        return entry["blocks"]
+        first = self._first_live(z)
+        return [(slice(s, s + _Z_BLOCK), int(first[s : s + _Z_BLOCK].min())) for s in range(0, z.size, _Z_BLOCK)]
 
-    def is_zero(self, z, cols=slice(None)):
-        """Whether the layer is identically zero at the columns cols of z."""
-        return bool(np.all(self._first_live(np.atleast_1d(np.asarray(z, dtype=float))[cols]) == self.nu.size))
+    def is_zero(self, z):
+        """Whether the layer is identically zero at the points z."""
+        return bool(np.all(self._first_live(np.atleast_1d(np.asarray(z, dtype=float))) == self.nu.size))
 
-    def _block_coefs(self, z, cols, first):
-        """Mode coefficients c and c' at the columns cols of z over the live
-        table rows first: (see blocks).
+    def _block_coefs(self, z, first):
+        """Mode coefficients c and c' at the points z of one block over the
+        live table rows first: (see blocks).
 
         Every active mode has mu < 0: solve_strip_layer drops or refuses the
         resonant and zero modes of the translated basis, and the massive basis
@@ -198,7 +163,7 @@ class StripLayer:
         is an exact zero.
         """
         nu = self.nu[first:, None]
-        arg = -nu * np.stack((self.L - z[cols], z[cols]))[:, None, :]
+        arg = -nu * np.stack((self.L - z, z))[:, None, :]
         far, near = np.exp(arg, out=np.zeros_like(arg), where=arg >= -_CUTOFF)
         far, near = self._P[first:] * far, self._Q[first:] * near
         return far + near, nu * (far - near)
@@ -211,78 +176,57 @@ class StripLayer:
         c, cp = np.zeros((n, z.size)), np.zeros((n, z.size))
         for cols, first in self.blocks(z):
             if first < n:
-                c[first:, cols], cp[first:, cols] = self._block_coefs(z, cols, first)
+                c[first:, cols], cp[first:, cols] = self._block_coefs(z[cols], first)
         return c, cp
 
-    def _coef(self, z, order=0):
-        """Mode coefficients c (order 0) or c' (order 1) at points z."""
-        return self._coefs(z)[order]
+    def _syntheses(self, z):
+        """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at the points z.
 
-    def _products(self, z):
-        """Read-only syntheses v = E c, v_z = E c' and m = E (mu c) at the points
-        of z where a mode is live, and live, the map from z to their columns.
-
-        Only the blocks where a mode is live (see blocks) are synthesized:
-        live[j] is the column of v, v_z and m that holds point j of z, and -1
-        where every mode is zero. Each block forms c and c' over its live
-        rows only, multiplies and drops them: no full-width table of c or c'
-        is made. The six evaluators follow from these three: E_x =
-        fd_first_axis(E) and that map is linear along x, and E_xx = (shift +
-        mu) E - p w^(p-1) E column by column.
+        Each block of z where a mode is live (see blocks) forms c and c' over
+        its live rows, multiplies and drops them; the other columns are exact
+        zeros. Only the last call is kept, keyed by a copy of its z: the
+        evaluators are called in a row at the same points. The six evaluators
+        follow from these three: E_x = fd_first_axis(E) and that map is linear
+        along x, and E_xx = (shift + mu) E - p w^(p-1) E column by column.
         """
-        z, entry = self._entry(z)
-        if "v" not in entry:
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        if self._last is None or not np.array_equal(self._last[0], z):
             n = self.nu.size
             mu = self.basis.mu[:n, None]
-            blocks = [(cols, first) for cols, first in self.blocks(z) if first < n]
-            synthesized = np.zeros(z.size, dtype=bool)
-            for cols, _ in blocks:
-                synthesized[cols] = True
-            live = np.where(synthesized, np.cumsum(synthesized) - 1, -1)
-            v, vz, m = (np.empty((self.basis.x.size, np.count_nonzero(synthesized))) for _ in range(3))
-            for cols, first in blocks:
-                c, cp = self._block_coefs(z, cols, first)
-                e = self.basis.E[:, first:n]
-                part = slice(live[cols][0], live[cols][-1] + 1)
-                v[:, part], vz[:, part], m[:, part] = e @ c, e @ cp, e @ (mu[first:] * c)
-            for arr in (live, v, vz, m):
+            v, vz, m = (np.zeros((self.basis.x.size, z.size)) for _ in range(3))
+            for cols, first in self.blocks(z):
+                if first < n:
+                    c, cp = self._block_coefs(z[cols], first)
+                    e = self.basis.E[:, first:n]
+                    v[:, cols], vz[:, cols], m[:, cols] = e @ c, e @ cp, e @ (mu[first:] * c)
+            for arr in (v, vz, m):
                 arr.flags.writeable = False
-            entry["live"], entry["v"], entry["vz"], entry["m"] = live, v, vz, m
-        return entry["live"], entry["v"], entry["vz"], entry["m"]
+            self._last = (z.copy(), (v, vz, m))
+        return self._last[1]
 
-    def _synthesis(self, z, k, cols):
-        """Columns cols of z of the synthesis k of _products (0: v, 1: v_z,
-        2: m), zero where no mode is live."""
-        live, *kept = self._products(z)
-        sel = live[cols]
-        out = np.zeros((self.basis.x.size, sel.size))
-        hit = sel >= 0
-        out[:, hit] = kept[k][:, sel[hit]]
-        return out
+    # The six evaluators return their field at points z, each point from the
+    # product of its own _Z_BLOCK block: a caller that walks z in blocks
+    # aligned to _Z_BLOCK gets the bits of one pass over all of z.
 
-    # The six evaluators return the columns cols of their field at points z.
-    # The products are formed once at all of z, so a caller that walks a long
-    # z in blocks reads every block from one synthesis: E @ c on a column
-    # subset would differ from the full product at roundoff.
+    def value(self, z):
+        return self._syntheses(z)[0].copy()
 
-    def value(self, z, cols=slice(None)):
-        return self._synthesis(z, 0, cols)
+    def dx(self, z):
+        return fd_first_axis(self._syntheses(z)[0], self.basis.hx)
 
-    def dx(self, z, cols=slice(None)):
-        return fd_first_axis(self._synthesis(z, 0, cols), self.basis.hx)
-
-    def dxx(self, z, cols=slice(None)):
+    def dxx(self, z):
         b = self.basis
-        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * self._synthesis(z, 0, cols) + self._synthesis(z, 2, cols)
+        v, _, m = self._syntheses(z)
+        return (b.shift - b.p * b.w ** (b.p - 1.0))[:, None] * v + m
 
-    def dz(self, z, cols=slice(None)):
-        return self._synthesis(z, 1, cols)
+    def dz(self, z):
+        return self._syntheses(z)[1].copy()
 
-    def dxz(self, z, cols=slice(None)):
-        return fd_first_axis(self._synthesis(z, 1, cols), self.basis.hx)
+    def dxz(self, z):
+        return fd_first_axis(self._syntheses(z)[1], self.basis.hx)
 
-    def dzz(self, z, cols=slice(None)):
-        return -self._synthesis(z, 2, cols)
+    def dzz(self, z):
+        return -self._syntheses(z)[2]
 
     def pde_residual(self, z):
         """Residual of the discrete-x PDE at interior points z (machine-level)."""
@@ -315,7 +259,7 @@ class StripLayer:
 def solve_strip_layer(basis, data0, data1, L, drop_tol=1e-6):
     """Solve the strip problem for Neumann data (data0 at z=0, data1 at z=L).
 
-    Translated variant: the resonance mode (positive eigenvalue) and the
+    Translated basis: the resonance mode (positive eigenvalue) and the
     translation mode (zero eigenvalue) must not be excited; their data
     projections are checked against drop_tol relative to the data norm and
     the offending magnitudes are reported on refusal. The data's end values

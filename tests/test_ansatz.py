@@ -9,7 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from curvelayers import ansatz as az
 from curvelayers import geodesic as gd
-from curvelayers import geometry, harness, pde
+from curvelayers import geometry, harness, pde, strip
 from curvelayers import reduced as rd
 from curvelayers.strip import StripLayer, solve_strip_layer
 from curvelayers.util import fd_first_axis, hermite, simpson_weights, spline_slopes
@@ -171,7 +171,7 @@ def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps, monkeypatch):
     if eps == 0.01:
         zt = az._Rows(b5, b5.theta_grid())["zt"]
         mid = slice(n_theta // 2, n_theta // 2 + az._PHI4_BLOCK)
-        assert b5.phi22.is_zero(zt, mid) and b5.phi3.is_zero(zt, mid)
+        assert b5.phi22.is_zero(zt[mid]) and b5.phi3.is_zero(zt[mid])
     streamed = az._phi4_tables(b5)
     monkeypatch.setattr(az, "_PHI4_BLOCK", n_theta)
     one_shot = az._phi4_tables(b5)
@@ -230,7 +230,7 @@ def _phi4_rhs_by_terms(bundle, src, cols):
     )
 
     if bundle.phi22 is not None:
-        q, q_x, q_zt, q_xzt = (az._to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"], cols)) for fn in ("value", "dx", "dz", "dxz"))
+        q, q_x, q_zt, q_xzt = (az._to_fine(ctx, getattr(bundle.phi22, fn)(src["zt"][cols])) for fn in ("value", "dx", "dz", "dxz"))
     else:
         q = q_x = q_zt = q_xzt = 0.0
     blockA = A * Zv + q
@@ -239,7 +239,7 @@ def _phi4_rhs_by_terms(bundle, src, cols):
     dz_blockA_x = eps * Ap * beta * Zxv + beta * q_xzt
     m11 = (2.0 * eps**2 / beta**2) * dxi * dz_blockA + (eps**2 * dbeta / beta**2) * xi * (dz_blockA / beta)
     if bundle.phi3 is not None:
-        m21 = eps**2 * (ctx.basis_m.k_tilde - 1.0) * xi * az._to_fine(ctx, bundle.phi3.value(src["zt"], cols))
+        m21 = eps**2 * (ctx.basis_m.shift - 1.0) * xi * az._to_fine(ctx, bundle.phi3.value(src["zt"][cols]))
     else:
         m21 = 0.0
     m51 = -(eps**2) * (k / sg) * (f + h) * e * Zv
@@ -352,7 +352,7 @@ def _one_pass_residual(bundle, z):
     """Reference: E from one block spanning all of z, then E11, norms and projections."""
     eps = bundle.eps
     ctx = bundle.ctx
-    E = az._interior_block(bundle, z, slice(None))
+    E = az._interior_block(bundle, z)
     th = eps * z
     beta = bundle.coeffs.beta(th)[None, :]
     ev, evpp = bundle.state.e(th)[None, :], bundle.state.e.deriv(th, 2)[None, :]
@@ -373,6 +373,12 @@ def _one_pass_residual(bundle, z):
     }
 
 
+def test_blocks_are_multiples_of_the_synthesis_block():
+    # a block of the residual or the phi4 solve starts on a strip synthesis
+    # block and spans whole ones, so its products are those of a full pass
+    assert az._RESIDUAL_BLOCK % strip._Z_BLOCK == 0 and az._PHI4_BLOCK % strip._Z_BLOCK == 0
+
+
 @pytest.mark.parametrize("z_count", [None, 9, 10])
 def test_blocked_interior_residual_matches_one_pass(ctx3, bent_chart, bent_field, bent_problem, z_count, monkeypatch):
     # the default grid (81 sections) ends in a ragged block; 9 and 10
@@ -389,17 +395,18 @@ def test_blocked_interior_residual_matches_one_pass(ctx3, bent_chart, bent_field
         assert z.size > az._RESIDUAL_BLOCK and z.size % az._RESIDUAL_BLOCK != 0
     else:
         assert z.size < az._RESIDUAL_BLOCK
-    products = StripLayer._products
+    syntheses = StripLayer._syntheses
     widths = []
 
     def recording(layer, zt):
         widths.append(np.atleast_1d(zt).size)
-        return products(layer, zt)
+        return syntheses(layer, zt)
 
-    monkeypatch.setattr(StripLayer, "_products", recording)
+    monkeypatch.setattr(StripLayer, "_syntheses", recording)
     rep = az.interior_residual(b5, z=None if z_count is None else z)
-    # every block reads the layers' syntheses over all of z
-    assert widths and set(widths) == {z.size}
+    monkeypatch.undo()
+    # each block reads the layers at its own sections only
+    assert widths and max(widths) == min(z.size, az._RESIDUAL_BLOCK)
     ref = _one_pass_residual(b5, z)
     assert np.max(np.abs(ref["E11"])) > 0.0
     for key in ("E", "E11", "sup", "l2", "l2_E12", "proj_wx", "proj_Z"):
@@ -791,7 +798,7 @@ def test_context_builds_its_bases_on_first_read(bent_chart, bent_field, bent_pro
     assert "basis_t" in vars(ctx) and not {"basis_m", "phi4_profiles"} & set(vars(ctx))
     # one decomposition: the massive basis is the translated one shifted by 1 - k_tilde
     assert ctx.basis_m.E is ctx.basis_t.E
-    assert np.array_equal(ctx.basis_m.mu, ctx.basis_t.mu - (ctx.basis_m.k_tilde - 1.0))
+    assert np.array_equal(ctx.basis_m.mu, ctx.basis_t.mu - (ctx.basis_m.shift - 1.0))
     assert len(calls) == 1
 
 
@@ -800,7 +807,7 @@ def test_phi3_on_the_shared_basis_matches_a_separate_decomposition(ctx3, bent_ch
     b4 = az.assemble_ansatz(4, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
     bm = ctx3.basis_m
     x, hx = bm.x, bm.hx
-    diag = -2.0 / hx**2 - bm.k_tilde + bm.p * bm.w[1:-1] ** (bm.p - 1.0)
+    diag = -2.0 / hx**2 - bm.shift + bm.p * bm.w[1:-1] ** (bm.p - 1.0)
     mu, u = sla.eigh_tridiagonal(diag, np.full(x.size - 3, 1.0 / hx**2))
     E = np.zeros((x.size, mu.size))
     E[1:-1] = u / np.sqrt(hx)

@@ -46,13 +46,18 @@ def test_problem_keeps_no_chebyshev_matrix(rung):
 def test_strip_layers_keep_only_their_syntheses(rung):
     _, bundle = rung
     for layer in (bundle.phi22, bundle.phi3):
+        # the syntheses v, v_z and m of the last call, no wider than its points
         assert layer._last is not None
-        assert set(layer._last[1]) <= {"blocks", "live", "v", "vz", "m"}
+        kept_z, kept = layer._last
+        assert kept_z.size <= az._RESIDUAL_BLOCK and len(kept) == 3
+        assert all(arr.shape == (layer.basis.x.size, kept_z.size) for arr in kept)
+        wide = [arr.shape for arr in _arrays(layer) if arr.ndim == 2 and arr.shape[1] > kept_z.size]
+        assert not wide, wide
         # the coefficient tables are formed for the caller and not kept
         z = np.linspace(0.0, layer.L, 7)
         c, cp = layer._coefs(z)
         assert c.shape == cp.shape == (layer.nu.size, z.size)
-        assert set(layer._last[1]) == {"blocks"}
+        assert layer._last[0] is kept_z
 
 
 def test_bundle_keeps_five_knot_tables_per_parity(rung):

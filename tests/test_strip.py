@@ -10,7 +10,8 @@ from curvelayers.util import fd_first_axis
 @pytest.fixture(scope="module")
 def bases():
     x = np.linspace(-20.0, 20.0, 801)
-    return st.build_strip_basis(3.0, x, "translated"), st.build_strip_basis(3.0, x, "massive", 25.0)
+    bt = st.build_strip_basis(3.0, x)
+    return bt, bt.massive(25.0)
 
 
 def test_spectrum_structure(bases):
@@ -71,7 +72,7 @@ def test_generic_even_data_and_oracle(bases):
     )
     zp = np.linspace(0.0, 12.0, 7)
     row = int(np.nonzero(np.where(lay.active)[0] == kk)[0][0])
-    assert np.max(np.abs(lay._coef(zp)[row] - sol.sol(zp)[0])) < 1e-8
+    assert np.max(np.abs(lay._coefs(zp)[0][row] - sol.sol(zp)[0])) < 1e-8
     # x-decay comparable to the profile decay near the data-carrying end
     assert lay.decay_rate(z_frac=0.05, x_window=(4.0, 9.0)) > 0.7
 
@@ -115,7 +116,7 @@ def test_evaluators_match_table_products(bases, variant):
     lay = _layer(b)
     z = np.linspace(0.0, 9.0, 7)
     act = lay.active
-    c, cp = lay._coef(z), lay._coef(z, order=1)
+    c, cp = lay._coefs(z)
     # the mode tables: E, its x-slope and, column by column, its exact x-curvature
     E = b.E[:, act]
     E_x = fd_first_axis(E, b.hx)
@@ -169,8 +170,8 @@ def test_long_strip_stability(bases):
     assert np.max(np.abs(v[:, 1])) < 1e-10  # mid-strip decay of cosh layers
     # underflowed mode tails are exact zeros, never subnormal numbers
     z = np.linspace(0.0, 400.0, 41)
-    for order in (0, 1):
-        c = np.abs(lay._coef(z, order))
+    for c in lay._coefs(z):
+        c = np.abs(c)
         assert not np.any((c > 0.0) & (c < np.finfo(float).tiny))
 
 
@@ -187,7 +188,7 @@ def test_mode_tables_match_the_cosh_form(bases, variant):
     cp_ref = (d1 * np.sinh(nu * z) + d0 * np.sinh(nu * (L - z))) / np.sinh(nu * L)
     for order, ref in enumerate((c_ref, cp_ref)):
         scale = np.max(np.abs(ref), axis=1, keepdims=True)
-        assert np.all(np.abs(lay._coef(z[0], order) - ref) <= 1e-13 * scale), order
+        assert np.all(np.abs(lay._coefs(z[0])[order] - ref) <= 1e-13 * scale), order
     # large L: an entry whose cosh-form size is below the smallest normal
     # number (a log-space bound of its two exponentials) is an exact zero,
     # and every other entry is normal
@@ -199,7 +200,7 @@ def test_mode_tables_match_the_cosh_form(bases, variant):
     log_size = np.logaddexp(log_d1 - nu * (L - z), log_d0 - nu * z)
     log_tiny = np.log(np.finfo(float).tiny)
     for order, log_bound in enumerate((log_size - np.log(nu), log_size)):
-        c = np.abs(far._coef(z[0], order))
+        c = np.abs(far._coefs(z[0])[order])
         below = log_bound < log_tiny - 1.0
         assert np.any(below) and np.all(c[below] == 0.0), order
         assert np.all((c == 0.0) | (c >= np.finfo(float).tiny)), order
@@ -207,26 +208,27 @@ def test_mode_tables_match_the_cosh_form(bases, variant):
 
 @pytest.mark.parametrize("variant", [0, 1], ids=["translated", "massive"])
 def test_column_reads_match_full_width(bases, variant):
-    # a block of columns is read from the full-width syntheses: bitwise the
-    # columns of the full result, a ragged last block included
+    # a block of z aligned to _Z_BLOCK synthesizes by the products of a full
+    # pass over z: bitwise the columns of the full result, a ragged last
+    # block included
     lay = _layer(bases[variant])
-    z = np.linspace(0.0, 9.0, 11)
+    z = np.linspace(0.0, 9.0, 3 * st._Z_BLOCK + 5)
     for name in EVALUATORS:
         full = getattr(lay, name)(z)
-        for cols in (slice(0, 4), slice(4, 8), slice(8, 12)):
-            block = getattr(lay, name)(z, cols)
-            assert np.array_equal(block, full[:, cols]), name
-            block += 1.0
-            assert np.array_equal(getattr(lay, name)(z, cols), full[:, cols]), name
+        for width in (st._Z_BLOCK, 2 * st._Z_BLOCK):
+            for start in range(0, z.size, width):
+                cols = slice(start, start + width)
+                block = getattr(lay, name)(z[cols])
+                assert np.array_equal(block, full[:, cols]), (name, cols)
+                block += 1.0
+                assert np.array_equal(getattr(lay, name)(z[cols]), full[:, cols]), (name, cols)
 
 
 def test_massive_basis_shares_the_translated_eigenvectors(bases):
-    bt, built = bases
-    bm = bt.massive(25.0)
+    bt, bm = bases
     assert bm.E is bt.E
     assert np.array_equal(bm.mu, bt.mu - (25.0 - 1.0))
-    # build_strip_basis(..., "massive") takes the same shift of its own decomposition
-    assert np.array_equal(built.mu, bm.mu) and np.array_equal(built.E, bm.E)
+    assert bt.shift == 1.0 and bt.idx_resonant is not None and bt.idx_zero.size == 1
     assert bm.idx_resonant is None and bm.idx_zero.size == 0 and bm.shift == 25.0
     with pytest.raises(RuntimeError, match="not negative definite"):
         bt.massive(1.0)
@@ -285,11 +287,6 @@ def _full_table_products(lay, z):
     return (c, cp), (v, vz, m)
 
 
-def _zero_filled(lay, z):
-    """The layer's syntheses v, v_z and m at all of z, zero where no mode is live."""
-    return tuple(lay._synthesis(z, k, slice(None)) for k in range(3))
-
-
 @pytest.mark.parametrize("name", ["phi22", "phi3"])
 def test_blockwise_coefficients_are_the_full_tables_bit_for_bit(bent_layers_001, name):
     layers, zt = bent_layers_001
@@ -298,8 +295,9 @@ def test_blockwise_coefficients_are_the_full_tables_bit_for_bit(bent_layers_001,
     for zz in (zt, z):
         (c, cp), products = _full_table_products(lay, zz)
         lay._last = None  # synthesize afresh, not from an earlier test's cache
-        assert np.array_equal(lay._coef(zz), c) and np.array_equal(lay._coef(zz, order=1), cp)
-        for got, want in zip(_zero_filled(lay, zz), products):
+        got_c, got_cp = lay._coefs(zz)
+        assert np.array_equal(got_c, c) and np.array_equal(got_cp, cp)
+        for got, want in zip(lay._syntheses(zz), products):
             assert np.array_equal(got, want)
 
 
@@ -307,13 +305,13 @@ def test_blockwise_coefficients_are_the_full_tables_bit_for_bit(bent_layers_001,
 def test_decay_limited_layers_match_the_untruncated_synthesis(bent_layers_001, name):
     layers, zt = bent_layers_001
     lay = layers[name]
-    assert lay.basis.variant == ("translated" if name == "phi22" else "massive")
-    for key, got, ref in zip(("v", "vz", "m"), _zero_filled(lay, zt), _untruncated_products(lay, zt)):
+    assert lay.basis.shift == (1.0 if name == "phi22" else 25.0)
+    for key, got, ref in zip(("v", "vz", "m"), lay._syntheses(zt), _untruncated_products(lay, zt)):
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), key
     # columns farther than _CUTOFF / nu_min from both ends are exact zeros
     far = np.minimum(zt, lay.L - zt) > st._CUTOFF / lay.nu.min()
     assert np.any(far)
-    for table in (lay._coef(zt), lay._coef(zt, order=1), *_zero_filled(lay, zt)):
+    for table in (*lay._coefs(zt), *lay._syntheses(zt)):
         assert np.all(table[:, far] == 0.0)
     # the layer still solves its PDE and meets its end data (the data's active modes)
     E = lay.basis.E[:, lay.active]
@@ -334,17 +332,13 @@ def test_decay_limited_layers_evaluate_few_modes(bent_layers_001, name):
 
 
 @pytest.mark.parametrize("name", ["phi22", "phi3"])
-def test_evaluators_zero_fill_the_kept_syntheses_bit_for_bit(bent_layers_001, name):
-    # the layer keeps the syntheses of the blocks where a mode is live; each
-    # evaluator's columns equal those of the full-width syntheses
+def test_block_reads_match_the_full_table_products_bit_for_bit(bent_layers_001, name):
+    # each block of the residual's and the phi4 solve's walk over z reads
+    # the layer at its own points; its fields equal the columns of the
+    # full-table products, and the layer keeps the syntheses of that block
+    # alone, read-only
     layers, zt = bent_layers_001
     lay = layers[name]
-    n = lay.nu.size
-    lay._last = None
-    live, v, vz, m = lay._products(zt)
-    live_blocks = [cols for cols, first in lay.blocks(zt) if first < n]
-    assert v.shape == vz.shape == m.shape == (lay.basis.x.size, sum(len(range(*c.indices(zt.size))) for c in live_blocks))
-    assert v.shape[1] < zt.size and np.count_nonzero(live >= 0) == v.shape[1]
     _, (fv, fvz, fm) = _full_table_products(lay, zt)
     b = lay.basis
     lin = (b.shift - b.p * b.w ** (b.p - 1.0))[:, None]
@@ -356,6 +350,12 @@ def test_evaluators_zero_fill_the_kept_syntheses_bit_for_bit(bent_layers_001, na
         "dxz": lambda c: fd_first_axis(fvz[:, c], b.hx),
         "dzz": lambda c: -fm[:, c],
     }
-    for cols in (slice(None), *(slice(s, s + 32) for s in range(0, zt.size, 32))):
-        for key in EVALUATORS:
-            assert np.array_equal(getattr(lay, key)(zt, cols), want[key](cols)), (key, cols)
+    for width in (st._Z_BLOCK, 2 * st._Z_BLOCK):
+        for start in range(0, zt.size, width):
+            cols = slice(start, start + width)
+            for key in EVALUATORS:
+                assert np.array_equal(getattr(lay, key)(zt[cols]), want[key](cols)), (key, cols)
+            kept_z, kept = lay._last
+            assert np.array_equal(kept_z, zt[cols]) and not np.shares_memory(kept_z, zt)
+            for arr in kept:
+                assert arr.shape == (b.x.size, kept_z.size) and not arr.flags.writeable
