@@ -3,7 +3,8 @@
 residual_crosscheck differences W itself against the chain-rule residual;
 load_profiles reads back a profiles.save_profiles table; scipy_seed_columns
 is the Newton seed built on SciPy's quintic spline; lemma_series_sums sizes
-the spectral sums of the lemma from the eigenvalue asymptotics.
+the spectral sums of the lemma from the eigenvalue asymptotics; phi4_rhs is
+the full phi4 right side that ansatz._phi4_tables solves in parts.
 """
 
 import numpy as np
@@ -115,3 +116,17 @@ def lemma_series_sums(eps, lambda0, ell, k1=0.0, k2=0.0, q_mean=0.0, j_sum=None)
         "mid_over_eps": float(s_mid / eps),
         "low_over_eps2": float(s_lo / eps**2),
     }
+
+
+def phi4_rhs(bundle, src, cols):
+    """The full right side of the per-section phi4 problem at theta columns
+    cols of the rows src, on the fine x grid.
+
+    The ordered sum of the profiles of StripContext.phi4_profiles times
+    their theta coefficients, then of the terms that carry the phi22 and
+    phi3 fields. ansatz._phi4_tables solves the profile part and the strip
+    part apart; this is the reference for their sum.
+    """
+    rows, *strip = az._phi4_coefficients(bundle, src, cols)
+    profiles = list(zip(bundle.ctx.phi4_profiles["rhs"], rows))
+    return az._accumulate(profiles + az._phi4_strip_terms(bundle, src, cols, *strip))

@@ -13,7 +13,7 @@ from curvelayers import geometry, harness, pde, strip
 from curvelayers import reduced as rd
 from curvelayers.strip import StripLayer, solve_strip_layer
 from curvelayers.util import fd_first_axis, hermite, simpson_weights, spline_slopes
-from oracles import residual_crosscheck
+from oracles import phi4_rhs, residual_crosscheck
 
 
 def test_rows_read_theta_functions(ctx3, bent_chart, bent_field, bent_problem):
@@ -137,26 +137,22 @@ def test_leading_error_structure_on_bent(ctx3, bent_chart, bent_field, bent_prob
 def test_phi42_solvability_after_ring_solve(ctx3, bent_chart, bent_field, bent_problem):
     eps = 0.05
     b5 = az.assemble_ansatz(5, az.zero_state(), eps, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
-    rhs_even, rhs_odd = az._phi4_rhs(b5, az._Rows(b5, b5.theta_grid()), slice(None))
+    rhs = phi4_rhs(b5, az._Rows(b5, b5.theta_grid()), slice(None))
+    # w_x is odd in x, so only the odd part of the right side projects on it;
+    # the ring correction h makes that projection vanish
     wq = simpson_weights(ctx3.fine.n, ctx3.fine.hx)
-    proj = (wq[:, None] * rhs_odd * ctx3.fine_tables["w_x"][:, None]).sum(axis=0)
-    scale = np.max(np.abs(rhs_odd))
+    proj = (wq[:, None] * rhs * ctx3.fine_tables["w_x"][:, None]).sum(axis=0)
+    scale = np.max(np.abs(0.5 * (rhs - rhs[::-1])))
     assert np.max(np.abs(proj)) < 1e-3 * scale
-    # parity bookkeeping of the two groups
-    assert np.max(np.abs(rhs_even - rhs_even[::-1])) < 1e-10 * np.max(np.abs(rhs_even))
-    assert np.max(np.abs(rhs_odd + rhs_odd[::-1])) < 1e-10 * scale
 
 
 def _phi4_direct(bundle):
-    """Reference: the phi4 tables from one full-width solve of the full right sides."""
+    """Reference: the phi4 tables from one full-width solve of the full right side."""
     ctx = bundle.ctx
-    rhs_pair = az._phi4_rhs(bundle, az._Rows(bundle, bundle.theta_grid()), slice(None))
+    rhs = phi4_rhs(bundle, az._Rows(bundle, bundle.theta_grid()), slice(None))
     lin = ctx.p * np.abs(ctx.fine_tables["w"][:, None]) ** (ctx.p - 1.0)
-    tables = []
-    for rhs in rhs_pair:
-        sol = ctx.fine.solver.solve_many(rhs.T).T
-        tables.append({"val": sol[ctx.sub], "dx": fd_first_axis(sol, ctx.fine.hx)[ctx.sub], "dxx": (sol - lin * sol - rhs)[ctx.sub]})
-    return tables
+    sol = ctx.fine.solver.solve_many(rhs.T).T
+    return {"val": sol[ctx.sub], "dx": fd_first_axis(sol, ctx.fine.hx)[ctx.sub], "dxx": (sol - lin * sol - rhs)[ctx.sub]}
 
 
 @pytest.mark.parametrize("case, eps", [("bent", 0.05), ("bent", 0.01), ("flat", 0.2), ("flat", 0.3)])
@@ -176,15 +172,15 @@ def test_streamed_phi4_matches_one_shot(request, ctx3, case, eps, monkeypatch):
     monkeypatch.setattr(az, "_PHI4_BLOCK", n_theta)
     one_shot = az._phi4_tables(b5)
     direct = _phi4_direct(b5)
-    for tables, ref, solved in zip(streamed, one_shot, direct):
-        for key, table in ref.items():
-            assert np.array_equal(tables[key], table), key
-            # the profile part (StripContext.phi4_response) and the strip-layer
-            # part are solved apart and summed after the solve: roundoff only
-            assert np.max(np.abs(table - solved[key])) <= 1e-12 * np.max(np.abs(solved[key])), key
-    # the straight channel has no odd sources
-    assert np.max(np.abs(one_shot[0]["val"])) > 0.0
-    assert (np.max(np.abs(one_shot[1]["val"])) > 0.0) == (case == "bent")
+    for key, table in one_shot.items():
+        assert np.array_equal(streamed[key], table), key
+        # the profile part (StripContext.phi4_response) and the strip-layer
+        # part are solved apart and summed after the solve: roundoff only
+        assert np.max(np.abs(table - direct[key])) <= 1e-12 * np.max(np.abs(direct[key])), key
+    # the straight channel has no odd sources: there the layer is even in x
+    val = one_shot["val"]
+    odd = np.max(np.abs(0.5 * (val - val[::-1])))
+    assert (odd > 1e-2 * np.max(np.abs(val))) if case == "bent" else (odd <= 1e-12 * np.max(np.abs(val)))
 
 
 def _phi4_rhs_by_terms(bundle, src, cols):
@@ -298,12 +294,22 @@ def test_phi4_rhs_by_profiles_matches_the_term_by_term_formula(request, ctx3, si
     if case != "flat":
         assert b5.phi22 is not None and b5.phi3 is not None and np.any(b5.state.h(np.array([0.5])))
     src = az._Rows(b5, b5.theta_grid())
-    for parity, rhs, ref in zip(("even", "odd"), az._phi4_rhs(b5, src, slice(None)), _phi4_rhs_by_terms(b5, src, slice(None))):
-        # relative to each column's size; the straight channel has no odd
-        # sources, and there both sides must be exact zeros
-        scale = np.max(np.abs(ref), axis=0)
-        assert np.all(scale > 0.0) == (case != "flat" or parity == "even")
-        assert np.all(np.abs(rhs - ref) <= 1e-13 * scale), np.max(np.abs(rhs - ref) / np.maximum(scale, 1e-300))
+    rhs = phi4_rhs(b5, src, slice(None))
+    refs = _phi4_rhs_by_terms(b5, src, slice(None))
+    # the even and odd parts in x of the one right side against the two
+    # sides of the formula, relative to each column's size
+    scale = np.max(np.abs(refs[0] + refs[1]), axis=0)
+    assert np.all(scale > 0.0)
+    for parity, sign, ref in zip(("even", "odd"), (1.0, -1.0), refs):
+        part = 0.5 * (rhs + sign * rhs[::-1])
+        assert np.all(np.abs(part - ref) <= 1e-13 * scale), (parity, np.max(np.abs(part - ref) / scale))
+        # the straight channel has no odd sources
+        assert np.any(ref) == (case != "flat" or parity == "even"), parity
+    if case == "flat":
+        # there the odd coefficient rows (the last 10 profiles, the last 4
+        # phi22 terms) are exact zeros
+        rows, q, _ = az._phi4_coefficients(b5, src, slice(None))
+        assert not np.any(rows[14:]) and not np.any(q[6:]) and np.any(rows[:14])
 
 
 @pytest.fixture(scope="module")
@@ -317,7 +323,7 @@ def test_phi4_solve_keeps_no_full_fine_grid_temporaries(ctx3, bent_b5_002):
     strip_table = ctx3.x.size * b5.theta_grid().size * 8
     tracemalloc.start()
     try:
-        layers = az._solve_phi4(b5)
+        layer = az._solve_phi4(b5)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -325,11 +331,10 @@ def test_phi4_solve_keeps_no_full_fine_grid_temporaries(ctx3, bent_b5_002):
     # rows peak at about 4 such arrays, whole-grid theta-splines at about 8,
     # and a right side formed at full width alone at about 20
     assert peak <= 5 * fine_array
-    # each layer keeps 5 knot tables (val, dx, dxx, dth and dxdth); the
+    # the layer keeps 5 knot tables (val, dx, dxx, dth and dxdth); the
     # coefficients of three CubicSplines fill 12
-    assert len(layers) == 2
-    assert all(set(layer.knots) == {"val", "dx", "dxx", "dth", "dxdth"} for layer in layers)
-    assert held <= 2 * 6 * strip_table
+    assert set(layer.knots) == {"val", "dx", "dxx", "dth", "dxdth"}
+    assert held <= 6 * strip_table
 
 
 def test_blocked_interior_residual_keeps_no_full_width_products(ctx3, bent_b5_002):
@@ -445,79 +450,66 @@ def test_phi4_knot_evaluators_match_the_spline(ctx3, bent_chart, bent_field, ben
     b5 = az.assemble_ansatz(5, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
     th = b5.theta_grid()
     mid = 0.5 * (th[1:] + th[:-1])
-    for layer, table in zip((b5.phi4_even, b5.phi4_odd), az._phi4_tables(b5)):
-        spl = {key: CubicSpline(th, table[key], axis=1) for key in ("val", "dx", "dxx")}
-        ref = {
-            "val": lambda t: spl["val"](t),
-            "dx": lambda t: spl["dx"](t),
-            "dxx": lambda t: spl["dxx"](t),
-            "dth": lambda t: spl["val"](t, 1),
-            "d2th": lambda t: spl["val"](t, 2),
-            "dxdth": lambda t: spl["dx"](t, 1),
-        }
-        assert set(layer) == set(ref)
-        for key, fn in ref.items():
-            at_knots = fn(th)
-            scale = np.max(np.abs(at_knots))
-            assert scale > 0.0, key
-            if key in table:
-                assert np.array_equal(layer[key](th), table[key]), key
-            else:
-                assert np.max(np.abs(layer[key](th) - at_knots)) <= 1e-13 * scale, key
-            # between knots: the same piecewise cubic in Hermite form
-            assert np.max(np.abs(layer[key](mid) - fn(mid))) <= 1e-12 * scale, key
-        # knots and midpoints mixed in one call, in descending order
-        knots, between = th[::4], mid[::3]
-        got = layer["dth"](np.concatenate([knots, between])[::-1])
-        assert np.array_equal(got[:, -knots.size :], layer["dth"](knots)[:, ::-1])
-        assert np.max(np.abs(got[:, : between.size] - ref["dth"](between)[:, ::-1])) <= 1e-12 * np.max(np.abs(got))
+    layer, table = b5.phi4, az._phi4_tables(b5)
+    spl = {key: CubicSpline(th, table[key], axis=1) for key in ("val", "dx", "dxx")}
+    ref = {
+        "val": lambda t: spl["val"](t),
+        "dx": lambda t: spl["dx"](t),
+        "dxx": lambda t: spl["dxx"](t),
+        "dth": lambda t: spl["val"](t, 1),
+        "d2th": lambda t: spl["val"](t, 2),
+        "dxdth": lambda t: spl["dx"](t, 1),
+    }
+    assert set(layer) == set(ref)
+    for key, fn in ref.items():
+        at_knots = fn(th)
+        scale = np.max(np.abs(at_knots))
+        assert scale > 0.0, key
+        if key in table:
+            assert np.array_equal(layer[key](th), table[key]), key
+        else:
+            assert np.max(np.abs(layer[key](th) - at_knots)) <= 1e-13 * scale, key
+        # between knots: the same piecewise cubic in Hermite form
+        assert np.max(np.abs(layer[key](mid) - fn(mid))) <= 1e-12 * scale, key
+    # knots and midpoints mixed in one call, in descending order
+    knots, between = th[::4], mid[::3]
+    got = layer["dth"](np.concatenate([knots, between])[::-1])
+    assert np.array_equal(got[:, -knots.size :], layer["dth"](knots)[:, ::-1])
+    assert np.max(np.abs(got[:, : between.size] - ref["dth"](between)[:, ::-1])) <= 1e-12 * np.max(np.abs(got))
 
 
-def test_knot_curvature_is_hermite_at_the_knots_bit_for_bit(ctx3, bent_b5_002):
-    # the phi4 knot tables of a bent-channel bundle, and a random table on an
-    # uneven grid
-    rng = np.random.default_rng(7)
-    grid = np.cumsum(rng.uniform(0.5, 1.5, 41))
-    y = rng.standard_normal((9, grid.size))
-    cases = [(grid, y, spline_slopes(grid, y.T).T)]
-    cases += [(bent_b5_002.theta_grid(), layer["val"](bent_b5_002.theta_grid()), layer["dth"](bent_b5_002.theta_grid()))
-              for layer in (bent_b5_002.phi4_even, bent_b5_002.phi4_odd)]
-    for grid, y, slope in cases:
-        want = hermite(grid, y.T, slope.T, grid, 2).T
-        assert np.array_equal(az._knot_curvature(grid, y, slope), want)
-
-
-def test_knot_curvature_is_formed_when_read_bit_for_bit(ctx3, bent_b5_002):
-    # d2th at the knots comes from the read columns and their right
-    # neighbours: any subset of knots reads the full table's bits
+def test_d2th_is_hermite_at_any_knots_bit_for_bit(bent_b5_002):
+    # d2th has no table: it is the cubic of (val, dth) read through hermite,
+    # and each knot reads only its own and its right neighbour's columns, so
+    # any subset of knots reads the full grid's bits
     grid = bent_b5_002.theta_grid()
-    for layer in (bent_b5_002.phi4_even, bent_b5_002.phi4_odd):
-        assert "d2th" not in layer.knots
-        want = az._knot_curvature(grid, layer.knots["val"], layer.knots["dth"])
-        assert np.array_equal(layer["d2th"](grid), want)
-        for cols in (slice(0, 32), slice(grid.size - 5, None), [grid.size - 1, 0, 7]):
-            assert np.array_equal(layer["d2th"](grid[cols]), want[:, cols])
+    layer = bent_b5_002.phi4
+    assert "d2th" not in layer.knots
+    want = hermite(grid, layer.knots["val"].T, layer.knots["dth"].T, grid, 2).T
+    assert np.array_equal(layer["d2th"](grid), want)
+    for cols in (slice(0, 32), slice(grid.size - 5, None), [grid.size - 1, 0, 7]):
+        assert np.array_equal(layer["d2th"](grid[cols]), want[:, cols])
 
 
 def test_dxx_slope_is_formed_on_the_first_read_between_knots(ctx3, bent_chart, bent_field, bent_problem):
     b5 = az.assemble_ansatz(5, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
     th = b5.theta_grid()
     mid = 0.5 * (th[1:] + th[:-1])
-    for layer in (b5.phi4_even, b5.phi4_odd):
-        knots = layer.knots
-        for key in layer:
-            layer[key](th)
-        assert "dxxdth" not in knots
-        layer["dx"](mid)  # a slope of its own
-        assert "dxxdth" not in knots
-        got = layer["dxx"](mid)
-        # the table the knot set kept before, from the same values
-        want = spline_slopes(th, knots["dxx"].T).T
-        assert np.array_equal(knots["dxxdth"], want)
-        assert np.array_equal(got, hermite(th, knots["dxx"].T, want.T, mid).T)
-        kept = knots["dxxdth"]
-        layer["dxx"](mid[::2])
-        assert knots["dxxdth"] is kept
+    layer = b5.phi4
+    knots = layer.knots
+    for key in layer:
+        layer[key](th)
+    assert "dxxdth" not in knots
+    layer["dx"](mid)  # a slope of its own
+    assert "dxxdth" not in knots
+    got = layer["dxx"](mid)
+    # the table the knot set kept before, from the same values
+    want = spline_slopes(th, knots["dxx"].T).T
+    assert np.array_equal(knots["dxxdth"], want)
+    assert np.array_equal(got, hermite(th, knots["dxx"].T, want.T, mid).T)
+    kept = knots["dxxdth"]
+    layer["dxx"](mid[::2])
+    assert knots["dxxdth"] is kept
 
 
 def test_bent_channel_run_forms_no_dxx_slope(tmp_path, monkeypatch):
@@ -532,9 +524,8 @@ def test_bent_channel_run_forms_no_dxx_slope(tmp_path, monkeypatch):
     monkeypatch.setattr(az, "_Phi4Fields", Recorded)
     res = harness.run_scenario("bent-channel", str(tmp_path), stages=("profiles", "ansatz"))
     assert res.summary["stages"]["ansatz"]["passed"]
-    assert len(layers) == 2
-    for layer in layers:
-        assert set(layer.knots) == {"val", "dx", "dxx", "dth", "dxdth"}
+    assert len(layers) == 1
+    assert set(layers[0].knots) == {"val", "dx", "dxx", "dth", "dxdth"}
 
 
 def test_seed_value_matches_the_full_strip_fields(ctx3, bent_chart, bent_field, bent_problem):
@@ -556,11 +547,18 @@ def test_parity_of_correction_layers(ctx3, bent_chart, bent_field, bent_problem)
     if b5.phi3 is not None:
         m = b5.phi3.value(b5.field.arc(eps * z) / eps)
         assert np.max(np.abs(m - m[::-1])) < 1e-9 * max(np.max(np.abs(m)), 1e-300)
+    # phi4 is one solve of the summed right side; the solve keeps parity, so
+    # the even and odd parts in x of the layer are the solutions of those
+    # of its right side, and the curved channel has both
     th = b5.theta_grid()[5:6]
-    even = b5.phi4_even["val"](th)[:, 0]
-    odd = b5.phi4_odd["val"](th)[:, 0]
-    assert np.max(np.abs(even - even[::-1])) < 1e-8 * max(np.max(np.abs(even)), 1e-300)
-    assert np.max(np.abs(odd + odd[::-1])) < 1e-8 * max(np.max(np.abs(odd)), 1e-300)
+    v = b5.phi4["val"](th)[:, 0]
+    rhs = phi4_rhs(b5, az._Rows(b5, th), slice(None))
+    for sign in (1.0, -1.0):
+        part = az._phi4_solve(ctx3, 0.5 * (rhs + sign * rhs[::-1]))["val"][:, 0]
+        scale = np.max(np.abs(part))
+        assert scale > 1e-2 * np.max(np.abs(v))
+        assert np.max(np.abs(part - sign * part[::-1])) < 1e-8 * scale
+        assert np.max(np.abs(part - 0.5 * (v + sign * v[::-1]))) < 1e-10 * scale
 
 
 def test_degenerate_ring_refusal(ctx3, disk_chart):
@@ -745,7 +743,7 @@ def test_layers_are_a_prefix_by_tier(ctx3, bent_chart, bent_field, bent_problem,
         # below tier 4 the amplitude term is off: e is zero in every consumer
         e_zero = not np.any(b.state.e(np.linspace(0.0, 1.0, 11)))
         assert e_zero == (tier < 4)
-    assert [len(k) for k in kinds] == [1, 3, 5, 7, 9]
+    assert [len(k) for k in kinds] == [1, 3, 5, 7, 8]
     for lower, upper in zip(kinds, kinds[1:]):
         assert upper[: len(lower)] == lower
 
@@ -865,6 +863,21 @@ def test_one_ring_solve_per_eps_and_context(ctx3, bent_chart, bent_field, sincos
     other = az.build_strip_context(3.0)
     az.assemble_ansatz(3, az.zero_state(), 0.04, other, bent_chart, bent_field, reduced_problem=problem)
     assert calls == [eps, eps, 0.04, 0.04]
+
+
+def test_ring_sources_are_read_once_on_the_ring_grid(ctx3, bent_chart, bent_field, flat_chart, flat_field, monkeypatch):
+    # the sources are evaluated once, on the ring solve's own grid, and that
+    # one evaluation is both tested for zero and solved with
+    seen, solves = [], []
+    sources, solve = az._h_sources, rd.solve_f_problem
+    monkeypatch.setattr(az, "_h_sources", lambda bundle, rows, weights: seen.append(rows.th) or sources(bundle, rows, weights))
+    monkeypatch.setattr(rd, "solve_f_problem", lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
+    for chart, field in ((bent_chart, bent_field), (flat_chart, flat_field)):
+        problem = rd.ReducedProblem(chart, field, ctx3.lambda0, j_max=60)
+        seen.clear(), solves.clear()
+        az.assemble_ansatz(3, az.zero_state(), 0.05, ctx3, chart, field, reduced_problem=problem)
+        assert len(seen) == 1 and seen[0] is problem.ring.theta
+        assert len(solves) == 1 and solves[0].shape == problem.ring.theta.shape
 
 
 def test_failing_ledger_is_refused_after_a_kept_ring_solve(ctx3, bent_chart, bent_field):

@@ -60,25 +60,24 @@ def test_strip_layers_keep_only_their_syntheses(rung):
         assert layer._last[0] is kept_z
 
 
-def test_bundle_keeps_five_knot_tables_per_parity(rung):
-    # the interior and boundary residuals read the phi4 layers at the knots:
+def test_bundle_keeps_five_knot_tables(rung):
+    # the interior and boundary residuals read the phi4 layer at the knots:
     # d2th is formed when read, and the slope of dxx only between knots
     _, bundle = rung
-    for layer in (bundle.phi4_even, bundle.phi4_odd):
-        assert set(layer.knots) == {"val", "dth", "dx", "dxdth", "dxx"}
+    assert set(bundle.phi4.knots) == {"val", "dth", "dx", "dxdth", "dxx"}
 
 
 def test_rung_traced_peak(rung, ctx3, bent_chart, bent_field):
     # the module fixture ran the same rung, so every cache of the context and
-    # the field is warm. The bound is 10% above the measured 26.4 MiB; seven
-    # knot tables per phi4 parity, full-width strip syntheses and the norms'
-    # full-width temporaries read 33.2 MiB, and a basis that keeps D1 and D2,
-    # strip layers that keep full-width c and c' tables and the knot
-    # curvature through hermite's temporaries 42.9 MiB
+    # the field is warm. The bound is 10% above the measured 17.1 MiB; a phi4
+    # layer per x-parity, each with its own five knot tables, read 22.3 MiB,
+    # seven knot tables per parity, full-width strip syntheses and the norms'
+    # full-width temporaries 33.2 MiB, and a basis that keeps D1 and D2 and
+    # strip layers that keep full-width c and c' tables 42.9 MiB
     tracemalloc.start()
     try:
         _rung(ctx3, bent_chart, bent_field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 29.1 * 2**20
+    assert peak <= 18.8 * 2**20
