@@ -3,7 +3,8 @@
 Three verdicts: the centered line in a quadratic-well weight (stationary and
 non-degenerate), constant weight (degenerate by translation), and the disk
 diameter under a radial weight (degenerate by rotation -- the kernel is the
-exact rotation field, which the singular-value test picks up).
+exact rotation field, which the eigenvalue nearest 0 of the location
+operator picks up).
 """
 
 import numpy as np
@@ -33,7 +34,7 @@ for name, (chart, field) in cases.items():
     rep = gd.nondegeneracy_test(chart, field)
     print(f"{name}:")
     print(f"  stationarity residual sup = {sup:.2e}")
-    print(f"  smallest singular value   = {rep.smallest[-1]:.3e} (threshold {rep.threshold:.1e})")
+    print(f"  smallest |eigenvalue|     = {rep.smallest:.3e} (threshold {rep.threshold:.1e})")
     print(f"  verdict: {'non-degenerate' if rep.nondegenerate else 'DEGENERATE'}")
 
 print("\nfirst variation three ways (off-center weight, so nonzero):")

@@ -3,20 +3,15 @@
 The curve is stationary for the weighted length int V^sigma when
 sigma V_t = k V on it, and non-degenerate when the Jacobi-type Robin problem
 f'' + hbar1 f' + hbar2 f = 0, f'(0) + k1 f(0) = 0, f'(1) + k2 f(1) = 0
-admits only the trivial solution. hbar1/hbar2 defined here are reused
-verbatim by the reduced solvers.
-
-Non-degeneracy is judged by the smallest singular value of the tridiagonal
-ghost-point discretization of that problem, computed in O(n) by block inverse
-iteration on one banded LU factorization (Golub & Van Loan, Matrix
-Computations): an exact zero pivot gives sigma_min = 0, and the iteration
-stops on a 1e-10 relative change of the estimate or after 50 steps.
+admits only the trivial solution. hbar1/hbar2 defined here are the
+coefficients of the reduced location operator, and the verdict is the one
+reduced.location_basis reads off that operator's Chebyshev spectrum, so the
+geodesic test and the reduced solvers cannot disagree.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .geometry import _FD_STEPS, ScalarFn
 from .util import Spline, cumulative_integral, fd_derivative, simpson_weights
@@ -27,11 +22,8 @@ __all__ = [
     "weighted_length",
     "stationarity_residual",
     "first_variation_ways",
-    "second_variation_pair",
     "hbar1",
     "hbar2",
-    "jacobi_matrix",
-    "smallest_singular_value",
     "NondegeneracyReport",
     "nondegeneracy_test",
     "StationarityError",
@@ -164,26 +156,6 @@ def first_variation_ways(chart, field, h, hp=None, s=1e-4, n_quad=2001):
     return display, residual_form, fd
 
 
-def second_variation_pair(chart, field, h, hp, hpp, s=1e-3, n_quad=2001):
-    """(bilinear form, central second difference of J) for the direction h."""
-    theta = np.linspace(0.0, 1.0, n_quad)
-    hv, hpv, hppv = (np.asarray(f(theta), dtype=float) for f in (h, hp, hpp))
-    wq = simpson_weights(n_quad, theta[1] - theta[0])
-    V0 = field.V0(theta)
-    Vs = V0**field.sigma
-    q1 = hbar1(field, theta)
-    q2 = hbar2(chart, field, theta)
-    interior = -float(np.sum(wq * Vs * (hppv + q1 * hpv + q2 * hv) * hv))
-    vp = chart.varpi(theta)
-    bnd = (Vs[-1] * hv[-1] * (vp[-1] * hv[-1] + hpv[-1])) - (Vs[0] * hv[0] * (vp[0] * hv[0] + hpv[0]))
-    form = bnd + interior
-    j0 = weighted_length(chart, field, lambda t: 0.0 * np.asarray(t), gp=lambda t: 0.0 * np.asarray(t), n_quad=n_quad)
-    jp = weighted_length(chart, field, lambda t: s * h(t), gp=lambda t: s * hp(t), n_quad=n_quad)
-    jm = weighted_length(chart, field, lambda t: -s * h(t), gp=lambda t: -s * hp(t), n_quad=n_quad)
-    fd = (jp - 2.0 * j0 + jm) / s**2
-    return form, fd
-
-
 def hbar1(field, theta):
     """sigma V^-1 V_theta on the curve."""
     theta = np.asarray(theta, dtype=float)
@@ -204,145 +176,28 @@ def hbar2(chart, field, theta):
     )
 
 
-def jacobi_matrix(q1, q2, k1, k2, n_theta):
-    """Second-order ghost-point discretization of the Jacobi Robin problem.
-
-    Returns the (sub, main, super) diagonals of the tridiagonal
-    n_theta x n_theta matrix.
-    """
-    h = 1.0 / (n_theta - 1)
-    q1 = np.asarray(q1, dtype=float)
-    q2 = np.asarray(q2, dtype=float)
-    lower = 1.0 / h**2 - q1[1:] / (2.0 * h)
-    diag = -2.0 / h**2 + q2
-    upper = 1.0 / h**2 + q1[:-1] / (2.0 * h)
-    # theta = 0: ghost f_{-1} = f_1 + 2 h k1 f_0 from f'(0) + k1 f(0) = 0
-    diag[0] = -2.0 / h**2 + 2.0 * k1 / h + q2[0] - q1[0] * k1
-    upper[0] = 2.0 / h**2
-    # theta = 1: ghost f_{N+1} = f_{N-1} - 2 h k2 f_N
-    diag[-1] = -2.0 / h**2 - 2.0 * k2 / h + q2[-1] - q1[-1] * k2
-    lower[-1] = 2.0 / h**2
-    return lower, diag, upper
-
-
-def _tridiagonal_inf_norm(lower, diag, upper):
-    """Max-row-sum norm of the tridiagonal matrix with the given diagonals."""
-    rows = np.abs(diag)
-    rows[1:] += np.abs(lower)
-    rows[:-1] += np.abs(upper)
-    return float(rows.max())
-
-
-_SIGMA_RTOL = 1e-10
-_SIGMA_MAX_STEPS = 50
-
-
-def smallest_singular_value(lower, diag, upper):
-    """sigma_min of the tridiagonal matrix M with the given diagonals, in O(n).
-
-    Block inverse iteration on (M M^T)^-1 from one LU factorization with
-    partial pivoting (LAPACK dgttrf): each step solves with M, then with M^T,
-    and re-orthonormalizes, so the block Q tends to the left singular
-    vectors of the smallest singular values. The estimate is sigma_min of the
-    n x 3 matrix M^T Q, i.e. |M^T u| for the best u in span Q; it bounds
-    sigma_min from above. M^T M is never formed: that would square the
-    condition number. Three columns make the rate (sigma_1 / sigma_4)^2, so a
-    near-tie sigma_1 ~ sigma_2 (eigenvalues of opposite sign and similar
-    size) still converges. An exact zero pivot means M is singular and gives
-    sigma_min = 0. The iteration stops when the estimate changes by at most
-    1e-10 relative, when it reaches the roundoff floor eps ||M||_inf (below
-    which nothing is resolved and the estimate does not settle), or after 50
-    steps.
-    """
-    factors = sla.lapack.dgttrf(lower, diag, upper)
-    if factors[-1] > 0:
-        return 0.0
-    factors = factors[:-1]
-    floor = np.finfo(float).eps * _tridiagonal_inf_norm(lower, diag, upper)
-    # 1, x, x^2 on [-1, 1]: both parities, since reflection-symmetric
-    # problems have kernels orthogonal to every even start vector
-    x = np.linspace(-1.0, 1.0, diag.size)
-    q = np.linalg.qr(np.vander(x, 3, increasing=True))[0]
-    sigma = np.inf
-    for _ in range(_SIGMA_MAX_STEPS):
-        y = np.linalg.qr(sla.lapack.dgttrs(*factors, q, trans="N")[0])[0]
-        q = np.linalg.qr(sla.lapack.dgttrs(*factors, y, trans="T")[0])[0]
-        mtq = diag[:, None] * q
-        mtq[:-1] += lower[:, None] * q[1:]
-        mtq[1:] += upper[:, None] * q[:-1]
-        previous, sigma = sigma, float(np.linalg.svd(mtq, compute_uv=False)[-1])
-        if sigma <= floor or abs(sigma - previous) <= _SIGMA_RTOL * sigma:
-            break
-    return sigma
-
-
 @dataclass
 class NondegeneracyReport:
-    n_theta: tuple
-    smallest: tuple
-    calibration: float
+    lam_near_zero: np.ndarray
+    smallest: float
     threshold: float
     nondegenerate: bool
     stationarity_sup: float
 
 
 def nondegeneracy_test(chart, field, stationarity_tol=1e-8):
-    """Smallest singular value of the Jacobi operator and the verdict.
+    """Stationarity of the curve, then the verdict of reduced.LocationBasis.
 
     The curve must first be stationary: unless the stationarity residual sup
     is below stationarity_tol * max(max V0, 1), StationarityError is raised
-    carrying that sup (a NaN residual is refused too).
-
-    sigma_min comes from smallest_singular_value on the tridiagonal
-    jacobi_matrix at each size: block inverse iteration with a banded LU
-    (LAPACK dgttrf), O(n) per size. An exact zero pivot gives sigma_min = 0,
-    never a LinAlgError; the iteration stops on a 1e-10 relative change, at
-    the roundoff floor eps ||M||_inf, or after 50 steps.
-
-    The threshold is mesh-calibrated: ten times the smallest singular value,
-    by the same routine, of the same-size discretization of the known
-    degenerate configuration (constant weight, straight curve, Neumann ends),
-    floored by the roundoff of finite-differenced coefficients and by the
-    roundoff floor eps ||M||_inf of the finest Jacobi matrix itself.
+    carrying that sup (a NaN residual is refused too). ReducedProblem reads
+    the same verdict, from the same reduced.location_basis.
     """
-    _, res, sup = stationarity_residual(chart, field)
+    _, _, sup = stationarity_residual(chart, field)
     scale = float(np.max(field.V0(np.linspace(0, 1, 101))))
     if not sup < stationarity_tol * max(scale, 1.0):
         raise StationarityError(f"stationarity residual sup {sup:.3e} exceeds tolerance", sup)
+    from .reduced import location_basis  # reduced imports this module
 
-    sizes = (401, 801, 1601)
-    smallest = []
-    for n in sizes:
-        theta = np.linspace(0.0, 1.0, n)
-        m = jacobi_matrix(hbar1(field, theta), hbar2(chart, field, theta), chart.k1, chart.k2, n)
-        smallest.append(smallest_singular_value(*m))
-    # singular values below eps ||M|| of the finest matrix are roundoff even
-    # when the coefficients are exact (analytic derivatives, zero fd_noise)
-    roundoff = np.finfo(float).eps * _tridiagonal_inf_norm(*m)
-    # calibration runs the known degenerate configuration (constant weight,
-    # straight curve, Neumann ends) through the same coefficient pathway so
-    # it carries the same finite-difference noise floor
-    n_cal = sizes[-1]
-    theta = np.linspace(0.0, 1.0, n_cal)
-    cal_field = PotentialField(field.p, lambda t, th: np.ones_like(np.asarray(t) + np.asarray(th)))
-    zero = np.zeros_like(theta)
-    cal_q1 = hbar1(cal_field, theta)
-    cal_q2 = -cal_field.sigma * cal_field.V_tt(zero, theta) / cal_field.V0(theta)
-    calibration = smallest_singular_value(*jacobi_matrix(cal_q1, cal_q2, 0.0, 0.0, n_cal))
-    # roundoff floor of finite-differenced coefficients (zero when the
-    # potential carries analytic derivatives); a singular value below what
-    # the coefficients resolve cannot support a non-degeneracy claim
-    if field._V_tt is None or field._V_theta is None:
-        fd_noise = 50.0 * np.finfo(float).eps * scale * field.sigma / _FD_STEPS[2] ** 2
-        fd_noise /= float(np.min(field.V0(np.linspace(0, 1, 101))))
-    else:
-        fd_noise = 0.0
-    threshold = 10.0 * max(calibration, fd_noise, roundoff, 1e-12)
-    return NondegeneracyReport(
-        n_theta=sizes,
-        smallest=tuple(smallest),
-        calibration=calibration,
-        threshold=threshold,
-        nondegenerate=bool(smallest[-1] >= threshold),
-        stationarity_sup=sup,
-    )
+    loc = location_basis(chart, field)
+    return NondegeneracyReport(loc.lam_near_zero, loc.smallest, loc.threshold, loc.nondegenerate, sup)

@@ -191,7 +191,7 @@ def _stage_geodesic(pipe, tables_dir):
         {
             "stationarity_sup": rep.stationarity_sup,
             "stationary": True,
-            "smallest_singular": rep.smallest[-1],
+            "smallest_eigenvalue": rep.smallest,
             "threshold": rep.threshold,
             "nondegenerate": rep.nondegenerate,
             "passed": rep.nondegenerate,

@@ -6,9 +6,9 @@ ends, and one Chebyshev collocation routine solves them: the first and last
 rows carry the Robin conditions and their data. The location operator
 eta'' + q1 eta' + q2 eta is also brought to Liouville normal form
 -u'' + Q u = lam u (u = rho^{1/2} eta, rho = exp(int q1)) with the two Robin
-rows eliminated. A problem keeps one spectral basis, on the 192-node
-grid: the four eigenvalues nearest zero of its dense eigenpairs decide
-non-degeneracy. The ring solve runs on a CGL grid sized by the number of
+rows eliminated. location_basis builds its basis on the 192-node grid: the
+four eigenvalues nearest zero are the one non-degeneracy verdict, read by the
+geodesic stage and ReducedProblem. The ring solve runs on a CGL grid sized by the number of
 modes it resolves (ring_degree), and its solutions, like the amplitude
 solve's, are read between the nodes by barycentric interpolation (Berrut & Trefethen 2004,
 "Barycentric Lagrange interpolation", SIAM Review 46).
@@ -34,6 +34,8 @@ __all__ = [
     "default_j_max",
     "ring_degree",
     "RingGrid",
+    "LocationBasis",
+    "location_basis",
     "ReducedProblem",
     "barycentric",
     "FSolution",
@@ -320,48 +322,78 @@ class RingGrid:
     beta: np.ndarray
 
 
+class LocationBasis(SpectralBasis):
+    """The location operator f'' + hbar1 f' + hbar2 f, f' + k_i f = 0 at the
+    ends, in the arclength variable vartheta = a(theta)/ell, on the 192-node grid.
+
+    theta_of and of_theta map vartheta to theta and back; the ends carry
+    k_i ell / beta. lam_near_zero holds the four eigenvalues nearest 0,
+    ascending, which do not depend on eps or j_max: the operator is
+    nondegenerate when smallest = min |lam_near_zero| is at least
+    threshold = 1e-8 max(1, max |lam_near_zero[:3]|).
+    """
+
+    def __init__(self, chart, field):
+        ell = field.ell
+        # the closures hold no reference to self, so a dropped basis is freed
+        # at once, not at the next cyclic garbage collection
+        theta_of = self.theta_of = lambda v: field.arc_inv(ell * np.asarray(v, dtype=float))
+        self.of_theta = lambda th: field.arc(np.asarray(th, dtype=float)) / ell
+
+        def q1(v):
+            th = theta_of(v)
+            beta = field.beta(th)
+            return ell * field.beta.deriv(th, 1) / beta**2 + ell * geodesic.hbar1(field, th) / beta
+
+        def q2(v):
+            th = theta_of(v)
+            return ell**2 * geodesic.hbar2(chart, field, th) / field.beta(th) ** 2
+
+        super().__init__(q1, q2, chart.k1 * ell / field.beta(0.0), chart.k2 * ell / field.beta(1.0))
+        lam = self.lam
+        lam = self.lam_near_zero = np.sort(lam[np.argsort(np.abs(lam))[:4]])
+        self.smallest = float(np.min(np.abs(lam)))
+        self.threshold = 1e-8 * max(1.0, float(np.max(np.abs(lam[:3]))))
+        self.nondegenerate = self.smallest >= self.threshold
+
+
+_last_location = None  # (chart, field, LocationBasis) of the last location_basis call
+
+
+def location_basis(chart, field):
+    """The LocationBasis of (chart, field), the one non-degeneracy verdict.
+
+    The last pair is kept and compared by identity, so the geodesic stage and
+    the reduced problems of one run share one eigensolve; the entry holds the
+    pair, so their ids cannot be reused while it is kept.
+    """
+    global _last_location
+    if _last_location is None or _last_location[0] is not chart or _last_location[1] is not field:
+        _last_location = (chart, field, LocationBasis(chart, field))
+    return _last_location[2]
+
+
 class ReducedProblem:
     """Geometry/potential context shared by the f- and e-solvers.
 
     basis is the spectral basis of the location operator on the 192-node
-    grid, and ring the grid of the ring solve (ring_degree(j_max)).
-    Construction refuses a location operator with a numerically zero
-    eigenvalue (DegenerateOperatorError).
+    grid (location_basis), and ring the grid of the ring solve
+    (ring_degree(j_max)). Construction refuses a location operator that
+    location_basis judges degenerate (DegenerateOperatorError).
     """
 
     def __init__(self, chart, potential, lambda0, j_max=60):
         self.chart = chart
         self.field = potential
         self.lambda0 = float(lambda0)
-        ell = self.ell = potential.ell
+        self.ell = potential.ell
         self.j_max = int(j_max)
-
-        # arclength substitution: vartheta = a(theta)/ell. The closures hold
-        # no reference to self, so a dropped problem (and its basis) is freed
-        # at once, not at the next cyclic garbage collection.
-        theta_of = self.theta_of = lambda v: potential.arc_inv(ell * np.asarray(v, dtype=float))
-        self.of_theta = lambda th: potential.arc(np.asarray(th, dtype=float)) / ell
-
-        def q1(v):
-            th = theta_of(v)
-            beta = potential.beta(th)
-            return ell * potential.beta.deriv(th, 1) / beta**2 + ell * geodesic.hbar1(potential, th) / beta
-
-        def q2(v):
-            th = theta_of(v)
-            return ell**2 * geodesic.hbar2(chart, potential, th) / potential.beta(th) ** 2
-
-        self.kappa1 = chart.k1 * self.ell / potential.beta(0.0)
-        self.kappa2 = chart.k2 * self.ell / potential.beta(1.0)
-        # the eigenvalues nearest 0 do not depend on eps or j_max: the
-        # degeneracy check reads them on the basis's 192-node grid
-        self.basis = SpectralBasis(q1, q2, self.kappa1, self.kappa2)
-        lam = self.basis.lam
-        lam = self.lam_near_zero = np.sort(lam[np.argsort(np.abs(lam))[:4]])
-        if np.min(np.abs(lam)) < 1e-8 * max(1.0, np.max(np.abs(lam[:3]))):
+        basis = self.basis = location_basis(chart, potential)
+        self.theta_of, self.of_theta, self.lam_near_zero = basis.theta_of, basis.of_theta, basis.lam_near_zero
+        if not basis.nondegenerate:
             raise DegenerateOperatorError(
-                "reduced location operator has a numerically zero eigenvalue; "
-                "see the non-degeneracy test"
+                f"reduced location operator has a numerically zero eigenvalue: min |lam| = "
+                f"{basis.smallest:.3e} < threshold {basis.threshold:.3e}; see the non-degeneracy test"
             )
         self.ring = self.ring_grid(ring_degree(self.j_max))
         # (key, h) of the last ring solve, kept by ansatz.solve_h_bvp: tiers 3-5
@@ -477,7 +509,7 @@ def solve_f_problem(problem, g, eps, alpha1=0.0, alpha2=0.0, robin=(0.0, 0.0), l
     _, D1, D2 = cheb_nodes_matrices(ring.nodes.size - 1)
     eta = _robin_collocation(
         D1, D2, 1.0, P1, P2, ell**2 / beta**2 * gv,
-        (problem.kappa1, problem.kappa2), (robin[0] * ell / beta[0], robin[1] * ell / beta[-1]),
+        (problem.basis.k1, problem.basis.k2), (robin[0] * ell / beta[0], robin[1] * ell / beta[-1]),
     )
     eta_p = D1 @ eta
     # second derivative through the equation (interior identity)

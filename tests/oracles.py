@@ -4,7 +4,9 @@ residual_crosscheck differences W itself against the chain-rule residual;
 load_profiles reads back a profiles.save_profiles table; scipy_seed_columns
 is the Newton seed built on SciPy's quintic spline; lemma_series_sums sizes
 the spectral sums of the lemma from the eigenvalue asymptotics; phi4_rhs is
-the full phi4 right side that ansatz._phi4_tables solves in parts.
+the full phi4 right side that ansatz._phi4_tables solves in parts;
+second_variation_pair is the second variation of the weighted length as a
+bilinear form and as a central second difference.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ from scipy.interpolate import BSpline, make_interp_spline
 
 from curvelayers import ansatz as az
 from curvelayers import profiles as pr
+from curvelayers.geodesic import hbar1, hbar2, weighted_length
+from curvelayers.util import simpson_weights
 
 
 def residual_crosscheck(bundle, n_probe=5, h=None):
@@ -130,3 +134,23 @@ def phi4_rhs(bundle, src, cols):
     rows, *strip = az._phi4_coefficients(bundle, src, cols)
     profiles = list(zip(bundle.ctx.phi4_profiles["rhs"], rows))
     return az._accumulate(profiles + az._phi4_strip_terms(bundle, src, cols, *strip))
+
+
+def second_variation_pair(chart, field, h, hp, hpp, s=1e-3, n_quad=2001):
+    """(bilinear form, central second difference of J) for the direction h."""
+    theta = np.linspace(0.0, 1.0, n_quad)
+    hv, hpv, hppv = (np.asarray(f(theta), dtype=float) for f in (h, hp, hpp))
+    wq = simpson_weights(n_quad, theta[1] - theta[0])
+    V0 = field.V0(theta)
+    Vs = V0**field.sigma
+    q1 = hbar1(field, theta)
+    q2 = hbar2(chart, field, theta)
+    interior = -float(np.sum(wq * Vs * (hppv + q1 * hpv + q2 * hv) * hv))
+    vp = chart.varpi(theta)
+    bnd = (Vs[-1] * hv[-1] * (vp[-1] * hv[-1] + hpv[-1])) - (Vs[0] * hv[0] * (vp[0] * hv[0] + hpv[0]))
+    form = bnd + interior
+    j0 = weighted_length(chart, field, lambda t: 0.0 * np.asarray(t), gp=lambda t: 0.0 * np.asarray(t), n_quad=n_quad)
+    jp = weighted_length(chart, field, lambda t: s * h(t), gp=lambda t: s * hp(t), n_quad=n_quad)
+    jm = weighted_length(chart, field, lambda t: -s * h(t), gp=lambda t: -s * hp(t), n_quad=n_quad)
+    fd = (jp - 2.0 * j0 + jm) / s**2
+    return form, fd

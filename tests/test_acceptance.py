@@ -103,14 +103,14 @@ def test_criterion_3_geodesic_tests(flat_chart, flat_field, unit_field):
     ok = (
         sup < 1e-10
         and rep.nondegenerate
-        and rep.smallest[-1] >= 0.9 * (2.0 * flat_field.sigma)
+        and rep.smallest >= 0.9 * (2.0 * flat_field.sigma)
         and (not rep0.nondegenerate)
-        and rep0.smallest[-1] < 1e-4
+        and rep0.smallest < 1e-4
         and elapsed < 10.0
     )
     record_criterion(
         3, ok,
-        f"stationary sup={sup:.1e}, nondeg smallest={rep.smallest[-1]:.3f}, degenerate={rep0.smallest[-1]:.1e} ({elapsed:.1f}s)",
+        f"stationary sup={sup:.1e}, nondeg smallest={rep.smallest:.3f}, degenerate={rep0.smallest:.1e} ({elapsed:.1f}s)",
     )
     assert ok
 

@@ -3,12 +3,12 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg as sla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from oracles import second_variation_pair
 
 from curvelayers import geodesic as gd
+from curvelayers import reduced as rd
 from curvelayers import scenarios
 
 
@@ -70,7 +70,7 @@ def test_first_variation_three_ways(flat_chart):
 
 def test_second_variation_pair(flat_chart, flat_field):
     pi = np.pi
-    form, fd = gd.second_variation_pair(
+    form, fd = second_variation_pair(
         flat_chart,
         flat_field,
         lambda th: np.cos(pi * np.asarray(th, dtype=float)),
@@ -85,10 +85,10 @@ def test_second_variation_pair(flat_chart, flat_field):
 def test_nondegeneracy_verdicts(flat_chart, flat_field, unit_field, disk_chart):
     rep = gd.nondegeneracy_test(flat_chart, flat_field)
     assert rep.nondegenerate
-    assert rep.smallest[-1] >= 0.9 * 2.0 * flat_field.sigma
+    assert rep.smallest >= 0.9 * 2.0 * flat_field.sigma
     rep0 = gd.nondegeneracy_test(flat_chart, unit_field)
     assert not rep0.nondegenerate
-    assert rep0.smallest[-1] < 1e-4
+    assert rep0.smallest < 1e-4
 
     # constant rescaling preserves the verdict (coefficients are V-relative)
     v4 = gd.build_potential(3.0, lambda t, th: 4.0 * (1.0 + np.asarray(t, dtype=float) ** 2))
@@ -107,8 +107,8 @@ def test_nondegeneracy_verdicts(flat_chart, flat_field, unit_field, disk_chart):
 
 def test_disk_with_analytic_derivatives_is_degenerate(disk_chart):
     # the radial weight of test_nondegeneracy_verdicts with exact V_t, V_tt
-    # and V_theta: there is no finite-difference noise floor, so only the
-    # roundoff floor eps ||M|| of the Jacobi matrix keeps the verdict right
+    # and V_theta: the rotation kernel is found without finite-difference
+    # noise in the coefficients
     def partials(t, th):
         t, th = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(th, dtype=float))
         Th, Th_t, Th_th, Th_tt, _ = disk_chart.Theta_partials(t, th)
@@ -133,7 +133,7 @@ def test_disk_with_analytic_derivatives_is_degenerate(disk_chart):
     field = gd.build_potential(3.0, V, V_t=V_t, V_tt=V_tt, V_theta=V_theta)
     rep = gd.nondegeneracy_test(disk_chart, field)
     assert not rep.nondegenerate
-    assert rep.smallest[-1] < rep.threshold < 1e-7
+    assert rep.smallest < 1e-8
 
 
 def test_rotation_kernel_is_exact(disk_chart):
@@ -173,46 +173,52 @@ def test_hbar_shared_with_reduced(flat_chart, flat_field, flat_problem):
     assert np.max(np.abs(q2 - expect)) < 1e-10
 
 
-@st.composite
-def jacobi_coefficients(draw):
-    n = draw(st.integers(5, 200))
-    q1 = draw(arrays(np.float64, n, elements=st.floats(-20.0, 20.0)))
-    q2 = draw(arrays(np.float64, n, elements=st.floats(-50.0, 50.0)))
-    k1, k2 = draw(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
-    return q1, q2, k1, k2, n
-
-
-@settings(max_examples=60)
-@given(jacobi_coefficients())
-# f'' + c f with Neumann ends has eigenvalues c and c - pi^2: sigma_2 / sigma_1 = 1.014
-@example((np.zeros(100), np.full(100, 4.9626), 0.0, 0.0, 100))
-def test_tridiagonal_sigma_min_matches_dense(coeffs):
-    lower, diag, upper = gd.jacobi_matrix(*coeffs)
-    # dense SVD as the oracle
-    sv = sla.svdvals(np.diag(diag) + np.diag(lower, -1) + np.diag(upper, 1))
-    tol = max(1e-8 * sv[-1], 1e3 * np.finfo(float).eps * sv[0])
-    assert abs(gd.smallest_singular_value(lower, diag, upper) - sv[-1]) <= tol
-
-
-@pytest.mark.parametrize("n", [5, 401, 1601])
-def test_singular_neumann_matrix_gives_zero(n):
-    # constant coefficients with Neumann ends: constants are an exact kernel
-    m = gd.jacobi_matrix(np.zeros(n), np.zeros(n), 0.0, 0.0, n)
-    assert gd.smallest_singular_value(*m) == 0.0
+@settings(max_examples=30)
+@given(a=st.floats(-20.0, 20.0))
+# the two degenerate members: translations (a = 0) and the j = 1 mode at
+# a = -pi^2/(2 sigma), sigma = 3/2
+@example(a=0.0)
+@example(a=-(np.pi**2) / 3.0)
+def test_flat_channel_verdict_follows_the_exact_spectrum(flat_chart, a):
+    # V = 1 + a t^2 on the straight channel: q1 = 0, hbar2 = -2 a sigma and
+    # Neumann ends, so the location eigenvalues are 2 a sigma + (j pi)^2
+    field = gd.build_potential(
+        3.0,
+        lambda t, th: 1.0 + a * np.asarray(t, dtype=float) ** 2,
+        V_t=lambda t, th: 2.0 * a * np.asarray(t, dtype=float),
+        V_tt=lambda t, th: 2.0 * a + 0.0 * np.asarray(t, dtype=float),
+        V_theta=lambda t, th: 0.0 * np.asarray(t, dtype=float),
+    )
+    rep = gd.nondegeneracy_test(flat_chart, field)
+    lam = 2.0 * a * field.sigma + (np.arange(20) * np.pi) ** 2
+    assert np.max(np.abs(rep.lam_near_zero - np.sort(lam[np.argsort(np.abs(lam))[:4]]))) <= 1e-10
+    assert rep.nondegenerate == (np.min(np.abs(lam)) >= rep.threshold)
+    if a in (0.0, -(np.pi**2) / 3.0):
+        assert not rep.nondegenerate and rep.smallest <= 1e-12
 
 
 @pytest.mark.parametrize(
     "name, nondegenerate, threshold",
     [
-        ("flat-channel", True, 4.163336342344e-08),
-        ("bent-channel", True, 4.886700511811e-08),
-        ("disk-diameter", False, 5.204170427930e-08),
-        ("constant-V", False, 4.163336342344e-08),
+        ("flat-channel", True, 4.247841760414e-07),
+        ("bent-channel", True, 3.808446656535e-07),
+        ("disk-diameter", False, 3.367959345918e-07),
+        ("constant-V", False, 3.947841760422e-07),
     ],
 )
-def test_builtin_fixture_verdicts_and_thresholds(name, nondegenerate, threshold):
+def test_builtin_fixture_verdicts_and_thresholds(name, nondegenerate, threshold, monkeypatch):
     scn = scenarios.builtin_scenario(name)
     chart = scenarios.build_domain(scn)
-    rep = gd.nondegeneracy_test(chart, scenarios.build_field(scn, chart))
+    field = scenarios.build_field(scn, chart)
+    eig, solved = rd.sla.eig, []
+    monkeypatch.setattr(rd.sla, "eig", lambda a, *args, **kw: solved.append(a.shape) or eig(a, *args, **kw))
+    rep = gd.nondegeneracy_test(chart, field)
     assert rep.nondegenerate == nondegenerate
     assert float(f"{rep.threshold:.12e}") == threshold
+    # the reduced problem reads the same verdict, off the same eigensolve
+    if nondegenerate:
+        assert rd.ReducedProblem(chart, field, 3.0, j_max=60).basis is rd.location_basis(chart, field)
+    else:
+        with pytest.raises(rd.DegenerateOperatorError):
+            rd.ReducedProblem(chart, field, 3.0, j_max=60)
+    assert solved == [(191, 191)]

@@ -228,8 +228,8 @@ def test_order_study_builds_one_reduced_problem(monkeypatch):
 
 
 def test_flat_channel_run_solves_one_eigenproblem_per_reduced_problem(tmp_path, monkeypatch):
-    # the reduced stage reads the problem's one basis, whose 191 x 191
-    # eigensolve the degeneracy check has already made
+    # the geodesic stage's verdict and the reduced stage read one basis, whose
+    # 191 x 191 eigensolve is made once per run; bent-channel too
     builds, solved = [], []
     eig = reduced.sla.eig
 
@@ -244,11 +244,14 @@ def test_flat_channel_run_solves_one_eigenproblem_per_reduced_problem(tmp_path, 
 
     monkeypatch.setattr(reduced, "ReducedProblem", Counting)
     monkeypatch.setattr(reduced.sla, "eig", counted_eig)
-    res = harness.run_scenario("flat-channel", str(tmp_path), stages=("profiles", "ansatz", "reduced"))
-    assert all(info["passed"] for info in res.summary["stages"].values())
-    # the fixture's smallest eps, 0.025, has j_max = 160: a 440-node basis before
-    assert builds == [reduced.default_j_max(0.025)] == [160]
-    assert solved == [(191, 191)]
+    # the fixtures' smallest eps, 0.025 and 0.02, give j_max = 160 and 200:
+    # the basis stays at 192 nodes, where sizing it by j_max gave 440 and 540
+    for name, j_max in (("flat-channel", 160), ("bent-channel", 200)):
+        builds.clear(), solved.clear()
+        res = harness.run_scenario(name, str(tmp_path / name))
+        assert "geodesic" in res.summary["stages"]
+        assert all(info["passed"] for info in res.summary["stages"].values()), name
+        assert builds == [j_max] and solved == [(191, 191)], name
 
 
 @pytest.mark.parametrize("name", ["constant-V", "disk-diameter"])
@@ -345,7 +348,7 @@ def test_stationarity_residual_once_per_geodesic_stage(tmp_path, monkeypatch):
         calls.clear()
         res = harness.run_scenario(name, str(tmp_path), stages=("geodesic",))
         info = res.summary["stages"]["geodesic"]
-        assert info["stationary"] is True and "smallest_singular" in info
+        assert info["stationary"] is True and "smallest_eigenvalue" in info
         assert len(calls) == 1, name
 
 
@@ -365,7 +368,7 @@ def test_non_stationary_curve_keeps_its_verdict(tmp_path, monkeypatch):
     assert res.exit_code != 0
     assert info["stationary"] is False and info["nondegenerate"] is False and info["passed"] is False
     assert info["stationarity_sup"] == pytest.approx(2e-9, rel=1e-6)
-    assert "smallest_singular" not in info and "weighted_length" in info
+    assert "smallest_eigenvalue" not in info and "weighted_length" in info
 
 
 def test_timings_sidecar_lists_every_enabled_stage(tmp_path, monkeypatch):
