@@ -5,9 +5,16 @@ identities that drive every later cancellation, and shows the linearized
 eigenpair. Saves a plot when matplotlib is available.
 """
 
+import os
+import sys
+
 import numpy as np
 
 from curvelayers import profiles as pr
+
+# the shooting oracle lives with the tests' other independent checks
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import ground_state_by_shooting  # noqa: E402
 
 for p in (2.0, 3.0, 5.0):
     ps = pr.build_profiles(p)
@@ -20,7 +27,7 @@ for p in (2.0, 3.0, 5.0):
     print(f"  rho1 = {ps.rho1:.9f}, rho2 = {ps.rho2:.9f}")
 
 ps = pr.build_profiles(3.0)
-w0_shoot = pr.ground_state_by_shooting(3.0, x_max=18.0)
+w0_shoot = ground_state_by_shooting(3.0, x_max=18.0)
 print(f"\nindependent shooting oracle at p=3: w(0) = {w0_shoot:.12f} (closed form {np.sqrt(2):.12f})")
 
 try:

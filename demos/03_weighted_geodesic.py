@@ -7,10 +7,17 @@ exact rotation field, which the eigenvalue nearest 0 of the location
 operator picks up).
 """
 
+import os
+import sys
+
 import numpy as np
 
 from curvelayers import geodesic as gd
 from curvelayers import geometry as ge
+
+# the three-way first variation lives with the tests' other independent checks
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tests"))
+from oracles import first_variation_ways  # noqa: E402
 
 flat = ge.build_chart(ge.flat_channel_curve(), delta0=4.0)
 disk = ge.build_chart(ge.disk_diameter_curve(), delta0=0.35)
@@ -42,4 +49,4 @@ off = gd.build_potential(3.0, lambda t, th: 1.0 + (np.asarray(t, dtype=float) - 
 h = lambda th: np.sin(np.pi * np.asarray(th, dtype=float)) + 0.3
 hp = lambda th: np.pi * np.cos(np.pi * np.asarray(th, dtype=float))
 print("  variational display / residual form / central differences:")
-print("  %.10f / %.10f / %.10f" % gd.first_variation_ways(flat, off, h, hp))
+print("  %.10f / %.10f / %.10f" % first_variation_ways(flat, off, h, hp))

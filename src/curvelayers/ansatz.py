@@ -327,7 +327,8 @@ def _h_weights(ctx, phi22):
 
 
 def _h_sources(bundle, rows, weights):
-    """alpha1, alpha2, G1+G2+G3 at the sections of rows (all vanish with the data).
+    """alpha1, alpha2 and the terms (G1, G2, G3) of the right side at the
+    sections of rows (all vanish with the data).
 
     weights are the x-integrals of _h_weights for bundle.phi22.
     """
@@ -347,19 +348,21 @@ def _h_sources(bundle, rows, weights):
     g1 = -(k / rho1) * xi * (Aa * I_Zx_wx + p_x_wx)
     g2 = -(k / (bundle.ctx.sigma * rho1)) * xi * (Aa * I_Z_xwx + p_xwx)
     g3 = rows["a11"] * beta / rho1 * xi * (Aa * I_Z_3 + p_3)
-    return alpha1, alpha2, g1 + g2 + g3
+    return alpha1, alpha2, (g1, g2, g3)
 
 
 def solve_h_bvp(bundle, problem, ledger=None):
     """Ring correction h from the Robin problem fed by the boundary layers.
 
     Refuses on a degenerate reduced operator (the ReducedProblem constructor
-    raises) or a failed gap ledger; with identically vanishing sources the
-    zero solution is returned directly. The sources read only eps, the
-    strip context, the chart and the field (through A and phi22), not the
-    state or the tier, so problem keeps its last result
-    (ReducedProblem.last_ring) and returns it for the same four; a kept
-    nonzero h is refused under a failing ledger as a fresh solve is.
+    raises) or a failed gap ledger. The Robin data are zero, so h vanishes
+    exactly when the right side g does, whatever alpha1 and alpha2: where g
+    is roundoff of its own terms G1 + G2 + G3 (all exact zeros on a straight
+    channel, where k = 0) the zero solution is returned directly. The
+    sources read only eps, the strip context, the chart and the field
+    (through A and phi22), not the state or the tier, so problem keeps its
+    last result (ReducedProblem.last_ring) and returns it for the same four;
+    a kept nonzero h is refused under a failing ledger as a fresh solve is.
     """
     key = (bundle.eps, bundle.ctx, bundle.chart, bundle.field)
     if problem.last_ring is not None:
@@ -374,8 +377,9 @@ def solve_h_bvp(bundle, problem, ledger=None):
 
 
 def _solve_h_bvp(bundle, problem, ledger):
-    alpha1, alpha2, g = _h_sources(bundle, _Rows(bundle, problem.ring.theta), _h_weights(bundle.ctx, bundle.phi22))
-    if np.max(np.abs(alpha1)) + np.max(np.abs(g)) < 1e-14:
+    alpha1, alpha2, (g1, g2, g3) = _h_sources(bundle, _Rows(bundle, problem.ring.theta), _h_weights(bundle.ctx, bundle.phi22))
+    g = g1 + g2 + g3
+    if np.max(np.abs(g)) <= 1e-14 * np.max(np.abs(g1) + np.abs(g2) + np.abs(g3)):
         return None  # zero ring correction
     return reduced.solve_f_problem(problem, g, bundle.eps, alpha1=alpha1, alpha2=alpha2, ledger=ledger)
 
@@ -435,27 +439,64 @@ class _Rows(dict):
         self[name] = value
         return value
 
+    def block(self, cols):
+        """The rows of the sections th[cols]: slices of these, each evaluated
+        here once for every block that reads it."""
+        return _RowBlock(self, cols)
+
+
+class _RowBlock:
+    """The rows of _Rows.block: each read is a slice of the full-width row."""
+
+    def __init__(self, rows, cols):
+        self.rows, self.cols = rows, cols
+        self.bundle, self.th = rows.bundle, rows.th[cols]
+
+    def __getitem__(self, name):
+        return self.rows[name][self.cols]
+
 
 class _ProfileLayer:
     """eps^k g(x) c(theta): a profile table times a theta coefficient.
 
     coef names the row of c, whose theta-derivatives are the rows coef + "p"
-    and coef + "pp"; a z derivative is eps times a theta derivative.
+    and coef + "pp"; a z derivative is eps times a theta derivative. The
+    profile layers of a bundle are summed together (_profile_fields).
     """
 
     def __init__(self, tables, key, k, coef):
-        self.g = [tables[key + suffix][:, None] for suffix in ("", "_x", "_xx")]
+        self.g = [tables[key + suffix] for suffix in ("", "_x", "_xx")]
         self.k, self.coef = k, coef
 
-    def fields(self, rows, derivs):
-        g, gx, gxx = self.g
-        s0, s1, s2 = (rows.bundle.eps ** (self.k + j) for j in range(3))
-        c = rows[self.coef][None, :]
-        v = s0 * g * c
-        if not derivs:
-            return (v,)
-        cp, cpp = (rows[self.coef + suffix][None, :] for suffix in ("p", "pp"))
-        return v, s0 * gx * c, s0 * gxx * c, s1 * g * cp, s2 * g * cpp, s1 * gx * cp
+
+def _profile_fields(layers, rows, derivs):
+    """The fields of the summed profile layers, one contraction each.
+
+    The x-tables g, g_x, g_xx of the layers are the rows of three (n, nx)
+    matrices and their theta rows, each scaled by its power of eps, the rows
+    of three (n, ncols) ones: v = G^T C0, v_x = G_x^T C0, v_xx = G_xx^T C0,
+    v_z = G^T C1, v_zz = G^T C2 and v_xz = G_x^T C1. np.einsum over these
+    row-major operands forms each column from its own entries alone, so a
+    block of sections, one section included, gets the bits of the full
+    width (a BLAS product would not: it picks its kernel by the width).
+    """
+    eps = rows.bundle.eps
+
+    def tables(j):
+        return np.array([layer.g[j] for layer in layers])
+
+    def coefs(j, suffix):
+        return np.array([eps ** (layer.k + j) * rows[layer.coef + suffix] for layer in layers])
+
+    def contract(g, c):
+        return np.einsum("kx,kz->xz", g, c)
+
+    g, c0 = tables(0), coefs(0, "")
+    v = contract(g, c0)
+    if not derivs:
+        return (v,)
+    gx, gxx, c1, c2 = tables(1), tables(2), coefs(1, "p"), coefs(2, "pp")
+    return v, contract(gx, c0), contract(gxx, c0), contract(g, c1), contract(g, c2), contract(gx, c1)
 
 
 class _StripTerm:
@@ -538,8 +579,9 @@ class AnsatzBundle:
     def strip_fields(self, z=None, derivs=True, rows=None):
         """Arrays (nx, nz) of v and, with derivs, v_x, v_xx, v_z, v_zz, v_xz.
 
-        Each field is the sum over the layers, in order, of their parts, at
-        the sections z (the z grid by default) or, given rows, at theirs. The
+        Each field is the sum of the profile layers (one contraction,
+        _profile_fields) and then of the other layers' parts in order, at the
+        sections z (the z grid by default) or, given rows, at theirs. The
         theta-only rows are evaluated once per call, and the strip layers
         synthesize only these sections. Without derivs only v is formed, from
         the same terms in the same order.
@@ -548,10 +590,12 @@ class AnsatzBundle:
             z = self.z_grid if z is None else np.atleast_1d(np.asarray(z, dtype=float))
             rows = _Rows(self, self.eps * z)
         names = _FIELDS if derivs else _FIELDS[:1]
-        out = dict.fromkeys(names, 0.0)
+        profiles = [layer for layer in self.layers if isinstance(layer, _ProfileLayer)]
+        out = dict(zip(names, _profile_fields(profiles, rows, derivs)))
         for layer in self.layers:
-            for name, part in zip(names, layer.fields(rows, derivs)):
-                out[name] += part
+            if not isinstance(layer, _ProfileLayer):
+                for name, part in zip(names, layer.fields(rows, derivs)):
+                    out[name] += part
         return out
 
     # -- physical evaluation -------------------------------------------------
@@ -619,20 +663,6 @@ def _phi4_profiles(t, p):
     return {"rhs": np.array(even + odd)[:, :, None], "wp2": wp2[:, None]}
 
 
-def _accumulate(terms):
-    """The sum of g c over the pairs (g, c) in order: g a profile (nx, 1) or a
-    field (nx, ncols), c a row (ncols,) of theta coefficients. Each column is
-    formed from its own entries alone, so a block of columns gets them bit for
-    bit as the full width does (a matrix product would not: BLAS picks its
-    kernel by the width)."""
-    (g, c), *rest = terms
-    out = g * c
-    tmp = np.empty_like(out)
-    for g, c in rest:
-        out += np.multiply(g, c, out=tmp)
-    return out
-
-
 _PHI4_ROWS = "k varpi beta betap betapp alpha alphap alphapp xi xip a11 a12 V_tt0 f h hp hpp e A Ap".split()
 
 
@@ -641,10 +671,10 @@ def _phi4_coefficients(bundle, src, cols):
 
     src holds the rows on the theta grid (see _phi4_tables) and cols is a
     slice of it. Returns (rows, q, c3): the rows (n_profiles, ncols) of the
-    profiles of StripContext.phi4_profiles, those of the phi22 fields of
-    _phi4_strip_terms, and that of phi3. Each group lists the terms even in
-    x and then the odd ones; the odd ones enter the layer at one order of
-    eps^2 higher, and their rows already carry that factor.
+    profiles of StripContext.phi4_profiles, those of the phi22 fields and
+    their products (see _phi4_strip_rhs), and that of phi3. Each group lists
+    the terms even in x and then the odd ones; the odd ones enter the layer
+    at one order of eps^2 higher, and their rows already carry that factor.
     """
     ctx, eps = bundle.ctx, bundle.eps
     sg, pp, e2 = ctx.sigma, ctx.p * (ctx.p - 1.0), eps**2
@@ -677,31 +707,37 @@ def _phi4_coefficients(bundle, src, cols):
         -k * xiA / (sg * beta),  # x Z
         *(pp * a11 * a12 * h, pp * a11 * xiA),  # wp2 (w1 w2, w1 Z)
     ))
+    # phi22: v_z, x v_xz, v, wp2 v (v, Z, w2); then v_x, v_xz, x v, wp2 v w1
     q_even = (beta * c_dz, beta * c_dzx, -e2 * k * fh * xi / sg, half * xi**2, 2.0 * half * xi * eA, 2.0 * half * a12 * fh * xi)
     q_odd = e2 * np.array((-k / beta * xi, -2.0 * xi * drift, -k * xi / (sg * beta), pp * a11 * xi))
     c3 = e2 * (_K_TILDE - 1.0) * xi  # _K_TILDE - 1: the mass of basis_m minus that of basis_t
     return np.array((*even, *odd)), np.array((*q_even, *q_odd)), c3
 
 
-def _phi4_strip_terms(bundle, src, cols, q, c3):
-    """(field, row) terms of the phi22 and phi3 layers in the phi4 right side
-    at theta columns cols, given their rows of _phi4_coefficients at those
-    columns: the six even and four odd ones of phi22, then that of phi3. A
-    layer that is identically zero there has none."""
+def _phi4_strip_rhs(bundle, src, cols, q, c3):
+    """The phi22 and phi3 part of the phi4 right side on the fine x grid at
+    theta columns cols, given their rows of _phi4_coefficients at those
+    columns; None where both layers are identically zero.
+
+    The fields of the layers times their rows are grouped on the strip grid
+    by the fine-grid x-factor they multiply: 1 (phi22's v_z, v, v_x, v_xz and
+    phi3's v), x (phi22's v_xz and v) and wp2 v (phi22's v, Z, w2 and w1), so
+    three fields are interpolated (_to_fine, linear in its table). Each entry
+    is formed from its own column alone, so a block of columns gets the bits
+    of the full width.
+    """
     ctx, zt = bundle.ctx, src["zt"][cols]
-    terms = []
     phi22, phi3 = bundle.phi22, bundle.phi3
-    if phi22 is not None and not phi22.is_zero(zt):
-        synth = np.stack([getattr(phi22, fn)(zt) for fn in ("value", "dx", "dz", "dxz")], axis=1)
-        q_val, q_x, q_zt, q_xzt = _to_fine(ctx, synth).transpose(1, 0, 2)
-        x, w1, w2, Z = (ctx.fine_tables[key][:, None] for key in ("x", "w1", "w2", "Z"))
-        wq = ctx.phi4_profiles["wp2"] * q_val
-        fields = (q_zt, x * q_xzt, q_val, wq * q_val, wq * Z, wq * w2)  # even in x
-        fields += (q_x, q_xzt, x * q_val, wq * w1)  # odd in x
-        terms += zip(fields, q)
-    if phi3 is not None and not phi3.is_zero(zt):
-        terms.append((_to_fine(ctx, phi3.value(zt)), c3))
-    return terms
+    live3 = phi3 is not None and not phi3.is_zero(zt)
+    if phi22 is None or phi22.is_zero(zt):
+        return _to_fine(ctx, phi3.value(zt) * c3) if live3 else None
+    val, dx, dz, dxz = (getattr(phi22, fn)(zt) for fn in ("value", "dx", "dz", "dxz"))
+    one = dz * q[0] + val * q[2] + dx * q[6] + dxz * q[7]
+    if live3:
+        one += phi3.value(zt) * c3
+    f1, fx, fv = _to_fine(ctx, np.stack((one, dxz * q[1] + val * q[8], val), axis=1)).transpose(1, 0, 2)
+    x, w1, w2, Z = (ctx.fine_tables[key][:, None] for key in ("x", "w1", "w2", "Z"))
+    return f1 + x * fx + ctx.phi4_profiles["wp2"] * fv * (fv * q[3] + Z * q[4] + w2 * q[5] + w1 * q[9])
 
 
 # weights of y0, y1, h m0, h m1 in the cubic of a strip interval at its fine
@@ -771,9 +807,9 @@ def _phi4_tables(bundle):
     table = {key: resp @ rows for key, resp in ctx.phi4_response.items()}
     for start in range(0, th_grid.size, _PHI4_BLOCK):
         cols = slice(start, start + _PHI4_BLOCK)
-        terms = _phi4_strip_terms(bundle, src, cols, q[:, cols], c3[cols])
-        if terms:
-            for key, part in _phi4_solve(ctx, _accumulate(terms)).items():
+        rhs = _phi4_strip_rhs(bundle, src, cols, q[:, cols], c3[cols])
+        if rhs is not None:
+            for key, part in _phi4_solve(ctx, rhs).items():
                 table[key][:, cols] += part
     return table
 
@@ -1021,10 +1057,9 @@ def _chain_rule(bundle, rows):
     return t, W, U_t, U_th, U_tt, U_tth, U_thth
 
 
-def _interior_block(bundle, z):
-    """Interior residual E at the sections z, from the chain-rule partials of W(t, theta)."""
+def _interior_block(bundle, rows):
+    """Interior residual E at the sections of rows, from the chain-rule partials of W(t, theta)."""
     eps = bundle.eps
-    rows = _Rows(bundle, eps * z)
     th = rows.th
     t, W, U_t, U_th, U_tt, U_tth, U_thth = _chain_rule(bundle, rows)
     alpha, beta = rows["alpha"][None, :], rows["beta"][None, :]
@@ -1047,20 +1082,22 @@ def interior_residual(bundle, z=None):
 
     E(x, z) = [eps^2 Delta_y - V + (.)^p](W) / (alpha beta^2) evaluated with
     the closed-form metric coefficients; no grid differencing enters, so the
-    epsilon-order fits are not polluted by discretization error. E is formed
-    in blocks of _RESIDUAL_BLOCK sections, each reading the strip layers at
-    its own sections only. The layers synthesize per strip._Z_BLOCK block
-    of points, _RESIDUAL_BLOCK is a multiple of it, and every other factor is
-    elementwise in z, so the blocks give E bit for bit as one pass would.
+    epsilon-order fits are not polluted by discretization error. The
+    theta-only rows are formed once on all sections, and E is formed in
+    blocks of _RESIDUAL_BLOCK sections, each reading slices of those rows and
+    the strip layers at its own sections only. The layers synthesize per
+    strip._Z_BLOCK block of points, _RESIDUAL_BLOCK is a multiple of it, and
+    every other factor is elementwise in z, so the blocks give E bit for bit
+    as one pass would.
     """
     eps = bundle.eps
     z = bundle.z_grid if z is None else np.atleast_1d(np.asarray(z, dtype=float))
+    rows = _Rows(bundle, eps * z)
     E = np.empty((bundle.ctx.x.size, z.size))
     for start in range(0, z.size, _RESIDUAL_BLOCK):
         cols = slice(start, start + _RESIDUAL_BLOCK)
-        E[:, cols] = _interior_block(bundle, z[cols])
+        E[:, cols] = _interior_block(bundle, rows.block(cols))
 
-    rows = _Rows(bundle, eps * z)
     ev, evpp, beta = (rows[name][None, :] for name in ("e", "epp", "beta"))
     Z = bundle.ctx.tables["Z"][:, None]
     E11 = eps * bundle.ctx.lambda0 * ev * Z + eps**3 / beta**2 * evpp * Z

@@ -21,7 +21,6 @@ __all__ = [
     "build_potential",
     "weighted_length",
     "stationarity_residual",
-    "first_variation_ways",
     "hbar1",
     "hbar2",
     "NondegeneracyReport",
@@ -135,25 +134,6 @@ def stationarity_residual(chart, field, n_theta=401):
     zero = np.zeros_like(theta)
     res = field.sigma * field.V_t(zero, theta) - chart.k(theta) * field.V0(theta)
     return theta, res, float(np.max(np.abs(res)))
-
-
-def first_variation_ways(chart, field, h, hp=None, s=1e-4, n_quad=2001):
-    """J'(0)[h] three ways: variational display, residual form, central FD."""
-    theta = np.linspace(0.0, 1.0, n_quad)
-    hv = np.asarray(h(theta), dtype=float)
-    wq = simpson_weights(n_quad, theta[1] - theta[0])
-    zero = np.zeros_like(theta)
-    V0 = field.V0(theta)
-    Vs = V0**field.sigma
-    # Theta_ttheta(0, theta) vanishes for orthogonal graphs; keep the chart value
-    _, _, _, _, th_tth0 = chart.Theta_partials(zero, theta)
-    display = float(np.sum(wq * (Vs * (-chart.k(theta) + th_tth0) * hv + field.sigma * V0 ** (field.sigma - 1.0) * field.V_t(zero, theta) * hv)))
-    _, res, _ = stationarity_residual(chart, field, n_theta=n_quad)
-    residual_form = float(np.sum(wq * res * V0 ** (field.sigma - 1.0) * hv))
-    jp = weighted_length(chart, field, lambda t: s * h(t), gp=None if hp is None else (lambda t: s * hp(t)), n_quad=n_quad)
-    jm = weighted_length(chart, field, lambda t: -s * h(t), gp=None if hp is None else (lambda t: -s * hp(t)), n_quad=n_quad)
-    fd = (jp - jm) / (2.0 * s)
-    return display, residual_form, fd
 
 
 def hbar1(field, theta):

@@ -233,9 +233,11 @@ def _stage_ansatz(pipe, tables_dir):
     if usable:
         bundle, rep, _ = reports[usable[0]]
         ansatz.export_strip_table(rep, os.path.join(tables_dir, "residual_table.txt"))
-        if bundle.h_solution is not None:
-            info["h_norm_star"] = bundle.h_solution.norm_star
-            info["h_norm_over_sqrt_eps"] = bundle.h_solution.norm_star / np.sqrt(usable[0])
+        if bundle.tier >= 3:
+            # the ring correction; None is the zero one (no sources to solve for)
+            h_norm = 0.0 if bundle.h_solution is None else bundle.h_solution.norm_star
+            info["h_norm_star"] = h_norm
+            info["h_norm_over_sqrt_eps"] = h_norm / np.sqrt(usable[0])
     if rows.shape[0] >= 3:
         info["slope_E12"] = loglog_slope(rows[:, 0], rows[:, 3])[0]
         info["slope_boundary"] = loglog_slope(rows[:, 0], rows[:, 4])[0]

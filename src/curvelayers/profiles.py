@@ -26,7 +26,6 @@ __all__ = [
     "build_profiles",
     "principal_eigenvalue_fd",
     "LinearizedSolver1D",
-    "ground_state_by_shooting",
     "save_profiles",
 ]
 
@@ -310,58 +309,6 @@ def build_profiles(p, x_max=20.0, n=4001):
         int_wp1=int_wp1,
         solver=solver,
     )
-
-
-def ground_state_by_shooting(p, x_max=20.0, rtol=1e-12):
-    """Independent oracle: even shooting for w(0) of w'' = w - w^p.
-
-    Integrates from x = 0 with w'(0) = 0 and bisects the initial height so
-    the solution decays instead of blowing up; returns the located w(0).
-    """
-    from scipy.integrate import solve_ivp
-
-    def crossed_zero(t, y):
-        return y[0]
-
-    def rebounded(t, y):
-        return y[1] - 1e-12
-
-    crossed_zero.terminal = True
-    crossed_zero.direction = -1
-    rebounded.terminal = True
-    rebounded.direction = 1
-
-    def classify(w0):
-        """+1 when too high (crosses zero), -1 when too low (rebounds)."""
-        sol = solve_ivp(
-            lambda t, y: [y[1], y[0] - np.sign(y[0]) * np.abs(y[0]) ** p],
-            (1e-3, x_max),
-            [w0, 0.0],
-            rtol=1e-11,
-            atol=1e-13,
-            events=(crossed_zero, rebounded),
-        )
-        if sol.t_events[0].size:
-            return 1
-        if sol.t_events[1].size:
-            return -1
-        return -1 if sol.y[0, -1] > 0 else 1
-
-    lo = 1.0
-    hi = 2.0 * (0.5 * (p + 1.0)) ** (1.0 / (p - 1.0))
-    if classify(lo) > 0:
-        raise ConvergenceError("shooting bracket failed at the low end")
-    while classify(hi) < 0:
-        hi *= 1.5
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if classify(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < rtol * mid:
-            break
-    return 0.5 * (lo + hi)
 
 
 _SCALARS = ("p", "sigma", "lambda0", "lambda0_fd", "rho1", "rho2", "int_w2", "int_wp1", "hx")

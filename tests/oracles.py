@@ -4,17 +4,20 @@ residual_crosscheck differences W itself against the chain-rule residual;
 load_profiles reads back a profiles.save_profiles table; scipy_seed_columns
 is the Newton seed built on SciPy's quintic spline; lemma_series_sums sizes
 the spectral sums of the lemma from the eigenvalue asymptotics; phi4_rhs is
-the full phi4 right side that ansatz._phi4_tables solves in parts;
-second_variation_pair is the second variation of the weighted length as a
-bilinear form and as a central second difference.
+the full phi4 right side that ansatz._phi4_tables solves in parts, summed
+term by term; second_variation_pair is the second variation of the weighted
+length as a bilinear form and as a central second difference, and
+first_variation_ways the first variation three ways; ground_state_by_shooting
+finds w(0) of the ground state by shooting.
 """
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, make_interp_spline
 
 from curvelayers import ansatz as az
 from curvelayers import profiles as pr
-from curvelayers.geodesic import hbar1, hbar2, weighted_length
+from curvelayers.geodesic import hbar1, hbar2, stationarity_residual, weighted_length
 from curvelayers.util import simpson_weights
 
 
@@ -122,18 +125,53 @@ def lemma_series_sums(eps, lambda0, ell, k1=0.0, k2=0.0, q_mean=0.0, j_sum=None)
     }
 
 
+def _accumulate(terms):
+    """The sum of g c over the pairs (g, c) in order: g a profile (nx, 1) or a
+    field (nx, ncols), c a row (ncols,) of theta coefficients. Each column is
+    formed from its own entries alone."""
+    (g, c), *rest = terms
+    out = g * c
+    tmp = np.empty_like(out)
+    for g, c in rest:
+        out += np.multiply(g, c, out=tmp)
+    return out
+
+
+def _phi4_strip_terms(bundle, src, cols, q, c3):
+    """(field, row) terms of the phi22 and phi3 layers in the phi4 right side
+    at theta columns cols, given their rows of ansatz._phi4_coefficients at
+    those columns: the six even and four odd ones of phi22, each field
+    interpolated to the fine grid on its own, then that of phi3. A layer that
+    is identically zero there has none."""
+    ctx, zt = bundle.ctx, src["zt"][cols]
+    terms = []
+    phi22, phi3 = bundle.phi22, bundle.phi3
+    if phi22 is not None and not phi22.is_zero(zt):
+        synth = np.stack([getattr(phi22, fn)(zt) for fn in ("value", "dx", "dz", "dxz")], axis=1)
+        q_val, q_x, q_zt, q_xzt = az._to_fine(ctx, synth).transpose(1, 0, 2)
+        x, w1, w2, Z = (ctx.fine_tables[key][:, None] for key in ("x", "w1", "w2", "Z"))
+        wq = ctx.phi4_profiles["wp2"] * q_val
+        fields = (q_zt, x * q_xzt, q_val, wq * q_val, wq * Z, wq * w2)  # even in x
+        fields += (q_x, q_xzt, x * q_val, wq * w1)  # odd in x
+        terms += zip(fields, q)
+    if phi3 is not None and not phi3.is_zero(zt):
+        terms.append((az._to_fine(ctx, phi3.value(zt)), c3))
+    return terms
+
+
 def phi4_rhs(bundle, src, cols):
     """The full right side of the per-section phi4 problem at theta columns
     cols of the rows src, on the fine x grid.
 
     The ordered sum of the profiles of StripContext.phi4_profiles times
     their theta coefficients, then of the terms that carry the phi22 and
-    phi3 fields. ansatz._phi4_tables solves the profile part and the strip
-    part apart; this is the reference for their sum.
+    phi3 fields, one by one. ansatz._phi4_tables solves the profile part and
+    the grouped strip part (ansatz._phi4_strip_rhs) apart; this is the
+    reference for their sum.
     """
     rows, *strip = az._phi4_coefficients(bundle, src, cols)
     profiles = list(zip(bundle.ctx.phi4_profiles["rhs"], rows))
-    return az._accumulate(profiles + az._phi4_strip_terms(bundle, src, cols, *strip))
+    return _accumulate(profiles + _phi4_strip_terms(bundle, src, cols, *strip))
 
 
 def second_variation_pair(chart, field, h, hp, hpp, s=1e-3, n_quad=2001):
@@ -154,3 +192,73 @@ def second_variation_pair(chart, field, h, hp, hpp, s=1e-3, n_quad=2001):
     jm = weighted_length(chart, field, lambda t: -s * h(t), gp=lambda t: -s * hp(t), n_quad=n_quad)
     fd = (jp - 2.0 * j0 + jm) / s**2
     return form, fd
+
+
+def first_variation_ways(chart, field, h, hp=None, s=1e-4, n_quad=2001):
+    """J'(0)[h] three ways: variational display, residual form, central FD."""
+    theta = np.linspace(0.0, 1.0, n_quad)
+    hv = np.asarray(h(theta), dtype=float)
+    wq = simpson_weights(n_quad, theta[1] - theta[0])
+    zero = np.zeros_like(theta)
+    V0 = field.V0(theta)
+    Vs = V0**field.sigma
+    # Theta_ttheta(0, theta) vanishes for orthogonal graphs; keep the chart value
+    _, _, _, _, th_tth0 = chart.Theta_partials(zero, theta)
+    display = float(np.sum(wq * (Vs * (-chart.k(theta) + th_tth0) * hv + field.sigma * V0 ** (field.sigma - 1.0) * field.V_t(zero, theta) * hv)))
+    _, res, _ = stationarity_residual(chart, field, n_theta=n_quad)
+    residual_form = float(np.sum(wq * res * V0 ** (field.sigma - 1.0) * hv))
+    jp = weighted_length(chart, field, lambda t: s * h(t), gp=None if hp is None else (lambda t: s * hp(t)), n_quad=n_quad)
+    jm = weighted_length(chart, field, lambda t: -s * h(t), gp=None if hp is None else (lambda t: -s * hp(t)), n_quad=n_quad)
+    fd = (jp - jm) / (2.0 * s)
+    return display, residual_form, fd
+
+
+def ground_state_by_shooting(p, x_max=20.0, rtol=1e-12):
+    """Independent oracle: even shooting for w(0) of w'' = w - w^p.
+
+    Integrates from x = 0 with w'(0) = 0 and bisects the initial height so
+    the solution decays instead of blowing up; returns the located w(0).
+    """
+
+    def crossed_zero(t, y):
+        return y[0]
+
+    def rebounded(t, y):
+        return y[1] - 1e-12
+
+    crossed_zero.terminal = True
+    crossed_zero.direction = -1
+    rebounded.terminal = True
+    rebounded.direction = 1
+
+    def classify(w0):
+        """+1 when too high (crosses zero), -1 when too low (rebounds)."""
+        sol = solve_ivp(
+            lambda t, y: [y[1], y[0] - np.sign(y[0]) * np.abs(y[0]) ** p],
+            (1e-3, x_max),
+            [w0, 0.0],
+            rtol=1e-11,
+            atol=1e-13,
+            events=(crossed_zero, rebounded),
+        )
+        if sol.t_events[0].size:
+            return 1
+        if sol.t_events[1].size:
+            return -1
+        return -1 if sol.y[0, -1] > 0 else 1
+
+    lo = 1.0
+    hi = 2.0 * (0.5 * (p + 1.0)) ** (1.0 / (p - 1.0))
+    if classify(lo) > 0:
+        raise pr.ConvergenceError("shooting bracket failed at the low end")
+    while classify(hi) < 0:
+        hi *= 1.5
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if classify(mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo < rtol * mid:
+            break
+    return 0.5 * (lo + hi)

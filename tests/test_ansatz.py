@@ -1,5 +1,8 @@
+import collections
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -357,7 +360,7 @@ def _one_pass_residual(bundle, z):
     """Reference: E from one block spanning all of z, then E11, norms and projections."""
     eps = bundle.eps
     ctx = bundle.ctx
-    E = az._interior_block(bundle, z)
+    E = az._interior_block(bundle, az._Rows(bundle, eps * z))
     th = eps * z
     beta = bundle.coeffs.beta(th)[None, :]
     ev, evpp = bundle.state.e(th)[None, :], bundle.state.e.deriv(th, 2)[None, :]
@@ -376,6 +379,66 @@ def _one_pass_residual(bundle, z):
         "proj_wx": ctx.integrate(E * ctx.tables["w_x"][:, None], axis=0),
         "proj_Z": ctx.integrate(E * ctx.tables["Z"][:, None], axis=0),
     }
+
+
+def test_interior_residual_reads_each_row_once(bent_b5_002, monkeypatch):
+    # one set of theta-only rows serves every block of the residual and E11
+    b5 = bent_b5_002
+    assert b5.z_grid.size > 2 * az._RESIDUAL_BLOCK
+    counts = collections.Counter()
+    missing = az._Rows.__missing__
+
+    def counting(rows, name):
+        counts[name] += 1
+        return missing(rows, name)
+
+    monkeypatch.setattr(az._Rows, "__missing__", counting)
+    az.interior_residual(b5)
+    monkeypatch.undo()
+    assert {"xi", "zt", "fh", "alpha", "e", "epp"} <= set(counts)
+    assert max(counts.values()) == 1, counts.most_common(3)
+
+
+def test_strip_fields_at_one_section_are_that_column_of_the_full_width(ctx3, bent_chart, bent_field, sincos_state):
+    # a tier-5 bent-channel bundle with an analytic h (the ring solution is
+    # read by a matrix product, whose bits depend on the number of points);
+    # at eps 0.01 both strip layers are exact zeros mid-channel, so there a
+    # single section is a block of its own and the profile contraction
+    # decides its bits; where the strip layers are live, a strip._Z_BLOCK
+    # block of sections gets those of the full width
+    h = geometry.ScalarFn(lambda th: 0.1 * th**2, d1=lambda th: 0.2 * th, d2=lambda th: 0.2 + 0.0 * th)
+    state = az.ReducedState(f=sincos_state.f, e=sincos_state.e, h=h)
+    b5 = az.assemble_ansatz(5, state, 0.01, ctx3, bent_chart, bent_field, h_from_state=True)
+    z = b5.z_grid
+    full = b5.strip_fields()
+    zt = az._Rows(b5, b5.eps * z)["zt"]
+    mid = [j for j in range(z.size) if b5.phi22.is_zero(zt[j : j + 1]) and b5.phi3.is_zero(zt[j : j + 1])]
+    assert len(mid) > 10
+    for j in mid[:: len(mid) // 4]:
+        one = b5.strip_fields(z[j : j + 1])
+        for key, value in full.items():
+            assert np.array_equal(one[key][:, 0], value[:, j]), (j, key)
+    block = slice(strip._Z_BLOCK, 2 * strip._Z_BLOCK)
+    assert not b5.phi22.is_zero(zt[block])
+    part = b5.strip_fields(z[block])
+    for key, value in full.items():
+        assert np.array_equal(part[key], value[:, block]), key
+
+
+def test_tier5_bundle_and_report_are_freed_without_gc(ctx3, bent_chart, bent_field, bent_problem):
+    # nothing a bundle holds refers back to it, so reference counting alone
+    # frees it, its phi4 tables and its residual report
+    gc.collect()
+    gc.disable()
+    try:
+        b5 = az.assemble_ansatz(5, az.zero_state(), 0.05, ctx3, bent_chart, bent_field, reduced_problem=bent_problem)
+        rep = az.interior_residual(b5)
+        az.boundary_residual(b5)
+        refs = [weakref.ref(obj) for obj in (b5, b5.phi4, b5.phi22, rep)]
+        del b5, rep
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def test_blocks_are_multiples_of_the_synthesis_block():
@@ -867,7 +930,8 @@ def test_one_ring_solve_per_eps_and_context(ctx3, bent_chart, bent_field, sincos
 
 def test_ring_sources_are_read_once_on_the_ring_grid(ctx3, bent_chart, bent_field, flat_chart, flat_field, monkeypatch):
     # the sources are evaluated once, on the ring solve's own grid, and that
-    # one evaluation is both tested for zero and solved with
+    # one evaluation is both tested for zero and solved with; on the straight
+    # channel it is zero and nothing is solved
     seen, solves = [], []
     sources, solve = az._h_sources, rd.solve_f_problem
     monkeypatch.setattr(az, "_h_sources", lambda bundle, rows, weights: seen.append(rows.th) or sources(bundle, rows, weights))
@@ -877,7 +941,31 @@ def test_ring_sources_are_read_once_on_the_ring_grid(ctx3, bent_chart, bent_fiel
         seen.clear(), solves.clear()
         az.assemble_ansatz(3, az.zero_state(), 0.05, ctx3, chart, field, reduced_problem=problem)
         assert len(seen) == 1 and seen[0] is problem.ring.theta
-        assert len(solves) == 1 and solves[0].shape == problem.ring.theta.shape
+        assert len(solves) == (chart is bent_chart)
+        assert all(g.shape == problem.ring.theta.shape for g in solves)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+def test_straight_channel_ring_takes_the_zero_shortcut(ctx3, bent_chart, bent_field, flat_chart, flat_field, eps, monkeypatch):
+    # on the straight channel k = 0, so the right side g of the ring problem
+    # is an exact zero while alpha1 carries the roundoff of the resonance
+    # amplitude; the zero ring correction needs no solve. The bent channel
+    # (max|alpha1| 1.4-2.8) still solves.
+    solves = []
+    solve = rd.solve_f_problem
+    monkeypatch.setattr(rd, "solve_f_problem", lambda *a, **k: solves.append(a[1]) or solve(*a, **k))
+    for chart, field in ((flat_chart, flat_field), (bent_chart, bent_field)):
+        problem = rd.ReducedProblem(chart, field, ctx3.lambda0, j_max=60)
+        solves.clear()
+        b = az.assemble_ansatz(3, az.zero_state(), eps, ctx3, chart, field, reduced_problem=problem)
+        rows = az._Rows(b, problem.ring.theta)
+        alpha1, _, terms = az._h_sources(b, rows, az._h_weights(ctx3, b.phi22))
+        if chart is flat_chart:
+            assert 0.0 < np.max(np.abs(alpha1)) < 1e-10 and not np.any(terms)
+            assert solves == [] and b.h_solution is None
+        else:
+            assert np.max(np.abs(alpha1)) > 1.0
+            assert len(solves) == 1 and b.h_solution is not None
 
 
 def test_failing_ledger_is_refused_after_a_kept_ring_solve(ctx3, bent_chart, bent_field):

@@ -3,7 +3,7 @@ import pytest
 
 from curvelayers import profiles as pr
 from curvelayers.util import simpson_weights
-from oracles import load_profiles
+from oracles import ground_state_by_shooting, load_profiles
 
 
 @pytest.fixture(scope="module", params=[2.0, 3.0, 5.0])
@@ -157,7 +157,7 @@ def test_truncation_guard():
 
 
 def test_shooting_oracle():
-    w0 = pr.ground_state_by_shooting(3.0, x_max=18.0)
+    w0 = ground_state_by_shooting(3.0, x_max=18.0)
     assert abs(w0 - np.sqrt(2.0)) < 1e-8
 
 
